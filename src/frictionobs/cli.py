@@ -9,12 +9,10 @@ print to stdout only.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .config import Config, ConfigError, load_config
 from .csvio import (
@@ -27,8 +25,16 @@ from .csvio import (
 )
 from .gains import design_gains, validate_robust
 from .ident import THETA_NAMES, FitProblem, fit
-from .observer import GridError, e_obs_series, error_metrics, rms, run_observer
-from .plant import Measured, SimulationDiverged, Trajectory, measure, simulate, simulate_forced
+from .observer import GridError, error_metrics, rms, run_observer
+from .plant import (
+    Measured,
+    SimulationDiverged,
+    Trajectory,
+    measure,
+    same_grid,
+    simulate,
+    simulate_forced,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -53,15 +59,8 @@ def _derived_measured_path(out: Path) -> Path:
     return out.with_name(out.stem + "_measured" + (out.suffix or ".csv"))
 
 
-def _simulate_one(config_path: str, seed: int, out_sim: str, out_meas: str) -> int:
-    # top-level worker so Runs > 1 can fan out over processes
-    cfg = load_config(config_path)
-    sim_cfg = replace(cfg.sim, seed=seed)
-    traj = simulate(cfg.plant, cfg.friction, cfg.scenario, sim_cfg, cfg.observer.deadband)
-    meas = measure(traj, sim_cfg)
-    _write_sim_csv(Path(out_sim), traj)
-    _write_measured_csv(Path(out_meas), meas)
-    return seed
+def _run_path(path: Path, i: int) -> Path:
+    return path.with_name(f"{path.stem}_run{i:03d}{path.suffix or '.csv'}")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -76,35 +75,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if runs < 1:
         print("--runs must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
-    jobs: list[tuple[int, str, str]] = []
-    if runs == 1:
-        jobs.append((cfg.sim.seed, str(out), str(measured_out)))
-    else:
-        for i in range(runs):
-            tag = f"_run{i:03d}"
-            jobs.append(
-                (
-                    cfg.sim.seed + i,
-                    str(out.with_name(out.stem + tag + (out.suffix or ".csv"))),
-                    str(measured_out.with_name(measured_out.stem + tag + (measured_out.suffix or ".csv"))),
-                )
-            )
+    paths = [(out, measured_out)]
+    if runs > 1:
+        paths = [(_run_path(out, i), _run_path(measured_out, i)) for i in range(runs)]
     try:
-        if runs == 1:
-            for seed, s_path, m_path in jobs:
-                _simulate_one(args.config, seed, s_path, m_path)
-        else:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=min(runs, 8)) as pool:
-                futures = [
-                    pool.submit(_simulate_one, args.config, seed, s_path, m_path)
-                    for seed, s_path, m_path in jobs
-                ]
-                for f in futures:
-                    f.result()
+        traj = simulate(cfg.plant, cfg.friction, cfg.scenario, cfg.sim, cfg.observer.deadband)
     except SimulationDiverged as exc:
         print(f"simulation diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    for seed, s_path, m_path in jobs:
+    # the seed only reaches the measurement noise, so every run shares one truth
+    for i, (s_path, m_path) in enumerate(paths):
+        if i == 0:
+            _write_sim_csv(s_path, traj)
+        else:
+            shutil.copyfile(paths[0][0], s_path)
+        seed = cfg.sim.seed + i
+        _write_measured_csv(m_path, measure(traj, replace(cfg.sim, seed=seed)))
         print(f"seed {seed}: wrote {s_path} and {m_path}")
     return EXIT_OK
 
@@ -145,42 +131,35 @@ def cmd_observe(args: argparse.Namespace) -> int:
         return EXIT_SCHEMA
     meas = Measured(t, x, u)
     try:
-        estimates = run_observer(
+        est = run_observer(
             meas, cfg.observer.gains, cfg.plant.m, cfg.friction, cfg.observer.deadband
         )
     except GridError as exc:
         print(f"measured CSV rejected: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    n = len(estimates)
-    w2 = np.array([e.w2_tilde for e in estimates])
-    w3 = np.array([e.w3_tilde for e in estimates])
-    phi = np.array([e.phi for e in estimates])
-    dt = float(t[1] - t[0]) if n >= 2 else 0.0
-    e_obs = e_obs_series(x, w2, dt) if n else np.array([])
-    write_columns(
-        Path(args.out), ESTIMATES_HEADER, [t[:n], w2, w3, phi, e_obs]
-    )
-    if n == 0:
+    write_columns(Path(args.out), ESTIMATES_HEADER, [est.t, est.w2, est.w3, est.phi, est.e_obs])
+    if len(est) == 0:
         print(f"no samples; wrote {args.out}")
         return EXIT_OK
-    print(f"rms_e_obs = {_fmt(rms(e_obs))}")
+    print(f"rms_e_obs = {_fmt(rms(est.e_obs))}")
     if args.truth:
         try:
             ts, xs, vs, fs, us = read_columns(args.truth, SIM_HEADER)
         except CsvSchemaError as exc:
             print(f"truth CSV rejected: {exc}", file=sys.stderr)
             return EXIT_SCHEMA
-        if len(ts) != n or np.any(np.abs(ts - t) > max(1e-9, 1e-9 * float(np.max(np.abs(t))))):
+        if not same_grid(t, ts):
             print("truth CSV rejected: grid does not match the measured sequence", file=sys.stderr)
             return EXIT_SCHEMA
+        dt = float(t[1] - t[0]) if len(t) >= 2 else 0.0
         try:
             model = simulate_forced(cfg.plant, cfg.friction, u, dt, cfg.sim.v_max,
                                     cfg.observer.deadband)
         except SimulationDiverged as exc:
             print(f"nominal model diverged: {exc}", file=sys.stderr)
             return EXIT_DIVERGED
-        metrics = error_metrics(meas, estimates, model)
-        print(f"rms_velocity_error = {_fmt(rms(w2 - vs))}")
+        metrics = error_metrics(meas, est, model)
+        print(f"rms_velocity_error = {_fmt(rms(est.w2 - vs))}")
         print(f"rms_e_model = {_fmt(metrics.rms_model)}")
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -274,7 +253,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_SCHEMA
-    if len(ts) and np.any(np.abs(ts - te) > max(1e-9, 1e-9 * float(np.max(np.abs(ts))))):
+    if not same_grid(ts, te):
         print("timestamp mismatch between sim and estimates", file=sys.stderr)
         return EXIT_SCHEMA
     header = ("t", "x", "v", "f", "u", "w2_tilde", "w3_tilde", "phi", "e_obs")

@@ -34,19 +34,17 @@ def write_columns(path: str | Path, header: tuple[str, ...], columns: list[np.nd
     lengths = {len(c) for c in columns}
     if len(columns) != len(header) or (lengths and lengths != {len(columns[0])}):
         raise ValueError("columns must match the header and share one length")
-    n = len(columns[0]) if columns else 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for i in range(n):
-            w.writerow([repr(float(c[i])) for c in columns])
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(map(repr, map(float, row))) + "\n")
 
 
 def read_columns(path: str | Path, header: tuple[str, ...]) -> list[np.ndarray]:
     """Read and validate a CSV against a schema; returns one array per column.
 
     Raises CsvSchemaError naming the offending row on a bad header, a row
-    of the wrong width, or a non-numeric cell.
+    of the wrong width, or a cell that is not a finite number.
     """
     path = Path(path)
     try:
@@ -78,4 +76,13 @@ def read_columns(path: str | Path, header: tuple[str, ...]) -> list[np.ndarray]:
                         f"{path}: row {rownum} column {header[j]!r}: not a number: {cell!r}",
                         row=rownum,
                     ) from None
-    return [np.array(c, dtype=float) for c in cols]
+    arrays = [np.array(c, dtype=float) for c in cols]
+    # float() accepts nan and inf; report the first such cell, row-major
+    finite = [np.isfinite(a) for a in arrays]
+    bad = [(int(np.argmin(ok)), j) for j, ok in enumerate(finite) if not ok.all()]
+    if bad:
+        i, j = min(bad)
+        raise CsvSchemaError(
+            f"{path}: row {i + 1} column {header[j]!r}: not finite: {cols[j][i]!r}", row=i + 1
+        )
+    return arrays

@@ -104,15 +104,13 @@ class PreslidingState:
 
     z is the normalized presliding coordinate since the last reversal, f_r
     the normalized force level memorized at that reversal, dir the branch
-    direction (0 before any motion), saturated marks gross sliding, and t_r
-    is the time of the last reversal.
+    direction (0 before any motion) and saturated marks gross sliding.
     """
 
     z: float = 0.0
     f_r: float = 0.0
     dir: int = 0
     saturated: bool = False
-    t_r: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -208,7 +206,6 @@ def update_presliding(
     ps: PreslidingState,
     dx: float,
     v_sign: int,
-    t: float,
     p: FrictionParams,
 ) -> PreslidingState:
     """Advance the hysteresis state by a displacement increment dx [m].
@@ -220,20 +217,19 @@ def update_presliding(
     z then advances by s_scale * dx. Reaching z * dir >= 1 saturates the
     branch and erases its memory (f_r <- dir).
     """
-    z, f_r, d, sat, t_r = ps.z, ps.f_r, ps.dir, ps.saturated, ps.t_r
+    z, f_r, d, sat = ps.z, ps.f_r, ps.dir, ps.saturated
     if v_sign != 0 and v_sign != d:
         f_r = _normalized_coulomb(ps, p.z_floor)
         z = 0.0
         d = v_sign
         sat = False
-        t_r = t
     if d != 0:
         z += p.s_scale * dx
         if z * d >= 1.0:
             z = float(d)
             sat = True
             f_r = float(d)
-    return PreslidingState(z, f_r, d, sat, t_r)
+    return PreslidingState(z, f_r, d, sat)
 
 
 def step_friction(
@@ -241,7 +237,6 @@ def step_friction(
     v: float,
     dt: float,
     p: FrictionParams,
-    t: float = 0.0,
     deadband: float = DEFAULT_DEADBAND,
 ) -> tuple[FrictionState, float]:
     """Advance the friction state one step and return (new state, total force [N]).
@@ -252,13 +247,13 @@ def step_friction(
     by s_scale * v * dt, and the returned force is F_c + F_v at the end of
     the step.
     """
-    if math.isnan(v) or math.isnan(dt) or math.isnan(t):
+    if math.isnan(v) or math.isnan(dt):
         raise ValueError("NaN input to step_friction")
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
     target = p.sigma * v
     f_v = target + (st.f_v - target) * math.exp(-dt / p.beta)
     vs = deadband_sign(v, deadband)
-    ps = update_presliding(st.presliding, v * dt, vs, t, p)
+    ps = update_presliding(st.presliding, v * dt, vs, p)
     f_c = coulomb_force(ps, p, vs)
     return FrictionState(ps, f_v), f_c + f_v

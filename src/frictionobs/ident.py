@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .friction import DEFAULT_Z_FLOOR, FrictionParams
-from .plant import ImpulseTrain, PlantParams, SimConfig, SimulationDiverged, simulate
+from .plant import ImpulseTrain, PlantParams, SimConfig, SimulationDiverged, grid_break, simulate
 
 THETA_NAMES = ("sigma", "beta", "s_scale", "amplitude", "width")
 
@@ -30,11 +30,10 @@ MAX_ITERATIONS = 2000
 class FitProblem:
     """Measured data plus the knowns and the search box.
 
-    t, x: uniform-grid displacement record. plant/c_f/z_floor: fixed model
-    constants. impulse_start: known onset of the excitation pulse whose
-    amplitude and width are co-fitted. bounds: per-parameter (lo, hi) in
-    THETA_NAMES order, finite and positive. weights: optional per-sample
-    residual weights.
+    t, x: displacement record on a uniform grid, at least 2 samples, x
+    finite. plant/c_f/z_floor: fixed model constants. impulse_start: known
+    onset of the excitation pulse whose amplitude and width are co-fitted.
+    bounds: per-parameter (lo, hi) in THETA_NAMES order, finite and positive.
     """
 
     t: np.ndarray
@@ -43,7 +42,6 @@ class FitProblem:
     c_f: float
     impulse_start: float
     bounds: tuple[tuple[float, float], ...]
-    weights: np.ndarray | None = None
     z_floor: float = DEFAULT_Z_FLOOR
 
     def __post_init__(self) -> None:
@@ -51,9 +49,12 @@ class FitProblem:
         x = np.asarray(self.x, dtype=float)
         if len(t) != len(x) or len(t) < 2:
             raise ValueError("need matching t/x columns with at least 2 samples")
-        dt = t[1] - t[0]
-        if dt <= 0 or np.any(np.abs(np.diff(t) - dt) > max(1e-12, 1e-6 * dt)):
-            raise ValueError("measured grid is not uniform")
+        k = grid_break(t)
+        if k is not None:
+            raise ValueError(f"measured grid is not uniform at row {k}")
+        ok = np.isfinite(x)
+        if not ok.all():
+            raise ValueError(f"measured x is not finite at row {int(np.argmin(ok))}")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "x", x)
         if len(self.bounds) != len(THETA_NAMES):
@@ -63,11 +64,6 @@ class FitProblem:
                 raise ValueError(f"bounds for {name} must be finite, positive, lo < hi")
         if self.c_f <= 0:
             raise ValueError(f"c_f must be > 0, got {self.c_f!r}")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if len(w) != len(t) or np.any(w < 0):
-                raise ValueError("weights must match the grid and be >= 0")
-            object.__setattr__(self, "weights", w)
 
     @property
     def dt(self) -> float:
@@ -91,7 +87,7 @@ class FitResult:
 
 
 def residual(theta: Sequence[float], problem: FitProblem) -> float:
-    """Weighted RMS displacement error of a forward run at theta.
+    """RMS displacement error of a forward run at theta.
 
     Diverging or non-finite simulations score +inf, never NaN. theta must
     lie inside the bounds.
@@ -117,11 +113,7 @@ def residual(theta: Sequence[float], problem: FitProblem) -> float:
     if len(traj) != len(problem.x) or not np.all(np.isfinite(traj.x)):
         return math.inf
     err = traj.x - problem.x
-    if problem.weights is not None:
-        sq = np.sum(problem.weights * err * err) / np.sum(problem.weights)
-    else:
-        sq = np.mean(err * err)
-    return float(np.sqrt(sq))
+    return float(np.sqrt(np.mean(err * err)))
 
 
 def _project(theta: np.ndarray, bounds: tuple[tuple[float, float], ...]) -> np.ndarray:

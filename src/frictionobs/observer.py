@@ -38,7 +38,7 @@ from .friction import (
     update_presliding,
 )
 from .gains import ObserverGains
-from .plant import Measured, Trajectory
+from .plant import Measured, Trajectory, grid_break, same_grid
 
 Mat2 = tuple[tuple[float, float], tuple[float, float]]
 
@@ -49,34 +49,6 @@ class GridError(ValueError):
     def __init__(self, row: int, message: str):
         super().__init__(message)
         self.row = row
-
-
-@dataclass(frozen=True)
-class RegularForm:
-    """Block decomposition of the linearized plant around the measured state."""
-
-    a11: float
-    a12: tuple[float, float]
-    a21: tuple[float, float]
-    a22: Mat2
-    b_w: float
-    b_z: tuple[float, float]
-
-
-def assemble(m: float, phi: float, sob: float = 0.0) -> RegularForm:
-    """Regular-form blocks for mass m and total coupling phi (>= sob >= 0)."""
-    if not (math.isfinite(m) and m > 0):
-        raise ValueError(f"m must be finite and > 0, got {m!r}")
-    if not (phi >= sob >= 0.0):
-        raise ValueError(f"need phi >= sob >= 0, got phi={phi!r}, sob={sob!r}")
-    return RegularForm(
-        a11=0.0,
-        a12=(1.0, 0.0),
-        a21=(0.0, 0.0),
-        a22=((0.0, -1.0 / m), (phi, 0.0)),
-        b_w=0.0,
-        b_z=(1.0 / m, 0.0),
-    )
 
 
 def observer_matrix(g: ObserverGains, m: float, phi: float) -> Mat2:
@@ -176,27 +148,33 @@ class ObserverState:
     """Observer memory between samples.
 
     z_tilde is the transformed estimate pair, ps the internal presliding
-    replica feeding phi, x_int the running integral of w2~ (for the
-    displacement-consistency error), t the current sample time and x_prev
-    the previous displacement sample (None before the first step).
+    replica feeding phi, x_prev the previous displacement sample (None
+    before the first step) and u_prev the input held over the open step.
     """
 
     z_tilde: tuple[float, float] = (0.0, 0.0)
     ps: PreslidingState = PreslidingState()
-    x_int: float = 0.0
-    t: float = 0.0
     x_prev: float | None = None
     u_prev: float = 0.0
 
 
 @dataclass(frozen=True)
-class EstimateSample:
-    """Estimates at one sample: velocity w2~ [m/s], force w3~ [N], phi used [N/m]."""
+class Estimates:
+    """Observer output as columns on the measured grid.
 
-    t: float
-    w2_tilde: float
-    w3_tilde: float
-    phi: float
+    t [s], velocity estimate w2 (w2~) [m/s], force estimate w3 (w3~) [N],
+    the phi the observer used at each sample [N/m] and the
+    displacement-consistency error e_obs [m] (see ``e_obs_series``).
+    """
+
+    t: np.ndarray
+    w2: np.ndarray
+    w3: np.ndarray
+    phi: np.ndarray
+    e_obs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 def observer_step(
@@ -208,8 +186,8 @@ def observer_step(
     m: float,
     fp: FrictionParams,
     deadband: float = DEFAULT_DEADBAND,
-) -> tuple[ObserverState, EstimateSample]:
-    """Process one measured sample.
+) -> tuple[ObserverState, float, float, float]:
+    """Process one measured sample; returns (new state, w2~, w3~, phi used).
 
     The state carries the still-open hold interval: arriving at sample k,
     the step from k-1 to k is completed first (exact hold step with x held
@@ -218,8 +196,7 @@ def observer_step(
     emitted as z~ + L x[k]. Holding the midpoint removes the O(l1 dt/2)
     velocity bias of a start-of-interval hold. The presliding replica then
     advances with the measured displacement increment, using sign(w2~)
-    through the deadband for reversal detection, and the velocity integral
-    accumulates.
+    through the deadband for reversal detection.
     """
     if math.isnan(x_meas) or math.isnan(u) or math.isnan(dt):
         raise ValueError("NaN input to observer_step")
@@ -239,16 +216,8 @@ def observer_step(
         )
     w2 = z1 + g.l1 * x_meas
     w3 = z2 + g.l2 * x_meas
-    ps = update_presliding(st.ps, dx, deadband_sign(w2, deadband), st.t, fp)
-    new_state = ObserverState(
-        z_tilde=(z1, z2),
-        ps=ps,
-        x_int=st.x_int + w2 * dt,
-        t=st.t + dt,
-        x_prev=x_meas,
-        u_prev=u,
-    )
-    return new_state, EstimateSample(st.t, w2, w3, phi)
+    ps = update_presliding(st.ps, dx, deadband_sign(w2, deadband), fp)
+    return ObserverState((z1, z2), ps, x_meas, u), w2, w3, phi
 
 
 def run_observer(
@@ -257,35 +226,28 @@ def run_observer(
     m: float,
     fp: FrictionParams,
     deadband: float = DEFAULT_DEADBAND,
-) -> list[EstimateSample]:
+) -> Estimates:
     """Fold the observer over a measured sequence from zero initial state.
 
-    The time grid must be uniform; a non-uniform gap raises GridError naming
-    the offending row. An empty sequence yields an empty list.
+    The time grid must be uniform; a row that breaks it (a non-finite
+    timestamp included) raises GridError naming that row. An empty sequence
+    yields empty columns.
     """
+    t = measured.t
     n = len(measured)
-    if n == 0:
-        return []
-    t = np.asarray(measured.t, dtype=float)
-    if n >= 2:
-        dt = float(t[1] - t[0])
-        if dt <= 0:
-            raise GridError(1, f"non-increasing time at row 1: t = {t[1]!r}")
-        gaps = np.diff(t)
-        bad = np.nonzero(np.abs(gaps - dt) > max(1e-12, 1e-6 * dt))[0]
-        if len(bad):
-            k = int(bad[0]) + 1
-            raise GridError(k, f"non-uniform grid at row {k}: gap {gaps[bad[0]]!r}, expected {dt!r}")
-    else:
-        dt = 0.0  # single sample: no integration step needed, but emit one estimate
+    row = grid_break(t)
+    if row is not None:
+        raise GridError(row, f"non-uniform grid at row {row}: t = {float(t[row])!r}")
+    # a single sample needs no integration step, but still gets its estimate
+    dt = float(t[1] - t[0]) if n >= 2 else 0.0
     x = measured.x.tolist()
     u = measured.u.tolist()
-    st = ObserverState(t=float(t[0]))
-    out: list[EstimateSample] = []
+    w2, w3, phi = np.empty(n), np.empty(n), np.empty(n)
+    st = ObserverState()
     for k in range(n):
-        st, est = observer_step(st, x[k], u[k], dt, g, m, fp, deadband)
-        out.append(est)
-    return out
+        st, w2[k], w3[k], phi[k] = observer_step(st, x[k], u[k], dt, g, m, fp, deadband)
+    e_obs = e_obs_series(measured.x, w2, dt) if n else np.empty(0)
+    return Estimates(t, w2, w3, phi, e_obs)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +270,8 @@ def integrated_velocity(w2: np.ndarray, dt: float) -> np.ndarray:
 def e_obs_series(x_meas: np.ndarray, w2: np.ndarray, dt: float) -> np.ndarray:
     """Displacement-consistency error x - x(0) - integral of w2~.
 
-    Matches ObserverState.x_int sample for sample (the integral includes
-    the current estimate).
+    The integral is ``integrated_velocity``, so it includes the current
+    estimate.
     """
     x_meas = np.asarray(x_meas, dtype=float)
     return (x_meas - x_meas[0]) - integrated_velocity(w2, dt)
@@ -327,10 +289,10 @@ class ErrorMetrics:
 
 def error_metrics(
     measured: Measured,
-    estimates: list[EstimateSample],
+    estimates: Estimates,
     model: Trajectory,
 ) -> ErrorMetrics:
-    """e_model = x - x_model (open-loop nominal prediction), e_obs = x - x(0) - int(w2~).
+    """e_model = x - x_model (open-loop nominal prediction), e_obs from the estimates.
 
     All three sequences must share the grid; mismatched lengths or
     timestamps raise ValueError.
@@ -340,18 +302,7 @@ def error_metrics(
         raise ValueError(
             f"length mismatch: measured {n}, estimates {len(estimates)}, model {len(model)}"
         )
-    if n == 0:
-        empty = np.array([])
-        return ErrorMetrics(empty, empty, 0.0, 0.0)
-    t_est = np.array([e.t for e in estimates])
-    tol = max(1e-9, 1e-9 * float(np.max(np.abs(measured.t))))
-    if np.any(np.abs(measured.t - t_est) > tol) or np.any(np.abs(measured.t - model.t) > tol):
+    if not (same_grid(measured.t, estimates.t) and same_grid(measured.t, model.t)):
         raise ValueError("grid mismatch between measured, estimates and model sequences")
     e_model = measured.x - model.x
-    if n >= 2:
-        dt = float(measured.t[1] - measured.t[0])
-    else:
-        dt = 0.0
-    w2 = np.array([e.w2_tilde for e in estimates])
-    e_obs = e_obs_series(measured.x, w2, dt)
-    return ErrorMetrics(e_model, e_obs, rms(e_model), rms(e_obs))
+    return ErrorMetrics(e_model, estimates.e_obs, rms(e_model), rms(estimates.e_obs))

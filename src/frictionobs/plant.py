@@ -98,13 +98,36 @@ class SimConfig:
         return int(math.floor(self.t_end / self.dt + 1e-9)) + 1
 
 
-def _uniform_grid_ok(t: np.ndarray) -> bool:
+def grid_break(t: np.ndarray) -> int | None:
+    """First row of t that breaks a uniform increasing grid, or None if none does.
+
+    The first step dt = t[1] - t[0] must be positive and finite, and every
+    later step must match it within max(1e-12, 1e-6 * dt). A non-finite
+    timestamp always breaks the grid.
+    """
+    if len(t) and not math.isfinite(t[0]):
+        return 0
     if len(t) < 2:
-        return True
-    dt0 = t[1] - t[0]
-    if dt0 <= 0:
+        return None
+    dt = float(t[1] - t[0])
+    if not 0.0 < dt < math.inf:
+        return 1
+    # written so that a NaN step fails the comparison
+    off = ~(np.abs(np.diff(t) - dt) <= max(1e-12, 1e-6 * dt))
+    return int(np.argmax(off)) + 1 if off.any() else None
+
+
+def same_grid(a: np.ndarray, b: np.ndarray) -> bool:
+    """True if a and b have one length and agree within max(1e-9, 1e-9 * max|a|).
+
+    A NaN in either never agrees.
+    """
+    if len(a) != len(b):
         return False
-    return bool(np.all(np.abs(np.diff(t) - dt0) <= max(1e-12, 1e-6 * dt0)))
+    if len(a) == 0:
+        return True
+    tol = max(1e-9, 1e-9 * float(np.max(np.abs(a))))
+    return bool(np.all(np.abs(a - b) <= tol))
 
 
 @dataclass(frozen=True)
@@ -122,9 +145,7 @@ class Trajectory:
         for name in ("x", "v", "f", "u"):
             if len(getattr(self, name)) != n:
                 raise ValueError("trajectory columns must have equal length")
-        if n and not np.all(np.isfinite(self.t)):
-            raise ValueError("non-finite timestamps")
-        if not _uniform_grid_ok(self.t):
+        if grid_break(self.t) is not None:
             raise ValueError("trajectory grid is not uniform")
 
     def __len__(self) -> int:
@@ -133,7 +154,10 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class Measured:
-    """Measured sequence: t, noisy/quantized displacement x [m], input u [N]."""
+    """Measured sequence: t, noisy/quantized displacement x [m], input u [N].
+
+    x and u must be finite; the grid of t is checked by its consumers.
+    """
 
     t: np.ndarray
     x: np.ndarray
@@ -142,6 +166,10 @@ class Measured:
     def __post_init__(self) -> None:
         if not (len(self.t) == len(self.x) == len(self.u)):
             raise ValueError("measured columns must have equal length")
+        for name in ("x", "u"):
+            ok = np.isfinite(getattr(self, name))
+            if not ok.all():
+                raise ValueError(f"measured {name} is not finite at row {int(np.argmin(ok))}")
 
     def __len__(self) -> int:
         return len(self.t)
@@ -156,7 +184,6 @@ def _integrate(
     deadband: float,
 ) -> Trajectory:
     n = len(u)
-    t = np.arange(n) * dt
     u_list = u.tolist()
     xs = [0.0] * n
     vs = [0.0] * n
@@ -166,8 +193,7 @@ def _integrate(
     st = FrictionState()
     m = pp.m
     for k in range(n):
-        tk = k * dt
-        st, f_k = step_friction(st, v, dt, fp, tk, deadband)
+        st, f_k = step_friction(st, v, dt, fp, deadband)
         xs[k] = x
         vs[k] = v
         fs[k] = f_k
@@ -176,6 +202,10 @@ def _integrate(
             if abs(v) > v_max:
                 raise SimulationDiverged((k + 1) * dt, v, v_max)
             x += dt * v
+    # the input floats are freed, and the grid built, only once the loop is
+    # done: on long runs this point is the peak RSS of the whole command
+    del u_list
+    t = np.arange(n) * dt
     return Trajectory(t, np.array(xs), np.array(vs), np.array(fs), np.asarray(u, dtype=float))
 
 
@@ -191,9 +221,7 @@ def simulate(
     Returns a Trajectory with exactly floor(t_end/dt)+1 samples at k*dt.
     Raises SimulationDiverged if |v| exceeds cfg.v_max.
     """
-    n = cfg.n_samples
-    t = np.arange(n) * cfg.dt
-    u = train.sample(t)
+    u = train.sample(np.arange(cfg.n_samples) * cfg.dt)
     return _integrate(pp, fp, u, cfg.dt, cfg.v_max, deadband)
 
 

@@ -161,7 +161,6 @@ def test_criterion_4_presliding_map(capsys):
     peak = 0.0
     saturations = 0
     dz = 2.0 ** -10 / p.s_scale  # exact binary step keeps z increments clean
-    t = 0.0
     # sustained same-direction stretches so z can accumulate through |z| = 1;
     # each stretch flip exercises a reversal from a different branch level
     for stretch in range(32):
@@ -170,13 +169,12 @@ def test_criterion_4_presliding_map(capsys):
             step = direction * dz * float(rng.integers(0, 41))
             vs = deadband_sign(step / 5e-4)
             was_sat = ps.saturated
-            ps = update_presliding(ps, step, vs, t, p)
+            ps = update_presliding(ps, step, vs, p)
             saturations += int(ps.saturated and not was_sat)
             fc = coulomb_force(ps, p, vs)
             peak = max(peak, abs(fc))
             if abs(fc) > C_F:
                 bound_ok = False
-            t += 5e-4
     explored = peak == C_F and saturations > 5  # bound actually reached
     _verdict(capsys, 4, "presliding map",
              endpoints and slope_ok and closure and bound_ok and explored,
@@ -267,7 +265,7 @@ def test_criterion_6_end_to_end(capsys):
     metrics = error_metrics(meas, est, model)
     rms_ok = metrics.rms_obs < metrics.rms_model
 
-    w2 = np.array([e.w2_tilde for e in est])
+    w2 = est.w2
     settle = 5.0 / abs(max(E2E_POLES))  # slow pole
     conv_ok = True
     margins = []

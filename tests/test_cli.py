@@ -199,6 +199,20 @@ def test_identify_nonuniform_grid_rejected(cfg_file, tmp_path):
     assert rc == EXIT_SCHEMA
 
 
+@pytest.mark.parametrize("command", ["observe", "identify"])
+@pytest.mark.parametrize("row", ["0.0005,nan,0.0", "nan,0.0,0.0", "0.0005,inf,0.0"],
+                         ids=["nan_x", "nan_t", "inf_x"])
+def test_non_finite_cell_rejected(cfg_file, tmp_path, capsys, command, row):
+    m = tmp_path / "m.csv"
+    m.write_text(f"t,x,u\n0.0,0.0,0.0\n{row}\n0.001,0.0,0.0\n", encoding="utf-8")
+    rc = main([command, "--config", str(cfg_file), "--measured", str(m),
+               "--out", str(tmp_path / "out")])
+    assert rc == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "row 2" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_merges(cfg_file, tmp_path, capsys):
     sim = tmp_path / "sim.csv"
     est = tmp_path / "est.csv"

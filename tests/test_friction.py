@@ -131,12 +131,11 @@ def test_deadband_sign():
 def test_reversal_memorizes_level_and_resets_z():
     ps = PreslidingState()
     dz = 0.4 / P.s_scale
-    ps = update_presliding(ps, dz, 1, 0.0, P)
+    ps = update_presliding(ps, dz, 1, P)
     level = coulomb_force(ps, P) / P.c_f
-    ps2 = update_presliding(ps, -1e-6, -1, 0.1, P)
+    ps2 = update_presliding(ps, -1e-6, -1, P)
     assert ps2.dir == -1
     assert ps2.f_r == pytest.approx(level, rel=1e-15)
-    assert ps2.t_r == 0.1
     assert not ps2.saturated
     # z restarted then advanced by s_scale*dx
     assert ps2.z == pytest.approx(P.s_scale * -1e-6, rel=1e-12)
@@ -144,22 +143,20 @@ def test_reversal_memorizes_level_and_resets_z():
 
 def test_saturation_erases_memory():
     ps = PreslidingState()
-    ps = update_presliding(ps, 2.0 / P.s_scale, 1, 0.0, P)
+    ps = update_presliding(ps, 2.0 / P.s_scale, 1, P)
     assert ps.saturated and ps.z == 1.0 and ps.f_r == 1.0
     # next reversal starts from the erased level +1, not the pre-saturation branch
-    ps = update_presliding(ps, -1e-6, -1, 1.0, P)
+    ps = update_presliding(ps, -1e-6, -1, P)
     assert ps.f_r == 1.0 and ps.dir == -1 and not ps.saturated
 
 
 def test_force_bounded_on_random_walk():
     rng = np.random.default_rng(3)
     ps = PreslidingState()
-    t = 0.0
     for dx in rng.uniform(-1.5e-4, 1.5e-4, size=10_000):
         vs = deadband_sign(dx / 1e-3)
-        ps = update_presliding(ps, float(dx), vs, t, P)
+        ps = update_presliding(ps, float(dx), vs, P)
         assert abs(coulomb_force(ps, P, vs)) <= P.c_f + 1e-15
-        t += 1e-3
 
 
 def test_viscous_lag_exact_update():
@@ -167,15 +164,15 @@ def test_viscous_lag_exact_update():
     st = FrictionState()
     v, dt = 0.05, 5e-4
     for k in range(1, 40):
-        st, _ = step_friction(st, v, dt, fp, t=k * dt)
+        st, _ = step_friction(st, v, dt, fp)
         expect = fp.sigma * v * (1.0 - math.exp(-k * dt / fp.beta))
         assert st.f_v == pytest.approx(expect, rel=1e-12)
 
 
 def test_rest_gives_zero_force():
     st = FrictionState()
-    for k in range(50):
-        st, f = step_friction(st, 0.0, 5e-4, P, t=k * 5e-4)
+    for _ in range(50):
+        st, f = step_friction(st, 0.0, 5e-4, P)
         assert f == 0.0
 
 
@@ -183,8 +180,8 @@ def test_constant_velocity_fixed_points():
     # sustained sliding: viscous part settles at sigma*v, Coulomb part saturates
     st = FrictionState()
     v, dt = 0.05, 5e-4
-    for k in range(4000):
-        st, f = step_friction(st, v, dt, P, t=k * dt)
+    for _ in range(4000):
+        st, f = step_friction(st, v, dt, P)
     assert st.presliding.saturated
     assert f == pytest.approx(P.sigma * v + P.c_f, abs=1e-12)
 
@@ -192,9 +189,9 @@ def test_constant_velocity_fixed_points():
 def test_full_reversal_traverses_to_opposite_bound():
     # from the saturated +C_f level, -1/s of travel closes the branch at -C_f
     ps = PreslidingState()
-    ps = update_presliding(ps, 2.0 / P.s_scale, 1, 0.0, P)
+    ps = update_presliding(ps, 2.0 / P.s_scale, 1, P)
     assert ps.saturated and ps.f_r == 1.0
-    ps = update_presliding(ps, -1.0 / P.s_scale, -1, 1.0, P)
+    ps = update_presliding(ps, -1.0 / P.s_scale, -1, P)
     assert ps.z == -1.0
     assert coulomb_force(ps, P, -1) == -P.c_f
 

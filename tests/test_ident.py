@@ -53,24 +53,21 @@ def test_residual_validation():
         residual((100.0, 0.002, 2000.0, 1.0, 0.005), prob)  # outside bounds
 
 
-def test_residual_weights():
-    prob = make_problem()
-    w = np.zeros(len(prob.t))
-    w[: len(w) // 2] = 1.0
-    weighted = FitProblem(
-        t=prob.t, x=prob.x, plant=PLANT, c_f=C_F, impulse_start=0.01,
-        bounds=BOUNDS, weights=w,
-    )
-    off = (2.4, 0.002, 2000.0, 1.0, 0.005)
-    assert residual(off, weighted) != residual(off, prob)
-
-
 def test_problem_validation():
     prob = make_problem()
     t_bad = prob.t.copy()
     t_bad[-1] += 3e-4
     with pytest.raises(ValueError):
         FitProblem(t=t_bad, x=prob.x, plant=PLANT, c_f=C_F, impulse_start=0.01, bounds=BOUNDS)
+    t_bad[-1] = np.nan
+    with pytest.raises(ValueError):
+        FitProblem(t=t_bad, x=prob.x, plant=PLANT, c_f=C_F, impulse_start=0.01, bounds=BOUNDS)
+    for bad in (np.nan, np.inf):
+        x_bad = prob.x.copy()
+        x_bad[5] = bad
+        with pytest.raises(ValueError, match="not finite at row 5"):
+            FitProblem(t=prob.t, x=x_bad, plant=PLANT, c_f=C_F, impulse_start=0.01,
+                       bounds=BOUNDS)
     with pytest.raises(ValueError):
         FitProblem(t=prob.t, x=prob.x, plant=PLANT, c_f=C_F, impulse_start=0.01,
                    bounds=BOUNDS[:3])

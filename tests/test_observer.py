@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from frictionobs import (
-    EstimateSample,
+    Estimates,
     FrictionParams,
     GridError,
     ImpulseTrain,
@@ -15,7 +15,6 @@ from frictionobs import (
     ObserverGains,
     PlantParams,
     SimConfig,
-    assemble,
     design_gains,
     e_obs_series,
     error_metrics,
@@ -34,17 +33,6 @@ from frictionobs.observer import ObserverState
 M_KG = 0.052
 FRICTION = FrictionParams(c_f=0.2143, sigma=2.0, beta=0.002, s_scale=2000.0)
 GAINS = design_gains((-350.0, -10.0), M_KG, FRICTION.sigma / FRICTION.beta)
-
-
-def test_assemble_blocks():
-    rf = assemble(M_KG, 150.0, 40.0)
-    assert rf.a12 == (1.0, 0.0)
-    assert rf.a22 == ((0.0, -1.0 / M_KG), (150.0, 0.0))
-    assert rf.b_z == (1.0 / M_KG, 0.0)
-    with pytest.raises(ValueError):
-        assemble(M_KG, 10.0, 20.0)  # phi below sob
-    with pytest.raises(ValueError):
-        assemble(0.0, 0.0, 0.0)
 
 
 def test_observer_matrix_shift():
@@ -182,11 +170,11 @@ def test_constant_measurement_estimates_settle_to_zero():
     t = np.arange(n) * dt
     g = design_gains((-350.0, -10.0), M_KG, FRICTION.sigma / FRICTION.beta)
     out = run_observer(Measured(t, np.zeros(n), np.zeros(n)), g, M_KG, FRICTION)
-    assert all(e.w2_tilde == 0.0 and e.w3_tilde == 0.0 for e in out)
+    assert np.all(out.w2 == 0.0) and np.all(out.w3 == 0.0)
     # constant nonzero x: transient from the zero initial state dies out
     out = run_observer(Measured(t, np.full(n, 1e-3), np.zeros(n)), g, M_KG, FRICTION)
-    assert abs(out[-1].w2_tilde) < 1e-12
-    assert abs(out[-1].w3_tilde) < 1e-12
+    assert abs(out.w2[-1]) < 1e-12
+    assert abs(out.w3[-1]) < 1e-12
 
 
 def test_gain_guard_rejects_unstable_pair():
@@ -207,11 +195,13 @@ def test_nan_guard():
 
 def test_run_observer_empty_and_single():
     empty = Measured(np.array([]), np.array([]), np.array([]))
-    assert run_observer(empty, GAINS, M_KG, FRICTION) == []
+    out = run_observer(empty, GAINS, M_KG, FRICTION)
+    assert len(out) == 0 and all(len(c) == 0 for c in (out.w2, out.w3, out.phi, out.e_obs))
     one = Measured(np.array([0.0]), np.array([1e-5]), np.array([0.5]))
     out = run_observer(one, GAINS, M_KG, FRICTION)
-    assert len(out) == 1 and out[0].t == 0.0
-    assert out[0].w2_tilde == GAINS.l1 * 1e-5
+    assert len(out) == 1 and out.t[0] == 0.0
+    assert out.w2[0] == GAINS.l1 * 1e-5
+    assert out.e_obs[0] == 0.0
 
 
 def test_run_observer_grid_error_row():
@@ -223,6 +213,11 @@ def test_run_observer_grid_error_row():
     rev = Measured(np.array([0.0, -1e-3]), np.zeros(2), np.zeros(2))
     with pytest.raises(GridError):
         run_observer(rev, GAINS, M_KG, FRICTION)
+    # NaN compares false, so a NaN timestamp must not pass as an on-grid gap
+    nan_t = Measured(np.array([0.0, 1e-3, math.nan, 3e-3]), np.zeros(4), np.zeros(4))
+    with pytest.raises(GridError) as exc:
+        run_observer(nan_t, GAINS, M_KG, FRICTION)
+    assert exc.value.row == 2
 
 
 def test_replica_phi_spans_presliding_to_sliding():
@@ -232,7 +227,7 @@ def test_replica_phi_spans_presliding_to_sliding():
     meas = measure(traj, cfg)
     out = run_observer(meas, GAINS, M_KG, FRICTION)
     sob = FRICTION.sigma / FRICTION.beta
-    phis = np.array([e.phi for e in out])
+    phis = out.phi
     assert np.all(phis >= sob - 1e-9)
     assert phis.min() == pytest.approx(sob, rel=1e-12)  # gross sliding reached
     assert phis.max() > sob + 100.0  # presliding stiffness was active
@@ -243,8 +238,7 @@ def test_estimates_track_truth_after_transient():
     cfg = SimConfig(dt=5e-4, t_end=0.6)
     traj = simulate(plant, FRICTION, ImpulseTrain(((0.05, 0.01, 1.6),)), cfg)
     meas = measure(traj, cfg)  # noise-free
-    out = run_observer(meas, GAINS, M_KG, FRICTION)
-    w2 = np.array([e.w2_tilde for e in out])
+    w2 = run_observer(meas, GAINS, M_KG, FRICTION).w2
     peak = np.max(np.abs(traj.v))
     settled = traj.t > 0.05 + 0.5  # 5/|lam_slow| after the pulse
     assert np.max(np.abs(w2[settled] - traj.v[settled])) < 0.01 * peak
@@ -263,8 +257,7 @@ def test_observer_beats_central_difference_velocity():
     cfg = SimConfig(dt=5e-4, t_end=1.0, noise_std=2e-6, seed=5)
     traj = simulate(plant, truth, ImpulseTrain(((0.05, 0.01, 0.6),)), cfg)
     meas = measure(traj, cfg)
-    out = run_observer(meas, g, M_KG, truth)
-    w2 = np.array([e.w2_tilde for e in out])
+    w2 = run_observer(meas, g, M_KG, truth).w2
     fd = np.gradient(meas.x, cfg.dt)
     inner = slice(1, -1)  # central differences exist only at interior points
     rms_obs = rms(w2[inner] - traj.v[inner])
@@ -291,11 +284,17 @@ def test_e_obs_series_definition():
 def test_error_metrics_mismatch_raises():
     t = np.array([0.0, 1e-3])
     meas = Measured(t, np.zeros(2), np.zeros(2))
-    est = [EstimateSample(0.0, 0.0, 0.0, 0.0)]
+
+    def estimates(times):
+        z = np.zeros(len(times))
+        return Estimates(np.array(times), z, z, z, z)
+
     plant = PlantParams(m=M_KG)
     traj = simulate(plant, FRICTION, ImpulseTrain(), SimConfig(dt=1e-3, t_end=1e-3))
+    assert error_metrics(meas, estimates([0.0, 1e-3]), traj).rms_obs == 0.0
     with pytest.raises(ValueError):
-        error_metrics(meas, est, traj)
-    est2 = [EstimateSample(0.0, 0.0, 0.0, 0.0), EstimateSample(5e-4, 0.0, 0.0, 0.0)]
+        error_metrics(meas, estimates([0.0]), traj)
     with pytest.raises(ValueError):
-        error_metrics(meas, est2, traj)  # timestamp mismatch
+        error_metrics(meas, estimates([0.0, 5e-4]), traj)  # timestamp mismatch
+    with pytest.raises(ValueError):
+        error_metrics(meas, estimates([0.0, math.nan]), traj)

@@ -8,6 +8,7 @@ import pytest
 from frictionobs import (
     FrictionParams,
     ImpulseTrain,
+    Measured,
     PlantParams,
     SimConfig,
     SimulationDiverged,
@@ -140,6 +141,15 @@ def test_measure_identity_when_noise_and_quant_off():
     traj = simulate(PLANT, FRICTION, ImpulseTrain(((0.01, 0.01, 1.0),)), SimConfig(dt=1e-3, t_end=0.1))
     m = measure(traj, SimConfig(dt=1e-3, t_end=0.1, noise_std=0.0, quant=0.0))
     assert np.array_equal(m.x, traj.x)
+
+
+def test_measured_rejects_non_finite():
+    t = np.array([0.0, 1e-3, 2e-3])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="x is not finite at row 1"):
+            Measured(t, np.array([0.0, bad, 0.0]), np.zeros(3))
+        with pytest.raises(ValueError, match="u is not finite at row 2"):
+            Measured(t, np.zeros(3), np.array([0.0, 0.0, -bad]))
 
 
 def test_measure_quantization_reference_value():
