@@ -9,6 +9,7 @@ print to stdout only.
 from __future__ import annotations
 
 import argparse
+import math
 import shutil
 import sys
 from dataclasses import replace
@@ -137,6 +138,10 @@ def cmd_observe(args: argparse.Namespace) -> int:
     except GridError as exc:
         print(f"measured CSV rejected: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    except ValueError as exc:
+        # Measured has checked x and u, so what is left is the gain condition
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     write_columns(Path(args.out), ESTIMATES_HEADER, [est.t, est.w2, est.w3, est.phi, est.e_obs])
     if len(est) == 0:
         print(f"no samples; wrote {args.out}")
@@ -151,10 +156,12 @@ def cmd_observe(args: argparse.Namespace) -> int:
         if not same_grid(t, ts):
             print("truth CSV rejected: grid does not match the measured sequence", file=sys.stderr)
             return EXIT_SCHEMA
-        dt = float(t[1] - t[0]) if len(t) >= 2 else 0.0
+        if len(t) < 2:
+            print("truth CSV rejected: --truth needs at least 2 samples", file=sys.stderr)
+            return EXIT_SCHEMA
         try:
-            model = simulate_forced(cfg.plant, cfg.friction, u, dt, cfg.sim.v_max,
-                                    cfg.observer.deadband)
+            model = simulate_forced(cfg.plant, cfg.friction, u, float(t[1] - t[0]),
+                                    cfg.sim.v_max, cfg.observer.deadband)
         except SimulationDiverged as exc:
             print(f"nominal model diverged: {exc}", file=sys.stderr)
             return EXIT_DIVERGED
@@ -202,6 +209,9 @@ def cmd_identify(args: argparse.Namespace) -> int:
         print(f"measured CSV rejected: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     result = fit(problem, theta0)
+    if not math.isfinite(result.rms_residual):
+        print("fit diverged: no candidate gave a finite residual", file=sys.stderr)
+        return EXIT_DIVERGED
     lines = [f"{name} = {_fmt(v)}" for name, v in zip(THETA_NAMES, result.theta)]
     lines.append(f"rms_residual = {_fmt(result.rms_residual)}")
     lines.append(f"iterations = {result.iterations}")

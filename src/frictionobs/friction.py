@@ -21,6 +21,14 @@ which runs from f_r at z = 0 to dir (i.e. +-1) at z = dir. Saturation at
 
 The branch slope diverges like -ln|z| as z -> 0, so stiffness queries clip
 |z| from below at z_floor and cap the result at kappa.
+
+The law is a scalar kernel on plain floats: ``advance`` (reversal, advance,
+saturation), ``level`` (clipped normalized Coulomb level) and ``stiffness``
+(dF_c/dx) take the branch state as (z, f_r, dir, sat) and return floats or
+tuples, so the plant loop and the observer's replica keep that state in
+local variables and allocate nothing per step. ``update_presliding``,
+``coulomb_force`` and ``coulomb_stiffness`` are the same kernel on a
+``PreslidingState``.
 """
 
 from __future__ import annotations
@@ -113,14 +121,6 @@ class PreslidingState:
     saturated: bool = False
 
 
-@dataclass(frozen=True)
-class FrictionState:
-    """Total friction state: hysteresis branch plus lagged viscous force [N]."""
-
-    presliding: PreslidingState = PreslidingState()
-    f_v: float = 0.0
-
-
 def f0_branch(z: float) -> float:
     """Normalized virgin branch f0(z) = z * (1 - ln|z|) on 0 < |z| <= 1.
 
@@ -131,6 +131,11 @@ def f0_branch(z: float) -> float:
         raise ValueError("z is NaN")
     if z == 0.0 or abs(z) > 1.0:
         raise ValueError(f"f0 branch needs 0 < |z| <= 1, got {z!r}")
+    return _f0(z)
+
+
+def _f0(z: float) -> float:
+    # the branch formula itself; callers guarantee 0 < |z| <= 1
     return z * (1.0 - math.log(abs(z)))
 
 
@@ -147,23 +152,77 @@ def presliding_force(z: float, f_r: float, dir: int) -> float:
     return abs(dir - f_r) * f0_branch(z) + f_r
 
 
-def _normalized_coulomb(ps: PreslidingState, z_floor: float) -> float:
-    """Current normalized Coulomb level of a state, clipped into [-1, 1].
+def level(z: float, f_r: float, dir: int, sat: bool, z_floor: float) -> float:
+    """Normalized Coulomb level of a branch state, clipped into [-1, 1].
 
     Saturated states sit at dir. A state that never moved (dir == 0) sits at
     f_r. Otherwise the branch is evaluated at z clipped away from zero.
     """
-    if ps.saturated:
-        return float(ps.dir)
-    if ps.dir == 0:
-        return ps.f_r
-    z = ps.z
+    if sat:
+        return float(dir)
+    if dir == 0:
+        return f_r
     if z == 0.0:
-        zc = ps.dir * z_floor  # branch just spawned, evaluate on its own side
+        zc = dir * z_floor  # branch just spawned, evaluate on its own side
     else:
         zc = math.copysign(min(max(abs(z), z_floor), 1.0), z)
-    fp = presliding_force(zc, ps.f_r, ps.dir)
+    fp = abs(dir - f_r) * _f0(zc) + f_r
     return min(1.0, max(-1.0, fp))
+
+
+def advance(
+    z: float,
+    f_r: float,
+    dir: int,
+    sat: bool,
+    dx: float,
+    v_sign: int,
+    s_scale: float,
+    z_floor: float,
+) -> tuple[float, float, int, bool]:
+    """Advance a branch state by a displacement increment dx [m]; returns (z, f_r, dir, sat).
+
+    v_sign is the deadband-filtered velocity sign driving reversal
+    detection. A sign opposite to the stored branch direction (or the first
+    nonzero sign from rest) is a reversal: the current normalized level is
+    memorized as f_r, z restarts at zero, and the branch direction flips.
+    z then advances by s_scale * dx. Reaching z * dir >= 1 saturates the
+    branch and erases its memory (f_r <- dir).
+    """
+    if v_sign != 0 and v_sign != dir:
+        f_r = level(z, f_r, dir, sat, z_floor)
+        z = 0.0
+        dir = v_sign
+        sat = False
+    if dir != 0:
+        z += s_scale * dx
+        if z * dir >= 1.0:
+            z = float(dir)
+            sat = True
+            f_r = float(dir)
+    return z, f_r, dir, sat
+
+
+def stiffness(
+    z: float,
+    f_r: float,
+    dir: int,
+    sat: bool,
+    s_scale: float,
+    c_f: float,
+    z_floor: float,
+    kappa: float,
+) -> float:
+    """Displacement stiffness dF_c/dx [N/m] of a branch state, in [0, kappa].
+
+    In presliding this is min(s_scale * c_f * |dir - f_r| * (-ln |z|), kappa)
+    with |z| clipped at z_floor; zero when saturated (force locked at +-c_f).
+    """
+    if sat:
+        return 0.0
+    zc = min(max(abs(z), z_floor), 1.0)
+    val = s_scale * c_f * abs(dir - f_r) * max(0.0, -math.log(zc))
+    return min(val, kappa)
 
 
 def coulomb_force(ps: PreslidingState, p: FrictionParams, v_sign: int = 0) -> float:
@@ -174,23 +233,14 @@ def coulomb_force(ps: PreslidingState, p: FrictionParams, v_sign: int = 0) -> fl
     branch direction. |F_c| <= c_f always.
     """
     if ps.saturated:
-        s = v_sign if v_sign != 0 else ps.dir
-        return p.c_f * float(s)
-    return p.c_f * _normalized_coulomb(ps, p.z_floor)
+        return p.c_f * (v_sign or ps.dir)
+    return p.c_f * level(ps.z, ps.f_r, ps.dir, False, p.z_floor)
 
 
 def coulomb_stiffness(ps: PreslidingState, p: FrictionParams, v_sign: int = 0) -> float:
-    """Displacement stiffness dF_c/dx [N/m] of the current branch, in [0, kappa].
-
-    In presliding this is min(s_scale * c_f * |dir - f_r| * (-ln |z|), kappa)
-    with |z| clipped at z_floor; zero when saturated (force locked at +-c_f).
-    """
-    if ps.saturated:
-        return 0.0
+    """``stiffness`` of a PreslidingState; v_sign stands in for dir before any motion."""
     d = ps.dir if ps.dir != 0 else v_sign
-    zc = min(max(abs(ps.z), p.z_floor), 1.0)
-    val = p.s_scale * p.c_f * abs(d - ps.f_r) * max(0.0, -math.log(zc))
-    return min(val, p.kappa)
+    return stiffness(ps.z, ps.f_r, d, ps.saturated, p.s_scale, p.c_f, p.z_floor, p.kappa)
 
 
 def deadband_sign(v: float, deadband: float = DEFAULT_DEADBAND) -> int:
@@ -208,52 +258,6 @@ def update_presliding(
     v_sign: int,
     p: FrictionParams,
 ) -> PreslidingState:
-    """Advance the hysteresis state by a displacement increment dx [m].
-
-    v_sign is the deadband-filtered velocity sign driving reversal
-    detection. A sign opposite to the stored branch direction (or the first
-    nonzero sign from rest) is a reversal: the current normalized level is
-    memorized as f_r, z restarts at zero, and the branch direction flips.
-    z then advances by s_scale * dx. Reaching z * dir >= 1 saturates the
-    branch and erases its memory (f_r <- dir).
-    """
-    z, f_r, d, sat = ps.z, ps.f_r, ps.dir, ps.saturated
-    if v_sign != 0 and v_sign != d:
-        f_r = _normalized_coulomb(ps, p.z_floor)
-        z = 0.0
-        d = v_sign
-        sat = False
-    if d != 0:
-        z += p.s_scale * dx
-        if z * d >= 1.0:
-            z = float(d)
-            sat = True
-            f_r = float(d)
-    return PreslidingState(z, f_r, d, sat)
-
-
-def step_friction(
-    st: FrictionState,
-    v: float,
-    dt: float,
-    p: FrictionParams,
-    deadband: float = DEFAULT_DEADBAND,
-) -> tuple[FrictionState, float]:
-    """Advance the friction state one step and return (new state, total force [N]).
-
-    The viscous lag is integrated exactly with v held over the step,
-    F_v <- sigma*v + (F_v - sigma*v) * exp(-dt/beta). Reversals are detected
-    from the deadband-filtered sign of v, the presliding coordinate advances
-    by s_scale * v * dt, and the returned force is F_c + F_v at the end of
-    the step.
-    """
-    if math.isnan(v) or math.isnan(dt):
-        raise ValueError("NaN input to step_friction")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be > 0, got {dt!r}")
-    target = p.sigma * v
-    f_v = target + (st.f_v - target) * math.exp(-dt / p.beta)
-    vs = deadband_sign(v, deadband)
-    ps = update_presliding(st.presliding, v * dt, vs, p)
-    f_c = coulomb_force(ps, p, vs)
-    return FrictionState(ps, f_v), f_c + f_v
+    """``advance`` of a PreslidingState by a displacement increment dx [m]."""
+    return PreslidingState(*advance(ps.z, ps.f_r, ps.dir, ps.saturated, dx, v_sign,
+                                    p.s_scale, p.z_floor))

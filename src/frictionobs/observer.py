@@ -18,7 +18,10 @@ the roots of lam^2 + l1 lam + (phi - l2)/m.
 Each step discretizes the frozen-phi system exactly (zero-order hold on x
 and u) via a closed-form 2x2 matrix exponential. phi itself comes from an
 observer-internal replica of the presliding state, driven by the measured
-displacement increments with reversal detection on sign(w2~).
+displacement increments with reversal detection on sign(w2~). The replica
+runs the same scalar hysteresis kernel as the plant (``friction.advance``
+and ``friction.stiffness``), its state held in local floats of the
+``run_observer`` loop.
 """
 
 from __future__ import annotations
@@ -29,14 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .friction import (
-    DEFAULT_DEADBAND,
-    FrictionParams,
-    PreslidingState,
-    coulomb_stiffness,
-    deadband_sign,
-    update_presliding,
-)
+from .friction import DEFAULT_DEADBAND, FrictionParams, advance, deadband_sign, stiffness
 from .gains import ObserverGains
 from .plant import Measured, Trajectory, grid_break, same_grid
 
@@ -144,21 +140,6 @@ def observer_update(
 
 
 @dataclass(frozen=True)
-class ObserverState:
-    """Observer memory between samples.
-
-    z_tilde is the transformed estimate pair, ps the internal presliding
-    replica feeding phi, x_prev the previous displacement sample (None
-    before the first step) and u_prev the input held over the open step.
-    """
-
-    z_tilde: tuple[float, float] = (0.0, 0.0)
-    ps: PreslidingState = PreslidingState()
-    x_prev: float | None = None
-    u_prev: float = 0.0
-
-
-@dataclass(frozen=True)
 class Estimates:
     """Observer output as columns on the measured grid.
 
@@ -177,49 +158,6 @@ class Estimates:
         return len(self.t)
 
 
-def observer_step(
-    st: ObserverState,
-    x_meas: float,
-    u: float,
-    dt: float,
-    g: ObserverGains,
-    m: float,
-    fp: FrictionParams,
-    deadband: float = DEFAULT_DEADBAND,
-) -> tuple[ObserverState, float, float, float]:
-    """Process one measured sample; returns (new state, w2~, w3~, phi used).
-
-    The state carries the still-open hold interval: arriving at sample k,
-    the step from k-1 to k is completed first (exact hold step with x held
-    at the interval midpoint (x[k-1]+x[k])/2 and u at u[k-1], phi frozen at
-    its value from the replica as of k-1), then the estimate at t_k is
-    emitted as z~ + L x[k]. Holding the midpoint removes the O(l1 dt/2)
-    velocity bias of a start-of-interval hold. The presliding replica then
-    advances with the measured displacement increment, using sign(w2~)
-    through the deadband for reversal detection.
-    """
-    if math.isnan(x_meas) or math.isnan(u) or math.isnan(dt):
-        raise ValueError("NaN input to observer_step")
-    sob = fp.sigma / fp.beta
-    if not (g.l1 > 0.0 and g.l2 < sob):
-        raise ValueError(
-            f"gains (l1={g.l1!r}, l2={g.l2!r}) violate l1 > 0, l2 < sigma/beta = {sob!r}"
-        )
-    phi = coulomb_stiffness(st.ps, fp) + sob
-    z1, z2 = st.z_tilde
-    if st.x_prev is None:
-        dx = 0.0
-    else:
-        dx = x_meas - st.x_prev
-        z1, z2, _, _ = observer_update(
-            z1, z2, 0.5 * (st.x_prev + x_meas), st.u_prev, dt, g, m, phi
-        )
-    w2 = z1 + g.l1 * x_meas
-    w3 = z2 + g.l2 * x_meas
-    ps = update_presliding(st.ps, dx, deadband_sign(w2, deadband), fp)
-    return ObserverState((z1, z2), ps, x_meas, u), w2, w3, phi
-
-
 def run_observer(
     measured: Measured,
     g: ObserverGains,
@@ -229,23 +167,64 @@ def run_observer(
 ) -> Estimates:
     """Fold the observer over a measured sequence from zero initial state.
 
-    The time grid must be uniform; a row that breaks it (a non-finite
-    timestamp included) raises GridError naming that row. An empty sequence
-    yields empty columns.
+    Arriving at sample k, the hold step from k-1 to k is completed first
+    (``observer_update`` with x held at the interval midpoint
+    (x[k-1]+x[k])/2 and u at u[k-1], phi frozen at its value from the
+    replica as of k-1), then the estimate at t_k is emitted as z~ + L x[k].
+    Holding the midpoint removes the O(l1 dt/2) velocity bias of a
+    start-of-interval hold. The presliding replica then advances with the
+    measured displacement increment, using sign(w2~) through the deadband
+    for reversal detection.
+
+    The gains must satisfy l1 > 0 and l2 < sigma/beta, and x and u must be
+    finite; otherwise ValueError. The time grid must be uniform; a row that
+    breaks it (a non-finite timestamp included) raises GridError naming that
+    row. An empty sequence yields empty columns.
     """
+    sob = fp.sigma / fp.beta
+    if not (g.l1 > 0.0 and g.l2 < sob):
+        raise ValueError(
+            f"gains (l1={g.l1!r}, l2={g.l2!r}) violate l1 > 0, l2 < sigma/beta = {sob!r}"
+        )
     t = measured.t
     n = len(measured)
     row = grid_break(t)
     if row is not None:
         raise GridError(row, f"non-uniform grid at row {row}: t = {float(t[row])!r}")
+    # grid_break leaves dt finite and > 0; x and u are checked here because
+    # a caller may hand in columns that never went through Measured
+    for name in ("x", "u"):
+        ok = np.isfinite(getattr(measured, name))
+        if not ok.all():
+            raise ValueError(f"measured {name} is not finite at row {int(np.argmin(ok))}")
     # a single sample needs no integration step, but still gets its estimate
     dt = float(t[1] - t[0]) if n >= 2 else 0.0
     x = measured.x.tolist()
     u = measured.u.tolist()
+    l1, l2 = g.l1, g.l2
+    s_scale, c_f, z_floor, kappa = fp.s_scale, fp.c_f, fp.z_floor, fp.kappa
     w2, w3, phi = np.empty(n), np.empty(n), np.empty(n)
-    st = ObserverState()
+    z1 = z2 = 0.0
+    # replica of the presliding state: see friction.advance
+    z = f_r = 0.0
+    d = 0
+    sat = False
     for k in range(n):
-        st, w2[k], w3[k], phi[k] = observer_step(st, x[k], u[k], dt, g, m, fp, deadband)
+        phi_k = stiffness(z, f_r, d, sat, s_scale, c_f, z_floor, kappa) + sob
+        x_k = x[k]
+        if k:
+            dx = x_k - x[k - 1]
+            z1, z2, _, _ = observer_update(
+                z1, z2, 0.5 * (x[k - 1] + x_k), u[k - 1], dt, g, m, phi_k
+            )
+        else:
+            dx = 0.0
+        w2_k = z1 + l1 * x_k
+        w2[k] = w2_k
+        w3[k] = z2 + l2 * x_k
+        phi[k] = phi_k
+        z, f_r, d, sat = advance(z, f_r, d, sat, dx, deadband_sign(w2_k, deadband),
+                                 s_scale, z_floor)
     e_obs = e_obs_series(measured.x, w2, dt) if n else np.empty(0)
     return Estimates(t, w2, w3, phi, e_obs)
 

@@ -1,8 +1,10 @@
 """Fixed-step simulation of the 1-DOF plant m*x'' + f(x') = u.
 
-Integration is semi-implicit Euler: the velocity is updated first with the
-friction force returned by ``step_friction`` for the current step, then the
-position is updated with the new velocity. The sample grid is exactly
+Integration is semi-implicit Euler: each step first advances the friction
+state with the current velocity (the exact viscous-lag update and the
+scalar hysteresis kernel ``friction.advance``/``friction.level``, state kept
+in local floats), then updates the velocity with the resulting force and
+the position with the new velocity. The sample grid is exactly
 k * dt for k = 0 .. floor(t_end/dt).
 """
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .friction import DEFAULT_DEADBAND, FrictionParams, FrictionState, step_friction
+from .friction import DEFAULT_DEADBAND, FrictionParams, advance, deadband_sign, level
 
 
 class SimulationDiverged(RuntimeError):
@@ -183,17 +185,34 @@ def _integrate(
     v_max: float,
     deadband: float,
 ) -> Trajectory:
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     n = len(u)
     u_list = u.tolist()
     xs = [0.0] * n
     vs = [0.0] * n
     fs = [0.0] * n
-    x = 0.0
-    v = 0.0
-    st = FrictionState()
     m = pp.m
+    sigma, c_f, s_scale, z_floor = fp.sigma, fp.c_f, fp.s_scale, fp.z_floor
+    decay = math.exp(-dt / fp.beta)
+    x = v = f_v = 0.0
+    # hysteresis state: see friction.advance
+    z = f_r = 0.0
+    d = 0
+    sat = False
     for k in range(n):
-        st, f_k = step_friction(st, v, dt, fp, deadband)
+        if v != v:
+            raise ValueError(f"velocity is NaN at t = {k * dt:g} s")
+        # viscous lag, exact with v held over the step
+        target = sigma * v
+        f_v = target + (f_v - target) * decay
+        sign = deadband_sign(v, deadband)
+        z, f_r, d, sat = advance(z, f_r, d, sat, v * dt, sign, s_scale, z_floor)
+        if sat:
+            f_c = c_f * (sign or d)  # gross sliding follows the velocity sign
+        else:
+            f_c = c_f * level(z, f_r, d, False, z_floor)
+        f_k = f_c + f_v
         xs[k] = x
         vs[k] = v
         fs[k] = f_k
@@ -234,8 +253,6 @@ def simulate_forced(
     deadband: float = DEFAULT_DEADBAND,
 ) -> Trajectory:
     """Run the plant from rest under an arbitrary per-sample input sequence."""
-    if dt <= 0 or not math.isfinite(dt):
-        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     return _integrate(pp, fp, np.asarray(u, dtype=float), dt, v_max, deadband)
 
 

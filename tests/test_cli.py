@@ -148,6 +148,59 @@ def test_observe_empty_measured(cfg_file, tmp_path, capsys):
     assert (tmp_path / "e.csv").read_text(encoding="utf-8").strip() == ",".join(ESTIMATES_HEADER)
 
 
+def test_observe_bad_gains_is_config_error(tmp_path, capsys):
+    # gains that break l1 > 0 are a config error for observe; simulate and
+    # identify do not use the gains and run as before
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(
+        "sim.dt = 1e-3\nsim.t_end = 0.08\nsim.noise_std = 0\n"
+        "scenario.pulses = 0.01,0.005,1.0\nobserver.l1 = -5\n",
+        encoding="utf-8",
+    )
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "sim.csv")]) == EXIT_OK
+    measured = str(tmp_path / "sim_measured.csv")
+    capsys.readouterr()
+    rc = main(["observe", "--config", str(bad), "--measured", measured,
+               "--out", str(tmp_path / "e.csv")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "l1 > 0" in err
+    assert err.count("\n") == 1
+    rc = main(["identify", "--config", str(bad), "--measured", measured,
+               "--out", str(tmp_path / "fit.txt")])
+    assert rc == EXIT_OK
+
+
+def test_observe_truth_single_sample(cfg_file, tmp_path, capsys):
+    m = tmp_path / "m.csv"
+    m.write_text("t,x,u\n0.0,0.0,0.0\n", encoding="utf-8")
+    truth = tmp_path / "truth.csv"
+    truth.write_text("t,x,v,f,u\n0.0,0.0,0.0,0.0,0.0\n", encoding="utf-8")
+    rc = main(["observe", "--config", str(cfg_file), "--measured", str(m),
+               "--out", str(tmp_path / "e.csv"), "--truth", str(truth)])
+    assert rc == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "--truth needs at least 2 samples" in err and err.count("\n") == 1
+
+
+def test_identify_no_finite_residual(tmp_path, capsys):
+    # a 1e7 N pulse diverges at every candidate: exit 2, no report
+    cfg = tmp_path / "i.cfg"
+    cfg.write_text("scenario.pulses = 0.3,0.01,1e7\n", encoding="utf-8")
+    d = tmp_path / "default.cfg"
+    d.write_text("", encoding="utf-8")
+    main(["simulate", "--config", str(d), "--out", str(tmp_path / "sim.csv")])
+    capsys.readouterr()
+    report = tmp_path / "fit.txt"
+    rc = main(["identify", "--config", str(cfg), "--measured", str(tmp_path / "sim_measured.csv"),
+               "--out", str(report)])
+    assert rc == EXIT_DIVERGED
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "finite residual" in captured.err
+    assert "converged" not in captured.out
+    assert not report.exists()
+
+
 def test_identify_runs_and_reports(tmp_path, capsys):
     # noise-free short record, fitter started at the generating values
     cfg = tmp_path / "i.cfg"

@@ -7,7 +7,7 @@ import pytest
 
 from frictionobs import (
     FrictionParams,
-    FrictionState,
+    PlantParams,
     PreslidingState,
     coulomb_force,
     coulomb_stiffness,
@@ -15,7 +15,7 @@ from frictionobs import (
     default_kappa,
     f0_branch,
     presliding_force,
-    step_friction,
+    simulate_forced,
     update_presliding,
 )
 
@@ -159,31 +159,38 @@ def test_force_bounded_on_random_walk():
         assert abs(coulomb_force(ps, P, vs)) <= P.c_f + 1e-15
 
 
+def _held_velocity_run(fp, v, dt, n):
+    # a mass of 1e20 kg takes one kick to v and then keeps v to the last bit,
+    # since dt * f / m is far below half an ulp of v
+    m = 1e20
+    u = np.zeros(n)
+    u[0] = v * m / dt
+    traj = simulate_forced(PlantParams(m), fp, u, dt)
+    assert np.all(traj.v[1:] == traj.v[1])
+    return traj
+
+
 def test_viscous_lag_exact_update():
-    fp = P
-    st = FrictionState()
-    v, dt = 0.05, 5e-4
+    # c_f ~ 0 leaves only the viscous lag in f; with v held from step 1 on
+    # it follows sigma*v*(1 - exp(-k dt/beta)) exactly
+    fp = FrictionParams(c_f=1e-300, sigma=P.sigma, beta=P.beta, s_scale=P.s_scale)
+    dt = 5e-4
+    traj = _held_velocity_run(fp, 0.05, dt, 40)
+    v = traj.v[1]
     for k in range(1, 40):
-        st, _ = step_friction(st, v, dt, fp)
         expect = fp.sigma * v * (1.0 - math.exp(-k * dt / fp.beta))
-        assert st.f_v == pytest.approx(expect, rel=1e-12)
+        assert traj.f[k] == pytest.approx(expect, rel=1e-12)
 
 
 def test_rest_gives_zero_force():
-    st = FrictionState()
-    for _ in range(50):
-        st, f = step_friction(st, 0.0, 5e-4, P)
-        assert f == 0.0
+    traj = simulate_forced(PlantParams(0.052), P, np.zeros(50), 5e-4)
+    assert np.all(traj.f == 0.0)
 
 
 def test_constant_velocity_fixed_points():
     # sustained sliding: viscous part settles at sigma*v, Coulomb part saturates
-    st = FrictionState()
-    v, dt = 0.05, 5e-4
-    for _ in range(4000):
-        st, f = step_friction(st, v, dt, P)
-    assert st.presliding.saturated
-    assert f == pytest.approx(P.sigma * v + P.c_f, abs=1e-12)
+    traj = _held_velocity_run(P, 0.05, 5e-4, 4001)
+    assert traj.f[-1] == pytest.approx(P.sigma * traj.v[1] + P.c_f, abs=1e-12)
 
 
 def test_full_reversal_traverses_to_opposite_bound():
@@ -196,15 +203,22 @@ def test_full_reversal_traverses_to_opposite_bound():
     assert coulomb_force(ps, P, -1) == -P.c_f
 
 
-def test_step_friction_total_force_split():
-    st = FrictionState()
-    st2, f = step_friction(st, 0.02, 5e-4, P)
-    f_c = coulomb_force(st2.presliding, P, 1)
-    assert f == pytest.approx(f_c + st2.f_v, rel=1e-15)
+def test_total_force_split():
+    # the force of a step is F_c of the advanced branch plus the lagged F_v
+    dt = 5e-4
+    traj = simulate_forced(PlantParams(0.052), P, np.array([0.02 * 0.052 / dt, 0.0]), dt)
+    v = traj.v[1]
+    ps = update_presliding(PreslidingState(), v * dt, 1, P)
+    target = P.sigma * v
+    f_v = target + (0.0 - target) * math.exp(-dt / P.beta)
+    assert traj.f[1] == pytest.approx(coulomb_force(ps, P, 1) + f_v, rel=1e-15)
 
 
-def test_step_friction_guards():
+def test_plant_loop_guards():
+    dt = 5e-4
+    # a NaN input makes v NaN on the next step; the friction step then refuses it
     with pytest.raises(ValueError):
-        step_friction(FrictionState(), math.nan, 5e-4, P)
-    with pytest.raises(ValueError):
-        step_friction(FrictionState(), 0.0, 0.0, P)
+        simulate_forced(PlantParams(0.052), P, np.array([0.0, math.nan, 0.0]), dt)
+    for bad_dt in (0.0, -dt, math.nan):
+        with pytest.raises(ValueError):
+            simulate_forced(PlantParams(0.052), P, np.zeros(3), bad_dt)

@@ -21,14 +21,12 @@ from frictionobs import (
     integrated_velocity,
     measure,
     observer_matrix,
-    observer_step,
     observer_update,
     rms,
     run_observer,
     simulate,
     zoh_discretize,
 )
-from frictionobs.observer import ObserverState
 
 M_KG = 0.052
 FRICTION = FrictionParams(c_f=0.2143, sigma=2.0, beta=0.002, s_scale=2000.0)
@@ -177,20 +175,36 @@ def test_constant_measurement_estimates_settle_to_zero():
     assert abs(out.w3[-1]) < 1e-12
 
 
+def _unchecked(t, x, u):
+    # a record that skips Measured's finiteness check, as a direct caller could build
+    rec = object.__new__(Measured)
+    for name, col in (("t", t), ("x", x), ("u", u)):
+        object.__setattr__(rec, name, np.asarray(col, dtype=float))
+    return rec
+
+
 def test_gain_guard_rejects_unstable_pair():
-    st = ObserverState()
+    t = np.arange(3) * 5e-4
+    meas = Measured(t, np.zeros(3), np.zeros(3))
     bad = ObserverGains(l1=-5.0, l2=0.0)
-    with pytest.raises(ValueError):
-        observer_step(st, 0.0, 0.0, 5e-4, bad, M_KG, FRICTION)
+    with pytest.raises(ValueError, match="violate l1 > 0"):
+        run_observer(meas, bad, M_KG, FRICTION)
     sob = FRICTION.sigma / FRICTION.beta
     bad2 = ObserverGains(l1=100.0, l2=sob + 1.0)
-    with pytest.raises(ValueError):
-        observer_step(st, 0.0, 0.0, 5e-4, bad2, M_KG, FRICTION)
+    with pytest.raises(ValueError, match="violate l1 > 0"):
+        run_observer(meas, bad2, M_KG, FRICTION)
 
 
 def test_nan_guard():
-    with pytest.raises(ValueError):
-        observer_step(ObserverState(), math.nan, 0.0, 5e-4, GAINS, M_KG, FRICTION)
+    t = np.arange(3) * 5e-4
+    cases = (
+        ([0.0, math.nan, 0.0], [0.0] * 3),
+        ([0.0] * 3, [0.0, 0.0, math.nan]),
+        ([0.0, math.inf, 0.0], [0.0] * 3),
+    )
+    for x, u in cases:
+        with pytest.raises(ValueError):
+            run_observer(_unchecked(t, x, u), GAINS, M_KG, FRICTION)
 
 
 def test_run_observer_empty_and_single():
