@@ -1,9 +1,14 @@
 """Command-line front end: simulate | design | observe | identify | compare.
 
-Exit codes are stable: 0 success, 1 configuration/argument parse error,
-2 simulation divergence, 3 gain-design conditions failed (gains are still
-printed), 4 CSV schema violation or grid/length mismatch. Success paths
-print to stdout only.
+Exit codes are stable: 0 success, 1 configuration/argument error (a
+non-finite flag or config value included) or an output that cannot be
+written, 2 simulation divergence, 3 gain-design conditions failed (gains
+are still printed), 4 CSV schema violation, grid/length mismatch, or a
+record for `identify` that does not start at t = 0. Each command reads and
+checks its inputs, and runs its simulation, observer or fit, before it
+opens its first output, so a rejected input leaves no output behind. The
+commands raise; `main` turns the exception into its exit code and one
+stderr line. Success paths print to stdout only.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import Config, ConfigError, load_config
+from .config import ConfigError, load_config
 from .csvio import (
     ESTIMATES_HEADER,
     MEASURED_HEADER,
@@ -27,15 +32,7 @@ from .csvio import (
 from .gains import design_gains, validate_robust
 from .ident import THETA_NAMES, FitProblem, fit
 from .observer import GridError, error_metrics, rms, run_observer
-from .plant import (
-    Measured,
-    SimulationDiverged,
-    Trajectory,
-    measure,
-    same_grid,
-    simulate,
-    simulate_forced,
-)
+from .plant import Measured, SimulationDiverged, measure, same_grid, simulate, simulate_forced
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -43,21 +40,36 @@ EXIT_DIVERGED = 2
 EXIT_DESIGN = 3
 EXIT_SCHEMA = 4
 
+# exit code and stderr prefix of each failure a command raises; main looks
+# the type up along the exception's MRO, and any other exception is a bug
+# that keeps its traceback
+_FAILURES = {
+    ConfigError: (EXIT_CONFIG, "config error: "),
+    OSError: (EXIT_CONFIG, "cannot write output: "),
+    SimulationDiverged: (EXIT_DIVERGED, "simulation diverged: "),
+    CsvSchemaError: (EXIT_SCHEMA, ""),
+    # run_observer, the only source, checks the measured grid
+    GridError: (EXIT_SCHEMA, "measured CSV rejected: "),
+}
+
+
+class _NoFiniteResidual(SimulationDiverged):
+    """Every forward run that identify tried diverged or failed."""
+
+    def __init__(self) -> None:
+        RuntimeError.__init__(self, "no fit candidate gave a finite residual")
+
 
 def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _write_sim_csv(path: Path, traj: Trajectory) -> None:
-    write_columns(path, SIM_HEADER, [traj.t, traj.x, traj.v, traj.f, traj.u])
-
-
-def _write_measured_csv(path: Path, meas: Measured) -> None:
-    write_columns(path, MEASURED_HEADER, [meas.t, meas.x, meas.u])
-
-
-def _derived_measured_path(out: Path) -> Path:
-    return out.with_name(out.stem + "_measured" + (out.suffix or ".csv"))
+def _read(path: str, header: tuple[str, ...], role: str) -> list:
+    """read_columns, with the file's role named in a rejection."""
+    try:
+        return read_columns(path, header)
+    except CsvSchemaError as exc:
+        raise CsvSchemaError(f"{role} CSV rejected: {exc}", exc.row) from None
 
 
 def _run_path(path: Path, i: int) -> Path:
@@ -65,33 +77,29 @@ def _run_path(path: Path, i: int) -> Path:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = load_config(args.config)
+    if args.runs < 1:
+        raise ConfigError("--runs must be >= 1")
     out = Path(args.out)
-    measured_out = Path(args.measured_out) if args.measured_out else _derived_measured_path(out)
-    runs = args.runs
-    if runs < 1:
-        print("--runs must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
+    measured_out = (Path(args.measured_out) if args.measured_out
+                    else out.with_name(out.stem + "_measured" + (out.suffix or ".csv")))
     paths = [(out, measured_out)]
-    if runs > 1:
-        paths = [(_run_path(out, i), _run_path(measured_out, i)) for i in range(runs)]
-    try:
-        traj = simulate(cfg.plant, cfg.friction, cfg.scenario, cfg.sim, cfg.observer.deadband)
-    except SimulationDiverged as exc:
-        print(f"simulation diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+    if args.runs > 1:
+        paths = [(_run_path(out, i), _run_path(measured_out, i)) for i in range(args.runs)]
+    traj = simulate(cfg.plant, cfg.friction, cfg.scenario, cfg.sim, cfg.observer.deadband)
     # the seed only reaches the measurement noise, so every run shares one truth
     for i, (s_path, m_path) in enumerate(paths):
+        seed = cfg.sim.seed + i
+        try:
+            meas = measure(traj, replace(cfg.sim, seed=seed))
+        except ValueError as exc:
+            # finite settings can still overflow x: a huge noise_std, a tiny quant
+            raise ConfigError(f"sim.noise_std/sim.quant: {exc}") from None
         if i == 0:
-            _write_sim_csv(s_path, traj)
+            write_columns(s_path, SIM_HEADER, [traj.t, traj.x, traj.v, traj.f, traj.u])
         else:
             shutil.copyfile(paths[0][0], s_path)
-        seed = cfg.sim.seed + i
-        _write_measured_csv(m_path, measure(traj, replace(cfg.sim, seed=seed)))
+        write_columns(m_path, MEASURED_HEADER, [meas.t, meas.x, meas.u])
         print(f"seed {seed}: wrote {s_path} and {m_path}")
     return EXIT_OK
 
@@ -99,15 +107,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_design(args: argparse.Namespace) -> int:
     parts = [p.strip() for p in args.poles.split(",")]
     if len(parts) != 2:
-        print(f"invalid pole specification {args.poles!r}: need two values", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"invalid pole specification {args.poles!r}: need two values")
     try:
-        poles = (float(parts[0]), float(parts[1]))
-        g = design_gains(poles, args.m, args.sob)
+        g = design_gains((float(parts[0]), float(parts[1])), args.m, args.sob)
         report = validate_robust(g, args.m, args.sob, args.kappa)
     except ValueError as exc:
-        print(f"invalid design request: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(str(exc)) from None
     print(f"l1 = {_fmt(g.l1)}")
     print(f"l2 = {_fmt(g.l2)}")
     print(f"cond_a = {str(report.cond_a).lower()}")
@@ -120,98 +125,64 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 
 def cmd_observe(args: argparse.Namespace) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        t, x, u = read_columns(args.measured, MEASURED_HEADER)
-    except CsvSchemaError as exc:
-        print(f"measured CSV rejected: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    meas = Measured(t, x, u)
+    cfg = load_config(args.config)
+    meas = Measured(*_read(args.measured, MEASURED_HEADER, "measured"))
     try:
         est = run_observer(
             meas, cfg.observer.gains, cfg.plant.m, cfg.friction, cfg.observer.deadband
         )
-    except GridError as exc:
-        print(f"measured CSV rejected: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+    except GridError:
+        raise
     except ValueError as exc:
         # Measured has checked x and u, so what is left is the gain condition
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(str(exc)) from None
+    n = len(est)
+    lines = [f"rms_e_obs = {_fmt(rms(est.e_obs))}"] if n else []
+    if n and args.truth:
+        ts, _, vs, _, _ = _read(args.truth, SIM_HEADER, "truth")
+        if not same_grid(meas.t, ts):
+            raise CsvSchemaError("truth CSV rejected: grid does not match the measured sequence")
+        if n < 2:
+            raise CsvSchemaError("truth CSV rejected: --truth needs at least 2 samples")
+        model = simulate_forced(cfg.plant, cfg.friction, meas.u, float(meas.t[1] - meas.t[0]),
+                                cfg.sim.v_max, cfg.observer.deadband)
+        lines.append(f"rms_velocity_error = {_fmt(rms(est.w2 - vs))}")
+        lines.append(f"rms_e_model = {_fmt(error_metrics(meas, est, model).rms_model)}")
+    lines.append(f"wrote {args.out}" if n else f"no samples; wrote {args.out}")
     write_columns(Path(args.out), ESTIMATES_HEADER, [est.t, est.w2, est.w3, est.phi, est.e_obs])
-    if len(est) == 0:
-        print(f"no samples; wrote {args.out}")
-        return EXIT_OK
-    print(f"rms_e_obs = {_fmt(rms(est.e_obs))}")
-    if args.truth:
-        try:
-            ts, xs, vs, fs, us = read_columns(args.truth, SIM_HEADER)
-        except CsvSchemaError as exc:
-            print(f"truth CSV rejected: {exc}", file=sys.stderr)
-            return EXIT_SCHEMA
-        if not same_grid(t, ts):
-            print("truth CSV rejected: grid does not match the measured sequence", file=sys.stderr)
-            return EXIT_SCHEMA
-        if len(t) < 2:
-            print("truth CSV rejected: --truth needs at least 2 samples", file=sys.stderr)
-            return EXIT_SCHEMA
-        try:
-            model = simulate_forced(cfg.plant, cfg.friction, u, float(t[1] - t[0]),
-                                    cfg.sim.v_max, cfg.observer.deadband)
-        except SimulationDiverged as exc:
-            print(f"nominal model diverged: {exc}", file=sys.stderr)
-            return EXIT_DIVERGED
-        metrics = error_metrics(meas, est, model)
-        print(f"rms_velocity_error = {_fmt(rms(est.w2 - vs))}")
-        print(f"rms_e_model = {_fmt(metrics.rms_model)}")
-    print(f"wrote {args.out}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
 def cmd_identify(args: argparse.Namespace) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        t, x, u = read_columns(args.measured, MEASURED_HEADER)
-    except CsvSchemaError as exc:
-        print(f"measured CSV rejected: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+    cfg = load_config(args.config)
+    t, x, _ = _read(args.measured, MEASURED_HEADER, "measured")
+    t0, width0, amp0 = cfg.scenario.pulses[0] if cfg.scenario.pulses else (None, 0.005, 1.0)
     if args.impulse_start is not None:
         t0 = args.impulse_start
-        amp0, width0 = 1.0, 0.005
-        if cfg.scenario.pulses:
-            _, width0, amp0 = cfg.scenario.pulses[0]
-    elif cfg.scenario.pulses:
-        t0, width0, amp0 = cfg.scenario.pulses[0]
-    else:
-        print("no impulse start: give --impulse-start or a scenario.pulses entry",
-              file=sys.stderr)
-        return EXIT_CONFIG
+    if t0 is None:
+        raise ConfigError("no impulse start: give --impulse-start or a scenario.pulses entry")
+    if not math.isfinite(t0):
+        raise ConfigError(f"--impulse-start must be finite, got {t0!r}")
     theta0 = (cfg.friction.sigma, cfg.friction.beta, cfg.friction.s_scale, abs(amp0), width0)
     f = args.bounds_factor
-    if f <= 1.0:
-        print("--bounds-factor must be > 1", file=sys.stderr)
-        return EXIT_CONFIG
     bounds = tuple((v / f, v * f) for v in theta0)
+    for name, v, (lo, hi) in zip(THETA_NAMES, theta0, bounds):
+        # fails for f <= 1, a non-finite f, a zero amplitude and an overflow
+        if not 0.0 < lo < hi < math.inf:
+            raise ConfigError(
+                f"no finite positive search box for {name} = {v!r} with --bounds-factor {f!r}"
+            )
     try:
         problem = FitProblem(
             t=t, x=x, plant=cfg.plant, c_f=cfg.friction.c_f, impulse_start=t0,
             bounds=bounds, z_floor=cfg.friction.z_floor,
         )
     except ValueError as exc:
-        print(f"measured CSV rejected: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+        raise CsvSchemaError(f"measured CSV rejected: {exc}") from None
     result = fit(problem, theta0)
     if not math.isfinite(result.rms_residual):
-        print("fit diverged: no candidate gave a finite residual", file=sys.stderr)
-        return EXIT_DIVERGED
+        raise _NoFiniteResidual()
     lines = [f"{name} = {_fmt(v)}" for name, v in zip(THETA_NAMES, result.theta)]
     lines.append(f"rms_residual = {_fmt(result.rms_residual)}")
     lines.append(f"iterations = {result.iterations}")
@@ -247,25 +218,14 @@ plt.tight_layout(); plt.show()
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    try:
-        ts, xs, vs, fs, us = read_columns(args.sim, SIM_HEADER)
-    except CsvSchemaError as exc:
-        print(f"sim CSV rejected: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    try:
-        te, w2, w3, phi, e_obs = read_columns(args.estimates, ESTIMATES_HEADER)
-    except CsvSchemaError as exc:
-        print(f"estimates CSV rejected: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+    ts, xs, vs, fs, us = _read(args.sim, SIM_HEADER, "sim")
+    te, w2, w3, phi, e_obs = _read(args.estimates, ESTIMATES_HEADER, "estimates")
     if len(ts) != len(te):
-        print(
-            f"row count mismatch: sim has {len(ts)} rows, estimates has {len(te)}",
-            file=sys.stderr,
+        raise CsvSchemaError(
+            f"row count mismatch: sim has {len(ts)} rows, estimates has {len(te)}"
         )
-        return EXIT_SCHEMA
     if not same_grid(ts, te):
-        print("timestamp mismatch between sim and estimates", file=sys.stderr)
-        return EXIT_SCHEMA
+        raise CsvSchemaError("timestamp mismatch between sim and estimates")
     header = ("t", "x", "v", "f", "u", "w2_tilde", "w3_tilde", "phi", "e_obs")
     write_columns(Path(args.out), header, [ts, xs, vs, fs, us, w2, w3, phi, e_obs])
     print(f"rows = {len(ts)}")
@@ -345,7 +305,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; fold those into the config-error code
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(_FAILURES) as exc:
+        code, prefix = next(_FAILURES[c] for c in type(exc).__mro__ if c in _FAILURES)
+        print(prefix + str(exc), file=sys.stderr)
+        return code
 
 
 def entry() -> None:

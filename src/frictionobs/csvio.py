@@ -48,7 +48,9 @@ def read_columns(path: str | Path, header: tuple[str, ...]) -> list[np.ndarray]:
     """
     path = Path(path)
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        # a byte that is not UTF-8 decodes to U+FFFD, which no number or
+        # header contains, so it is reported like any other bad cell
+        fh = open(path, "r", encoding="utf-8", errors="replace", newline="")
     except OSError as exc:
         raise CsvSchemaError(f"cannot read {path}: {exc}") from exc
     with fh:

@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class ObserverGains:
@@ -44,7 +42,7 @@ class RobustReport:
 
     worst_discriminant is the characteristic discriminant at phi = kappa
     (it decreases monotonically in phi); lam1_range / lam2_range are the
-    real-part intervals of the two poles over the sweep.
+    real-part intervals of the two poles over phi in [0, kappa].
     """
 
     cond_a: bool
@@ -100,42 +98,39 @@ def design_gains(poles: tuple[float, float], m: float, sob: float = 0.0) -> Obse
     return ObserverGains(l1, l2)
 
 
-def _phi_sweep(kappa: float) -> np.ndarray:
-    """0 plus 100 log-spaced samples up to kappa (endpoints included)."""
-    if kappa < 0:
-        raise ValueError(f"kappa must be >= 0, got {kappa!r}")
-    if kappa == 0.0:
-        return np.array([0.0])
-    return np.concatenate(([0.0], np.geomspace(kappa * 1e-6, kappa, 100)))
-
-
 def validate_robust(g: ObserverGains, m: float, sob: float, kappa: float) -> RobustReport:
     """Check the realness/stability conditions over the stiffness range.
 
     cond_a: L1 > 0; cond_b: L1 > 2*sqrt((kappa + sob - L2)/m) (vacuous when
-    the argument is negative); cond_stab: L2 < sob. The pole ranges come
-    from a sweep of 0 plus 100 log-spaced phi samples up to kappa.
+    the argument is negative); cond_stab: L2 < sob. m, sob and kappa must
+    be finite, m > 0, sob >= 0 and kappa >= 0; otherwise ValueError. The
+    discriminant falls monotonically in phi, so the pole ranges come from
+    the endpoints phi = 0 and phi = kappa, with real part -L1/2 where the
+    pair is complex.
     """
-    if m <= 0:
-        raise ValueError(f"m must be > 0, got {m!r}")
-    if sob < 0:
-        raise ValueError(f"sob must be >= 0, got {sob!r}")
+    if not (math.isfinite(m) and m > 0):
+        raise ValueError(f"m must be finite and > 0, got {m!r}")
+    for name, val in (("sob", sob), ("kappa", kappa)):
+        if not (math.isfinite(val) and val >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {val!r}")
     cond_a = g.l1 > 0.0
     arg = (kappa + sob - g.l2) / m
     cond_b = True if arg < 0.0 else g.l1 > 2.0 * math.sqrt(arg)
     cond_stab = g.l2 < sob
 
-    phis = _phi_sweep(kappa)
-    disc = g.l1 * g.l1 + (4.0 / m) * (g.l2 - phis - sob)
-    roots = np.sqrt(disc.astype(complex))
-    lam1 = (-g.l1 - roots) / 2.0
-    lam2 = (-g.l1 + roots) / 2.0
-    worst = g.l1 * g.l1 + (4.0 / m) * (g.l2 - kappa - sob)
+    def real_parts(phi: float) -> tuple[float, float, float]:
+        # (discriminant, Re lam1, Re lam2) at stiffness phi
+        disc = g.l1 * g.l1 + (4.0 / m) * (g.l2 - phi - sob)
+        r = math.sqrt(disc) if disc >= 0.0 else 0.0
+        return disc, (-g.l1 - r) / 2.0, (-g.l1 + r) / 2.0
+
+    _, lo1, hi2 = real_parts(0.0)
+    worst, hi1, lo2 = real_parts(kappa)
     return RobustReport(
         cond_a=cond_a,
         cond_b=cond_b,
         cond_stab=cond_stab,
-        worst_discriminant=float(worst),
-        lam1_range=(float(lam1.real.min()), float(lam1.real.max())),
-        lam2_range=(float(lam2.real.min()), float(lam2.real.max())),
+        worst_discriminant=worst,
+        lam1_range=(lo1, hi1),
+        lam2_range=(lo2, hi2),
     )

@@ -30,9 +30,10 @@ MAX_ITERATIONS = 2000
 class FitProblem:
     """Measured data plus the knowns and the search box.
 
-    t, x: displacement record on a uniform grid, at least 2 samples, x
-    finite. plant/c_f/z_floor: fixed model constants. impulse_start: known
-    onset of the excitation pulse whose amplitude and width are co-fitted.
+    t, x: displacement record on a uniform grid from t = 0, at least 2
+    samples, x finite. plant/c_f/z_floor: fixed model constants.
+    impulse_start: known onset of the excitation pulse whose amplitude and
+    width are co-fitted.
     bounds: per-parameter (lo, hi) in THETA_NAMES order, finite and positive.
     """
 
@@ -52,6 +53,9 @@ class FitProblem:
         k = grid_break(t)
         if k is not None:
             raise ValueError(f"measured grid is not uniform at row {k}")
+        if t[0] != 0.0:
+            # the forward run starts at rest at t = 0 and must match x row for row
+            raise ValueError(f"measured grid must start at t = 0, got t[0] = {float(t[0])!r}")
         ok = np.isfinite(x)
         if not ok.all():
             raise ValueError(f"measured x is not finite at row {int(np.argmin(ok))}")

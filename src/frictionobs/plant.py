@@ -19,7 +19,7 @@ from .friction import DEFAULT_DEADBAND, FrictionParams, advance, deadband_sign, 
 
 
 class SimulationDiverged(RuntimeError):
-    """Velocity exceeded the divergence bound; carries the offending time."""
+    """Velocity exceeded the divergence bound, or overflowed to NaN; carries the time."""
 
     def __init__(self, t: float, v: float, bound: float):
         super().__init__(f"|v| = {abs(v):g} exceeded bound {bound:g} at t = {t:g} s")
@@ -90,8 +90,12 @@ class SimConfig:
             raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError(f"t_end must be finite and >= 0, got {self.t_end!r}")
-        if self.noise_std < 0 or self.quant < 0:
-            raise ValueError("noise_std and quant must be >= 0")
+        for name in ("noise_std", "quant"):
+            val = getattr(self, name)
+            if not (math.isfinite(val) and val >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {val!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if not (math.isfinite(self.v_max) and self.v_max > 0):
             raise ValueError(f"v_max must be finite and > 0, got {self.v_max!r}")
 
@@ -187,6 +191,9 @@ def _integrate(
 ) -> Trajectory:
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+    ok = np.isfinite(u)
+    if not ok.all():
+        raise ValueError(f"input u is not finite at row {int(np.argmin(ok))}")
     n = len(u)
     u_list = u.tolist()
     xs = [0.0] * n
@@ -201,24 +208,20 @@ def _integrate(
     d = 0
     sat = False
     for k in range(n):
-        if v != v:
-            raise ValueError(f"velocity is NaN at t = {k * dt:g} s")
         # viscous lag, exact with v held over the step
         target = sigma * v
         f_v = target + (f_v - target) * decay
-        sign = deadband_sign(v, deadband)
-        z, f_r, d, sat = advance(z, f_r, d, sat, v * dt, sign, s_scale, z_floor)
-        if sat:
-            f_c = c_f * (sign or d)  # gross sliding follows the velocity sign
-        else:
-            f_c = c_f * level(z, f_r, d, False, z_floor)
-        f_k = f_c + f_v
+        z, f_r, d, sat = advance(z, f_r, d, sat, v * dt, deadband_sign(v, deadband),
+                                 s_scale, z_floor)
+        f_k = c_f * level(z, f_r, d, sat, z_floor) + f_v
         xs[k] = x
         vs[k] = v
         fs[k] = f_k
         if k < n - 1:
             v += dt * (u_list[k] - f_k) / m
-            if abs(v) > v_max:
+            # with u finite, a NaN v comes from an overflow (inf - inf in the
+            # lag force), and it fails this comparison too
+            if not abs(v) <= v_max:
                 raise SimulationDiverged((k + 1) * dt, v, v_max)
             x += dt * v
     # the input floats are freed, and the grid built, only once the loop is
@@ -238,7 +241,7 @@ def simulate(
     """Run the plant from rest under an impulse train.
 
     Returns a Trajectory with exactly floor(t_end/dt)+1 samples at k*dt.
-    Raises SimulationDiverged if |v| exceeds cfg.v_max.
+    Raises SimulationDiverged if |v| exceeds cfg.v_max or overflows to NaN.
     """
     u = train.sample(np.arange(cfg.n_samples) * cfg.dt)
     return _integrate(pp, fp, u, cfg.dt, cfg.v_max, deadband)
@@ -252,7 +255,10 @@ def simulate_forced(
     v_max: float = 1e3,
     deadband: float = DEFAULT_DEADBAND,
 ) -> Trajectory:
-    """Run the plant from rest under an arbitrary per-sample input sequence."""
+    """Run the plant from rest under an arbitrary per-sample input sequence.
+
+    u must be finite (ValueError otherwise); divergence is as in simulate.
+    """
     return _integrate(pp, fp, np.asarray(u, dtype=float), dt, v_max, deadband)
 
 

@@ -305,3 +305,112 @@ def test_compare_length_mismatch(cfg_file, tmp_path, capsys):
 def test_unknown_subcommand_maps_to_config_error():
     assert main(["frobnicate"]) == EXIT_CONFIG
     assert main([]) == EXIT_CONFIG
+
+
+TWO_ROWS = "t,x,u\n0.0,0.0,0.0\n0.001,0.0,0.0\n"
+
+
+@pytest.mark.parametrize("config_line, argv", [
+    ("sim.noise_std = nan", ["simulate"]),
+    ("sim.noise_std = inf", ["simulate"]),
+    ("sim.quant = inf", ["simulate"]),
+    ("sim.seed = -1", ["simulate"]),
+    ("", ["identify", "--impulse-start", "nan"]),
+    ("", ["identify", "--bounds-factor", "nan"]),
+    ("", ["identify", "--bounds-factor", "inf"]),
+    ("scenario.pulses = 0.05,0.01,0.0", ["identify"]),
+    ("", ["design", "--kappa", "nan"]),
+    ("", ["design", "--kappa", "inf"]),
+], ids=["noise_nan", "noise_inf", "quant_inf", "seed_negative", "impulse_start_nan",
+        "bounds_factor_nan", "bounds_factor_inf", "zero_amplitude", "kappa_nan", "kappa_inf"])
+def test_bad_value_is_config_error(tmp_path, capsys, config_line, argv):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(SHORT_CFG + config_line + "\n", encoding="utf-8")
+    m = tmp_path / "m.csv"
+    m.write_text(TWO_ROWS, encoding="utf-8")
+    out = tmp_path / "out.csv"
+    if argv[0] == "design":
+        argv = argv + ["--poles=-350,-10"]
+    else:
+        argv = argv + ["--config", str(cfg), "--out", str(out)]
+        if argv[0] == "identify":
+            argv += ["--measured", str(m)]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == EXIT_CONFIG
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists() and not (tmp_path / "out_measured.csv").exists()
+
+
+@pytest.fixture
+def short_run(cfg_file, tmp_path, capsys):
+    """A simulated short run: (sim CSV, measured CSV)."""
+    sim = tmp_path / "sim.csv"
+    main(["simulate", "--config", str(cfg_file), "--out", str(sim)])
+    capsys.readouterr()
+    return sim, tmp_path / "sim_measured.csv"
+
+
+@pytest.mark.parametrize("case", ["truth_bad_grid", "truth_one_sample", "truth_missing",
+                                  "identify_shifted_grid"])
+def test_rejected_input_writes_nothing(cfg_file, short_run, tmp_path, capsys, case):
+    _, measured = short_run
+    out = tmp_path / "out.csv"
+    one = tmp_path / "one.csv"
+    one.write_text("t,x,v,f,u\n0.0,0.0,0.0,0.0,0.0\n", encoding="utf-8")
+    if case == "identify_shifted_grid":
+        t, x, u = read_columns(measured, MEASURED_HEADER)
+        from frictionobs import write_columns
+
+        write_columns(measured, MEASURED_HEADER, [t + 0.5, x, u])
+        argv = ["identify", "--measured", str(measured)]
+        expect = "t[0] = 0.5"
+    else:
+        # the one-sample truth is off the grid of the 801-sample record
+        truth = tmp_path / "missing.csv" if case == "truth_missing" else one
+        if case == "truth_one_sample":
+            measured = tmp_path / "m1.csv"
+            measured.write_text("t,x,u\n0.0,0.0,0.0\n", encoding="utf-8")
+        argv = ["observe", "--measured", str(measured), "--truth", str(truth)]
+        expect = "truth CSV rejected: "
+    rc = main(argv + ["--config", str(cfg_file), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_SCHEMA
+    assert expect in captured.err and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "observe", "identify", "compare"])
+def test_unwritable_output_is_config_error(cfg_file, short_run, tmp_path, capsys, command):
+    sim, measured = short_run
+    est = tmp_path / "est.csv"
+    main(["observe", "--config", str(cfg_file), "--measured", str(measured), "--out", str(est)])
+    capsys.readouterr()
+    out = str(tmp_path / "missing_dir" / "out.csv")
+    argv = {
+        "simulate": ["simulate", "--config", str(cfg_file)],
+        "observe": ["observe", "--config", str(cfg_file), "--measured", str(measured)],
+        "identify": ["identify", "--config", str(cfg_file), "--measured", str(measured),
+                     "--bounds-factor", "1.01"],
+        "compare": ["compare", "--sim", str(sim), "--estimates", str(est)],
+    }[command]
+    rc = main(argv + ["--out", out])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert err.startswith("cannot write output: ") and err.count("\n") == 1
+
+
+def test_non_utf8_input_rejected(cfg_file, tmp_path, capsys):
+    m = tmp_path / "m.csv"
+    m.write_bytes(b"t,x,u\n0.0,\xff,0.0\n")
+    rc = main(["observe", "--config", str(cfg_file), "--measured", str(m),
+               "--out", str(tmp_path / "e.csv")])
+    assert rc == EXIT_SCHEMA
+    assert "row 1 column 'x'" in capsys.readouterr().err
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(b"sim.t_end = 0.1\xff\n")
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv")])
+    assert rc == EXIT_CONFIG
+    assert "sim.t_end" in capsys.readouterr().err

@@ -138,3 +138,12 @@ def test_fit_rejects_bad_theta0():
     prob = make_problem()
     with pytest.raises(ValueError):
         fit(prob, (1.0, 2.0))
+
+
+def test_problem_rejects_grid_not_starting_at_zero():
+    # the forward run starts at t = 0, so a shifted grid would score +inf
+    # at every candidate; the problem names t[0] instead
+    prob = make_problem()
+    with pytest.raises(ValueError, match=r"t\[0\] = 0.5"):
+        FitProblem(t=prob.t + 0.5, x=prob.x, plant=PLANT, c_f=C_F, impulse_start=0.01,
+                   bounds=BOUNDS)

@@ -189,3 +189,13 @@ def test_sim_config_validation():
         SimConfig(dt=1e-3, t_end=1.0, noise_std=-1e-6)
     with pytest.raises(ValueError):
         SimConfig(dt=1e-3, t_end=1.0, v_max=0.0)
+
+
+def test_lag_overflow_is_divergence():
+    # sigma * v overflows to inf, the lag update gives inf - inf = NaN, and
+    # the NaN velocity is reported as a divergence, not a bare ValueError
+    fp = FrictionParams(c_f=0.2143, sigma=1.7e308, beta=0.002, s_scale=2000.0)
+    train = ImpulseTrain(((0.0, 1e-3, 300.0),))
+    with pytest.raises(SimulationDiverged) as info:
+        simulate(PLANT, fp, train, SimConfig(dt=5e-4, t_end=0.01))
+    assert math.isnan(info.value.v)
