@@ -2,13 +2,15 @@
 
 Exit codes are stable: 0 success, 1 configuration/argument error (a
 non-finite flag or config value included) or an output that cannot be
-written, 2 simulation divergence, 3 gain-design conditions failed (gains
+written, 2 simulation divergence or observer estimates that overflow to
+inf or NaN, 3 gain-design conditions failed (gains
 are still printed), 4 CSV schema violation, grid/length mismatch, or a
 record for `identify` that does not start at t = 0. Each command reads and
 checks its inputs, and runs its simulation, observer or fit, before it
 opens its first output, so a rejected input leaves no output behind. The
 commands raise; `main` turns the exception into its exit code and one
-stderr line. Success paths print to stdout only.
+stderr line, an argument that argparse rejects included. Success paths
+print to stdout only.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import NoReturn
 
 from .config import ConfigError, load_config
 from .csvio import (
@@ -31,7 +34,7 @@ from .csvio import (
 )
 from .gains import design_gains, validate_robust
 from .ident import THETA_NAMES, FitProblem, fit
-from .observer import GridError, error_metrics, rms, run_observer
+from .observer import GridError, ObserverDiverged, error_metrics, rms, run_observer
 from .plant import Measured, SimulationDiverged, measure, same_grid, simulate, simulate_forced
 
 EXIT_OK = 0
@@ -47,6 +50,7 @@ _FAILURES = {
     ConfigError: (EXIT_CONFIG, "config error: "),
     OSError: (EXIT_CONFIG, "cannot write output: "),
     SimulationDiverged: (EXIT_DIVERGED, "simulation diverged: "),
+    ObserverDiverged: (EXIT_DIVERGED, "observer diverged: "),
     CsvSchemaError: (EXIT_SCHEMA, ""),
     # run_observer, the only source, checks the measured grid
     GridError: (EXIT_SCHEMA, "measured CSV rejected: "),
@@ -239,8 +243,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ConfigError rather than exit.
+
+    Subparsers are built from the same class, so this covers every command.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="frictionobs",
         description="Simulate, observe and identify a 1-DOF system with presliding friction.",
     )
@@ -299,14 +313,12 @@ def main(argv: list[str] | None = None) -> int:
         if argv[i] == "--poles" and argv[i + 1].startswith("-"):
             argv[i : i + 2] = [f"--poles={argv[i + 1]}"]
             break
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; fold those into the config-error code
-        return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit:
+        # only -h/--help exits, once it has printed its text to stdout
+        return EXIT_OK
     except tuple(_FAILURES) as exc:
         code, prefix = next(_FAILURES[c] for c in type(exc).__mro__ if c in _FAILURES)
         print(prefix + str(exc), file=sys.stderr)

@@ -7,11 +7,18 @@ reproduces the floats bit for bit:
     measured-in   : t,x,u
     sim-out       : t,x,v,f,u
     estimates-out : t,w2_tilde,w3_tilde,phi,e_obs
+
+A file is read in bulk when it can be: a body of plain numeric text under
+the header exactly as ``write_columns`` writes it is parsed by one
+``np.loadtxt`` call. Any other file, and any body that call does not turn
+into one finite row per line, is read again row by row with the csv module,
+which accepts what float() accepts and names the first bad row.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +26,14 @@ import numpy as np
 MEASURED_HEADER = ("t", "x", "u")
 SIM_HEADER = ("t", "x", "v", "f", "u")
 ESTIMATES_HEADER = ("t", "w2_tilde", "w3_tilde", "phi", "e_obs")
+
+# the bytes of a plain body: what repr() writes for finite floats, commas, '\n'
+_PLAIN = b"0123456789.e+-,\n"
+# a cell over the csv module's default field limit (131072 = 2 * _BLOCK
+# characters) covers at least one whole block of the body, so a block with
+# no ',' and no '\n' leaves the file to the csv reader
+_BLOCK = 1 << 16
+_CHUNK = 16 * _BLOCK
 
 
 class CsvSchemaError(ValueError):
@@ -44,27 +59,92 @@ def read_columns(path: str | Path, header: tuple[str, ...]) -> list[np.ndarray]:
     """Read and validate a CSV against a schema; returns one array per column.
 
     Raises CsvSchemaError naming the offending row on a bad header, a row
-    of the wrong width, or a cell that is not a finite number.
+    of the wrong width, a cell that is not a finite number, or a cell longer
+    than the csv module's field limit.
     """
     path = Path(path)
     try:
-        # a byte that is not UTF-8 decodes to U+FFFD, which no number or
-        # header contains, so it is reported like any other bad cell
-        fh = open(path, "r", encoding="utf-8", errors="replace", newline="")
+        with open(path, "rb") as fh:
+            columns = _read_plain(fh, header)
+        return columns if columns is not None else _read_rows(path, header)
     except OSError as exc:
         raise CsvSchemaError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
+
+
+def _read_plain(fh: io.BufferedReader, header: tuple[str, ...]) -> list[np.ndarray] | None:
+    """Parse a plain body with one np.loadtxt call, or return None.
+
+    fh is a binary file at its start. The result is what ``_read_rows``
+    returns, and None leaves the file to it: a header other than the one
+    ``write_columns`` writes, no rows, an empty first line, a byte outside
+    ``_PLAIN``, a possibly overlong cell, or a parse that is not one finite
+    row of the header's width per line. Cells of plain bytes mean the same
+    to loadtxt and float(): both round with the same strtod.
+    """
+    if fh.readline() != (",".join(header) + "\n").encode():
+        return None
+    # an empty body would make loadtxt warn that it found no data
+    if fh.peek(1)[:1] in (b"", b"\n"):
+        return None
+    body = fh.tell()
+    lines, last = 0, b""
+    # _CHUNK is a multiple of _BLOCK, so the blocks tile the body
+    for chunk in iter(lambda: fh.read(_CHUNK), b""):
+        if chunk.translate(None, _PLAIN) or any(
+            chunk.find(b",", j, j + _BLOCK) < 0 and chunk.find(b"\n", j, j + _BLOCK) < 0
+            for j in range(0, len(chunk) - _BLOCK + 1, _BLOCK)
+        ):
+            return None
+        lines += chunk.count(b"\n")
+        last = chunk[-1:]
+    lines += last != b"\n"
+    fh.seek(body)
+    try:
+        table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    # loadtxt skips empty lines, which the csv reader rejects
+    if table.shape != (lines, len(header)) or not np.isfinite(table).all():
+        return None
+    return list(table.T)
+
+
+def _records(reader, path: Path):
+    """(row, fields) from a csv reader, the header as row 0.
+
+    The csv module's own errors (a field over its size limit) become
+    CsvSchemaError naming the row.
+    """
+    row = 0
+    while True:
         try:
-            got = next(reader)
+            fields = next(reader)
         except StopIteration:
-            raise CsvSchemaError(f"{path}: empty file, expected header {','.join(header)}", row=0)
+            return
+        except csv.Error as exc:
+            raise CsvSchemaError(f"{path}: row {row}: {exc}", row=row) from None
+        yield row, fields
+        row += 1
+
+
+def _read_rows(path: Path, header: tuple[str, ...]) -> list[np.ndarray]:
+    """Read a CSV cell by cell with the csv module; the first bad row raises CsvSchemaError."""
+    # a byte that is not UTF-8 decodes to U+FFFD, which no number or header
+    # contains, so it is reported like any other bad cell
+    with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
+        records = _records(csv.reader(fh), path)
+        try:
+            _, got = next(records)
+        except StopIteration:
+            raise CsvSchemaError(
+                f"{path}: empty file, expected header {','.join(header)}", row=0
+            ) from None
         if tuple(s.strip() for s in got) != header:
             raise CsvSchemaError(
                 f"{path}: bad header {','.join(got)!r}, expected {','.join(header)}", row=0
             )
         cols: list[list[float]] = [[] for _ in header]
-        for rownum, row in enumerate(reader, start=1):
+        for rownum, row in records:
             if len(row) != len(header):
                 raise CsvSchemaError(
                     f"{path}: row {rownum} has {len(row)} fields, expected {len(header)}",

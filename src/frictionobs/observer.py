@@ -47,6 +47,14 @@ class GridError(ValueError):
         self.row = row
 
 
+class ObserverDiverged(RuntimeError):
+    """An estimate overflowed to inf or NaN; carries the first such sample index."""
+
+    def __init__(self, row: int, t: float):
+        super().__init__(f"estimates not finite at sample {row} (t = {t!r} s)")
+        self.row = row
+
+
 def observer_matrix(g: ObserverGains, m: float, phi: float) -> Mat2:
     """Closed-loop error matrix M = a22 - L a12."""
     return ((-g.l1, -1.0 / m), (phi - g.l2, 0.0))
@@ -179,7 +187,9 @@ def run_observer(
     The gains must satisfy l1 > 0 and l2 < sigma/beta, and x and u must be
     finite; otherwise ValueError. The time grid must be uniform; a row that
     breaks it (a non-finite timestamp included) raises GridError naming that
-    row. An empty sequence yields empty columns.
+    row. Finite inputs near the float limits can still overflow the
+    estimates (w2, w3 or e_obs) to inf or NaN, which raises ObserverDiverged
+    naming the first such sample. An empty sequence yields empty columns.
     """
     sob = fp.sigma / fp.beta
     if not (g.l1 > 0.0 and g.l2 < sob):
@@ -225,7 +235,13 @@ def run_observer(
         phi[k] = phi_k
         z, f_r, d, sat = advance(z, f_r, d, sat, dx, deadband_sign(w2_k, deadband),
                                  s_scale, z_floor)
-    e_obs = e_obs_series(measured.x, w2, dt) if n else np.empty(0)
+    # an overflow here is reported by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_obs = e_obs_series(measured.x, w2, dt) if n else np.empty(0)
+    ok = np.isfinite(w2) & np.isfinite(w3) & np.isfinite(e_obs)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise ObserverDiverged(k, float(t[k]))
     return Estimates(t, w2, w3, phi, e_obs)
 
 
@@ -234,11 +250,22 @@ def run_observer(
 # ---------------------------------------------------------------------------
 
 def rms(a: np.ndarray) -> float:
-    """Root-mean-square of a sequence; 0.0 for an empty one."""
+    """Root-mean-square of a sequence; 0.0 for an empty one.
+
+    A finite sequence whose mean square overflows is rescaled by its largest
+    magnitude, so its RMS stays finite; any other result is the plain
+    sqrt(mean(a*a)), to the bit.
+    """
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return 0.0
-    return float(np.sqrt(np.mean(a * a)))
+    with np.errstate(over="ignore"):
+        ms = np.mean(a * a)
+    if ms == math.inf and np.isfinite(a).all():
+        s = np.max(np.abs(a))
+        b = a / s
+        return float(s * np.sqrt(np.mean(b * b)))
+    return float(np.sqrt(ms))
 
 
 def integrated_velocity(w2: np.ndarray, dt: float) -> np.ndarray:

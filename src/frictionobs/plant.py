@@ -268,12 +268,16 @@ def measure(traj: Trajectory, cfg: SimConfig) -> Measured:
     Quantization maps x to floor(x/quant)*quant (toward minus infinity);
     quant = 0 disables it. The noise stream is drawn from
     numpy.random.default_rng(cfg.seed), so a fixed seed reproduces the
-    sequence bit-identically.
+    sequence bit-identically. An x that overflows to inf or NaN raises
+    ValueError naming the row.
     """
     x = traj.x.copy()
-    if cfg.noise_std > 0:
-        rng = np.random.default_rng(cfg.seed)
-        x = x + rng.normal(0.0, cfg.noise_std, size=len(x))
-    if cfg.quant > 0:
-        x = np.floor(x / cfg.quant) * cfg.quant
+    # finite settings can still overflow x (a huge noise_std, a subnormal
+    # quant); Measured then rejects the non-finite x
+    with np.errstate(over="ignore"):
+        if cfg.noise_std > 0:
+            rng = np.random.default_rng(cfg.seed)
+            x = x + rng.normal(0.0, cfg.noise_std, size=len(x))
+        if cfg.quant > 0:
+            x = np.floor(x / cfg.quant) * cfg.quant
     return Measured(traj.t.copy(), x, traj.u.copy())

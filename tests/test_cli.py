@@ -414,3 +414,79 @@ def test_non_utf8_input_rejected(cfg_file, tmp_path, capsys):
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv")])
     assert rc == EXIT_CONFIG
     assert "sim.t_end" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["observe", "identify"])
+def test_overlong_cell_rejected(cfg_file, tmp_path, capsys, command):
+    m = tmp_path / "m.csv"
+    m.write_text("t,x,u\n0.0,0.0,0.0\n0.0005," + "1" * 131073 + ",0.0\n", encoding="utf-8")
+    rc = main([command, "--config", str(cfg_file), "--measured", str(m),
+               "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == EXIT_SCHEMA
+    assert captured.err.count("\n") == 1
+    assert "row 2: field larger than field limit" in captured.err
+    assert captured.out == "" and not (tmp_path / "out").exists()
+
+
+def _huge_x_record(path, magnitude, n=50):
+    rows = [f"{k * 5e-4!r},{magnitude * (-1) ** k!r},0.0" for k in range(n)]
+    path.write_text("t,x,u\n" + "\n".join(rows) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("magnitude", [1e306, 1.7e308])
+def test_observe_non_finite_estimates_is_divergence(cfg_file, tmp_path, capsys, magnitude):
+    # finite cells whose estimates overflow: exit 2, no estimates file
+    m = tmp_path / "m.csv"
+    _huge_x_record(m, magnitude)
+    out = tmp_path / "e.csv"
+    rc = main(["observe", "--config", str(cfg_file), "--measured", str(m), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_DIVERGED
+    assert captured.err.startswith("observer diverged: ") and captured.err.count("\n") == 1
+    assert "sample 0" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_observe_huge_finite_estimates_keep_rms_finite(cfg_file, tmp_path, capsys):
+    # x near 1e200 overflows x*x inside rms, but not the estimates
+    m = tmp_path / "m.csv"
+    _huge_x_record(m, 1e200)
+    out = tmp_path / "e.csv"
+    rc = main(["observe", "--config", str(cfg_file), "--measured", str(m), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_OK and captured.err == ""
+    value = float(captured.out.splitlines()[0].removeprefix("rms_e_obs = "))
+    assert np.isfinite(value) and value > 1e199
+    assert all(np.isfinite(c).all() for c in read_columns(out, ESTIMATES_HEADER))
+
+
+def test_simulate_subnormal_quant_is_one_config_error(tmp_path, capsys):
+    cfg = tmp_path / "q.cfg"
+    cfg.write_text("sim.quant = 5e-324\nsim.t_end = 0.01\n", encoding="utf-8")
+    out = tmp_path / "s.csv"
+    rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_CONFIG
+    assert captured.err.startswith("config error: sim.noise_std/sim.quant: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_argparse_rejection_is_one_config_error_line(capsys):
+    rc = main(["design", "--poles=-350,-10", "--m", "abc"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_CONFIG
+    assert captured.err == "config error: argument --m: invalid float value: 'abc'\n"
+    assert captured.out == ""
+    for argv in (["frobnicate"], [], ["simulate", "--out", "s.csv"]):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_help_exits_zero_on_stdout(capsys):
+    for argv in (["--help"], ["design", "-h"]):
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: frictionobs") and captured.err == ""

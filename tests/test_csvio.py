@@ -1,10 +1,15 @@
 """CSV schema tests: bit-exact round-trips and row-level diagnostics."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from frictionobs import csvio
 from frictionobs import (
     CsvSchemaError,
     ESTIMATES_HEADER,
@@ -108,3 +113,107 @@ def test_non_numeric_cell_names_row_and_column(tmp_path):
         with pytest.raises(CsvSchemaError, match=f"row {row} column {column}: not finite") as exc:
             read_columns(p, MEASURED_HEADER)
         assert exc.value.row == row
+
+
+def test_overlong_cell_names_row(tmp_path):
+    # the csv module refuses a field over 131072 characters
+    p = tmp_path / "l.csv"
+    for text, row in (("t,x,u\n0.0,0.0,0.0\n0.1," + "1" * 131073 + ",0.0\n", 2),
+                      ("t,x,u" + "u" * 131073 + "\n0.0,0.0,0.0\n", 0),
+                      ("t,x,u\n0.0," + "0" * 131072 + "1,0.0\n", 1)):
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(CsvSchemaError, match=f"row {row}: field larger than field limit") \
+                as exc:
+            read_columns(p, MEASURED_HEADER)
+        assert exc.value.row == row
+
+
+def _outcome(read, path):
+    """Columns as bytes, or the (message, row) of the CsvSchemaError raised."""
+    try:
+        return [c.tobytes() for c in read(path, MEASURED_HEADER)]
+    except CsvSchemaError as exc:
+        return str(exc), exc.row
+
+
+def _check_paths_agree(data: bytes):
+    """read_columns (bulk when it can) gives what the csv reader alone gives."""
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "m.csv"
+        p.write_bytes(data)
+        rows = _outcome(csvio._read_rows, p)
+        assert _outcome(read_columns, p) == rows
+        with open(p, "rb") as fh:
+            bulk = csvio._read_plain(fh, MEASURED_HEADER)
+        if bulk is not None:
+            assert [c.tobytes() for c in bulk] == rows
+
+
+# cells float() and loadtxt may disagree on, next to ordinary ones
+ODD_CELLS = st.sampled_from([
+    "1_0", "Infinity", "inf", "-inf", "nan", "1e999", " 1 ", "1 ", "\t2", "", "-", "1e",
+    ".5", "5.", "+1", "--1", "1E5", "0x1p3", "\u0661", "1\x1c", "\x1f1", "1\x00", "1\u2028",
+    "\xa01", '"1"', '"1,2"', "0" * 131071 + "1", "0" * 131072 + "1",
+])
+CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                  st.integers(-99, 99).map(str), ODD_CELLS)
+LINES = st.one_of(
+    st.lists(CELLS, min_size=3, max_size=3).map(",".join),
+    st.lists(CELLS, min_size=3, max_size=3).map(",".join),
+    st.lists(CELLS, min_size=1, max_size=5).map(",".join),
+    st.sampled_from(["", " ", "\t", ",,", "0.0,0.0", "0.0,0.0,0.0,"]),
+)
+ENDINGS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_files(draw):
+    head = draw(st.sampled_from(["t,x,u", "t,x,u", " t, x, u", "t,x,u,", "a,b,c"]))
+    lines = [head] + draw(st.lists(LINES, max_size=6))
+    text = "".join(line + draw(ENDINGS) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_files())
+@example(b"t,x,u\n")
+@example(b"t,x,u\n\n")
+@example(b"t,x,u\n0.0,1.0,2.0")
+@example(b"t,x,u\r\n0.0,1.0,2.0\r\n")
+@example(b"t,x,u\n0.0,1.0,2.0\n\n1.0,1.0,2.0\n")
+@example(b"t,x,u\n0.0,1.0,2.0\n \n")
+@example(b"t,x,u\n1_0,1.0,2.0\n")
+@example(b"t,x,u\n0.0,1e999,2.0\n")
+@example(b"t,x,u\n0.0,1.0," + b"0" * 131072 + b"1\n")
+def test_bulk_read_matches_row_read(data):
+    _check_paths_agree(data)
+
+
+def test_bulk_read_matches_row_read_across_chunks():
+    # bodies longer than one read chunk, with the defect past its end
+    good = "".join(f"{k * 5e-4!r},{k * 1e-7!r},-0.5\n" for k in range(40000))
+    assert len(good) > csvio._CHUNK
+    for tail in ("", "\n", "1.0,2.0\n", "1.0,2.0,3.0\n\n", "1.0,nan,3.0\n",
+                 "1.0,1\x1c,3.0\n", "1.0," + "0" * 131072 + "1,3.0\n",
+                 "1.0," + "0" * 131071 + "1,3.0\n", "2.0,3.0,4.0"):
+        _check_paths_agree(("t,x,u\n" + good + tail).encode("utf-8"))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(FINITE, FINITE, FINITE), min_size=1, max_size=40))
+@example([(0.0, -0.0, 5e-324), (-5e-324, 2.2250738585072014e-308, 1.7e308),
+          (-1.7e308, 1.7976931348623157e308, -2.225073858507201e-308)])
+def test_write_read_roundtrip_any_finite_float(rows):
+    cols = [np.array(c, dtype=float) for c in zip(*rows)]
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "r.csv"
+        write_columns(p, MEASURED_HEADER, cols)
+        back = read_columns(p, MEASURED_HEADER)
+        with open(p, "rb") as fh:
+            assert csvio._read_plain(fh, MEASURED_HEADER) is not None
+    assert [c.tobytes() for c in back] == [c.tobytes() for c in cols]

@@ -216,7 +216,7 @@ def test_total_force_split():
 
 def test_plant_loop_guards():
     dt = 5e-4
-    # a NaN input makes v NaN on the next step; the friction step then refuses it
+    # the plant loop checks that the input is finite before its first step
     with pytest.raises(ValueError):
         simulate_forced(PlantParams(0.052), P, np.array([0.0, math.nan, 0.0]), dt)
     for bad_dt in (0.0, -dt, math.nan):

@@ -10,6 +10,7 @@ from frictionobs import (
     Estimates,
     FrictionParams,
     GridError,
+    ObserverDiverged,
     ImpulseTrain,
     Measured,
     ObserverGains,
@@ -285,6 +286,26 @@ def test_rms_and_integrated_velocity():
     assert rms(np.array([3.0, 4.0])) == pytest.approx(math.sqrt(12.5), rel=1e-15)
     w2 = np.array([1.0, 2.0, 3.0])
     assert np.array_equal(integrated_velocity(w2, 0.5), np.array([0.5, 1.5, 3.0]))
+
+
+def test_overflowing_estimates_raise_diverged():
+    t = np.arange(6) * 1e-3
+    x = np.array([0.0, 0.0, 0.0, 1e306, -1e306, 0.0])
+    with pytest.raises(ObserverDiverged) as exc:
+        run_observer(Measured(t, x, np.zeros(6)), GAINS, M_KG, FRICTION)
+    assert exc.value.row == 3 and "t = 0.003" in str(exc.value)
+
+
+def test_rms_rescales_only_on_overflow():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        a = rng.standard_normal(rng.integers(1, 50)) * 10.0 ** rng.integers(-150, 150)
+        assert rms(a) == float(np.sqrt(np.mean(a * a)))
+    # a*a overflows here; the plain formula would give inf
+    assert rms(np.array([1e200, -1e200])) == 1e200
+    assert rms(np.array([1.7976931348623157e308] * 3)) == pytest.approx(1.7976931348623157e308)
+    assert rms(np.array([3e200, 4e200])) == pytest.approx(math.sqrt(12.5) * 1e200, rel=1e-15)
+    assert rms(np.array([1.0, math.inf])) == math.inf and math.isnan(rms(np.array([math.nan])))
 
 
 def test_e_obs_series_definition():
