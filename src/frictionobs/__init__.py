@@ -18,35 +18,19 @@ from .friction import (
     DEFAULT_DEADBAND,
     DEFAULT_Z_FLOOR,
     FrictionParams,
-    PreslidingState,
     advance,
-    coulomb_force,
-    coulomb_stiffness,
     deadband_sign,
     default_kappa,
-    f0_branch,
     level,
-    presliding_force,
     stiffness,
-    update_presliding,
 )
-from .gains import (
-    ObserverGains,
-    RobustReport,
-    char_poly,
-    design_gains,
-    eigenvalues,
-    validate_robust,
-)
+from .gains import ObserverGains, RobustReport, design_gains, validate_robust
 from .ident import FitProblem, FitResult, THETA_NAMES, fit, residual
 from .observer import (
-    ErrorMetrics,
     Estimates,
     GridError,
     ObserverDiverged,
     e_obs_series,
-    error_metrics,
-    integrated_velocity,
     observer_matrix,
     observer_update,
     rms,
@@ -82,35 +66,24 @@ __all__ = [
     "DEFAULT_DEADBAND",
     "DEFAULT_Z_FLOOR",
     "FrictionParams",
-    "PreslidingState",
     "advance",
-    "coulomb_force",
-    "coulomb_stiffness",
     "deadband_sign",
     "default_kappa",
-    "f0_branch",
     "level",
-    "presliding_force",
     "stiffness",
-    "update_presliding",
     "ObserverGains",
     "RobustReport",
-    "char_poly",
     "design_gains",
-    "eigenvalues",
     "validate_robust",
     "FitProblem",
     "FitResult",
     "THETA_NAMES",
     "fit",
     "residual",
-    "ErrorMetrics",
     "Estimates",
     "GridError",
     "ObserverDiverged",
     "e_obs_series",
-    "error_metrics",
-    "integrated_velocity",
     "observer_matrix",
     "observer_update",
     "rms",

@@ -26,9 +26,7 @@ The law is a scalar kernel on plain floats: ``advance`` (reversal, advance,
 saturation), ``level`` (clipped normalized Coulomb level) and ``stiffness``
 (dF_c/dx) take the branch state as (z, f_r, dir, sat) and return floats or
 tuples, so the plant loop and the observer's replica keep that state in
-local variables and allocate nothing per step. ``update_presliding``,
-``coulomb_force`` and ``coulomb_stiffness`` are the same kernel on a
-``PreslidingState``.
+local variables and allocate nothing per step.
 """
 
 from __future__ import annotations
@@ -96,61 +94,6 @@ class FrictionParams:
                     f"got {self.kappa!r}"
                 )
 
-    def beta_ok(self, m: float, margin: float = 10.0) -> bool:
-        """True if the lag constant is well below the mechanical one, beta << m/sigma.
-
-        "Well below" means beta * margin <= m / sigma.
-        """
-        if not (math.isfinite(m) and m > 0):
-            raise ValueError(f"mass must be finite and > 0, got {m!r}")
-        return 0.0 < self.beta * self.sigma * margin <= m
-
-
-@dataclass(frozen=True)
-class PreslidingState:
-    """Hysteresis state of the Coulomb term.
-
-    z is the normalized presliding coordinate since the last reversal, f_r
-    the normalized force level memorized at that reversal, dir the branch
-    direction (0 before any motion) and saturated marks gross sliding.
-    """
-
-    z: float = 0.0
-    f_r: float = 0.0
-    dir: int = 0
-    saturated: bool = False
-
-
-def f0_branch(z: float) -> float:
-    """Normalized virgin branch f0(z) = z * (1 - ln|z|) on 0 < |z| <= 1.
-
-    Odd, strictly increasing, with f0(+-1) = +-1. Callers clip |z| from
-    below at z_floor; z = 0 and |z| > 1 are domain errors.
-    """
-    if math.isnan(z):
-        raise ValueError("z is NaN")
-    if z == 0.0 or abs(z) > 1.0:
-        raise ValueError(f"f0 branch needs 0 < |z| <= 1, got {z!r}")
-    return _f0(z)
-
-
-def _f0(z: float) -> float:
-    # the branch formula itself; callers guarantee 0 < |z| <= 1
-    return z * (1.0 - math.log(abs(z)))
-
-
-def presliding_force(z: float, f_r: float, dir: int) -> float:
-    """Normalized branch force |dir - f_r| * f0(z) + f_r.
-
-    Runs from f_r at z -> 0 to dir at z = dir. Same domain errors as
-    ``f0_branch``; requires |f_r| <= 1 and dir in {-1, +1}.
-    """
-    if dir not in (-1, 1):
-        raise ValueError(f"dir must be -1 or +1, got {dir!r}")
-    if math.isnan(f_r) or abs(f_r) > 1.0:
-        raise ValueError(f"f_r must lie in [-1, 1], got {f_r!r}")
-    return abs(dir - f_r) * f0_branch(z) + f_r
-
 
 def level(z: float, f_r: float, dir: int, sat: bool, z_floor: float) -> float:
     """Normalized Coulomb level of a branch state, clipped into [-1, 1].
@@ -166,7 +109,8 @@ def level(z: float, f_r: float, dir: int, sat: bool, z_floor: float) -> float:
         zc = dir * z_floor  # branch just spawned, evaluate on its own side
     else:
         zc = math.copysign(min(max(abs(z), z_floor), 1.0), z)
-    fp = abs(dir - f_r) * _f0(zc) + f_r
+    # the rescaled virgin branch, |dir - f_r| * f0(z) + f_r
+    fp = abs(dir - f_r) * (zc * (1.0 - math.log(abs(zc)))) + f_r
     return min(1.0, max(-1.0, fp))
 
 
@@ -225,24 +169,6 @@ def stiffness(
     return min(val, kappa)
 
 
-def coulomb_force(ps: PreslidingState, p: FrictionParams, v_sign: int = 0) -> float:
-    """Coulomb term F_c [N]: c_f * branch level in presliding, c_f * sign(v) saturated.
-
-    v_sign is the sign of the velocity (0 inside the deadband); it only
-    matters in the saturated regime, where a zero falls back to the stored
-    branch direction. |F_c| <= c_f always.
-    """
-    if ps.saturated:
-        return p.c_f * (v_sign or ps.dir)
-    return p.c_f * level(ps.z, ps.f_r, ps.dir, False, p.z_floor)
-
-
-def coulomb_stiffness(ps: PreslidingState, p: FrictionParams, v_sign: int = 0) -> float:
-    """``stiffness`` of a PreslidingState; v_sign stands in for dir before any motion."""
-    d = ps.dir if ps.dir != 0 else v_sign
-    return stiffness(ps.z, ps.f_r, d, ps.saturated, p.s_scale, p.c_f, p.z_floor, p.kappa)
-
-
 def deadband_sign(v: float, deadband: float = DEFAULT_DEADBAND) -> int:
     """Sign of v seen through the reversal deadband: 0 when |v| <= deadband."""
     if v > deadband:
@@ -250,14 +176,3 @@ def deadband_sign(v: float, deadband: float = DEFAULT_DEADBAND) -> int:
     if v < -deadband:
         return -1
     return 0
-
-
-def update_presliding(
-    ps: PreslidingState,
-    dx: float,
-    v_sign: int,
-    p: FrictionParams,
-) -> PreslidingState:
-    """``advance`` of a PreslidingState by a displacement increment dx [m]."""
-    return PreslidingState(*advance(ps.z, ps.f_r, ps.dir, ps.saturated, dx, v_sign,
-                                    p.s_scale, p.z_floor))

@@ -57,29 +57,6 @@ class RobustReport:
         return self.cond_a and self.cond_b and self.cond_stab
 
 
-def char_poly(g: ObserverGains, m: float, phi: float, sob: float) -> tuple[float, float]:
-    """Coefficients (c1, c0) of lam^2 + c1*lam + c0 for the error dynamics."""
-    if m <= 0:
-        raise ValueError(f"m must be > 0, got {m!r}")
-    return g.l1, (sob + phi - g.l2) / m
-
-
-def eigenvalues(g: ObserverGains, m: float, phi: float, sob: float) -> tuple[complex, complex]:
-    """Error-dynamics poles, fast one first when real.
-
-    lam = (-L1 +- sqrt(L1^2 + (4/m)(L2 - phi - sob))) / 2; the pair is
-    complex when the discriminant is negative (imaginary parts then carry
-    the oscillation frequency).
-    """
-    c1, c0 = char_poly(g, m, phi, sob)
-    disc = c1 * c1 - 4.0 * c0
-    if disc >= 0.0:
-        r = math.sqrt(disc)
-        return complex((-c1 - r) / 2.0, 0.0), complex((-c1 + r) / 2.0, 0.0)
-    s = math.sqrt(-disc)
-    return complex(-c1 / 2.0, -s / 2.0), complex(-c1 / 2.0, s / 2.0)
-
-
 def design_gains(poles: tuple[float, float], m: float, sob: float = 0.0) -> ObserverGains:
     """Gains placing the phi = 0 poles at the requested real pair.
 

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .friction import DEFAULT_Z_FLOOR, FrictionParams
+from .observer import rms
 from .plant import ImpulseTrain, PlantParams, SimConfig, SimulationDiverged, grid_break, simulate
 
 THETA_NAMES = ("sigma", "beta", "s_scale", "amplitude", "width")
@@ -116,8 +117,7 @@ def residual(theta: Sequence[float], problem: FitProblem) -> float:
         return math.inf
     if len(traj) != len(problem.x) or not np.all(np.isfinite(traj.x)):
         return math.inf
-    err = traj.x - problem.x
-    return float(np.sqrt(np.mean(err * err)))
+    return rms(traj.x, problem.x)
 
 
 def _project(theta: np.ndarray, bounds: tuple[tuple[float, float], ...]) -> np.ndarray:

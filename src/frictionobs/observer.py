@@ -34,7 +34,7 @@ import numpy as np
 
 from .friction import DEFAULT_DEADBAND, FrictionParams, advance, deadband_sign, stiffness
 from .gains import ObserverGains
-from .plant import Measured, Trajectory, grid_break, same_grid
+from .plant import Measured, grid_break
 
 Mat2 = tuple[tuple[float, float], tuple[float, float]]
 
@@ -245,70 +245,35 @@ def run_observer(
     return Estimates(t, w2, w3, phi, e_obs)
 
 
-# ---------------------------------------------------------------------------
-# error metrics
-# ---------------------------------------------------------------------------
+def rms(a: np.ndarray, b: np.ndarray | float = 0.0) -> float:
+    """Root-mean-square of the difference a - b (of a alone by default); 0.0 for an empty a.
 
-def rms(a: np.ndarray) -> float:
-    """Root-mean-square of a sequence; 0.0 for an empty one.
-
-    A finite sequence whose mean square overflows is rescaled by its largest
-    magnitude, so its RMS stays finite; any other result is the plain
-    sqrt(mean(a*a)), to the bit.
+    When a and b are finite but the difference or its mean square overflows,
+    both are rescaled by their largest magnitude before they are subtracted,
+    so an RMS within the float range stays finite and one beyond it is inf.
+    Any other result is the plain sqrt(mean(d*d)) of d = a - b, to the bit.
     """
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return 0.0
-    with np.errstate(over="ignore"):
-        ms = np.mean(a * a)
-    if ms == math.inf and np.isfinite(a).all():
-        s = np.max(np.abs(a))
-        b = a / s
-        return float(s * np.sqrt(np.mean(b * b)))
+    b = np.asarray(b, dtype=float)
+    # inf - inf from non-finite inputs is NaN, as the plain formula gives
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = a - b
+        ms = np.mean(d * d)
+    if ms == math.inf and np.isfinite(a).all() and np.isfinite(b).all():
+        s = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+        d = a / s - b / s
+        # a float product past the range is inf, with no numpy warning
+        return s * math.sqrt(float(np.mean(d * d)))
     return float(np.sqrt(ms))
-
-
-def integrated_velocity(w2: np.ndarray, dt: float) -> np.ndarray:
-    """Rectangle-rule running integral of the velocity estimate on its own grid."""
-    return np.cumsum(np.asarray(w2, dtype=float)) * dt
 
 
 def e_obs_series(x_meas: np.ndarray, w2: np.ndarray, dt: float) -> np.ndarray:
     """Displacement-consistency error x - x(0) - integral of w2~.
 
-    The integral is ``integrated_velocity``, so it includes the current
-    estimate.
+    The integral is the rectangle-rule running sum of w2~ on its own grid,
+    so it includes the current estimate.
     """
     x_meas = np.asarray(x_meas, dtype=float)
-    return (x_meas - x_meas[0]) - integrated_velocity(w2, dt)
-
-
-@dataclass(frozen=True)
-class ErrorMetrics:
-    """Model-consistency and observer-consistency displacement errors."""
-
-    e_model: np.ndarray
-    e_obs: np.ndarray
-    rms_model: float
-    rms_obs: float
-
-
-def error_metrics(
-    measured: Measured,
-    estimates: Estimates,
-    model: Trajectory,
-) -> ErrorMetrics:
-    """e_model = x - x_model (open-loop nominal prediction), e_obs from the estimates.
-
-    All three sequences must share the grid; mismatched lengths or
-    timestamps raise ValueError.
-    """
-    n = len(measured)
-    if len(estimates) != n or len(model) != n:
-        raise ValueError(
-            f"length mismatch: measured {n}, estimates {len(estimates)}, model {len(model)}"
-        )
-    if not (same_grid(measured.t, estimates.t) and same_grid(measured.t, model.t)):
-        raise ValueError("grid mismatch between measured, estimates and model sequences")
-    e_model = measured.x - model.x
-    return ErrorMetrics(e_model, estimates.e_obs, rms(e_model), rms(estimates.e_obs))
+    return (x_meas - x_meas[0]) - np.cumsum(np.asarray(w2, dtype=float)) * dt

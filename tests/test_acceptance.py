@@ -25,22 +25,19 @@ from frictionobs import (
     ImpulseTrain,
     PlantParams,
     SimConfig,
-    coulomb_force,
+    advance,
+    deadband_sign,
     design_gains,
-    e_obs_series,
-    eigenvalues,
-    error_metrics,
-    f0_branch,
     fit,
+    level,
     measure,
     observer_matrix,
     observer_update,
-    presliding_force,
     read_columns,
+    rms,
     run_observer,
     simulate,
     simulate_forced,
-    update_presliding,
     validate_robust,
     write_columns,
 )
@@ -63,7 +60,7 @@ def _verdict(capsys, num: int, label: str, ok: bool, detail: str) -> None:
 def test_criterion_1_gain_reproduction(capsys):
     g = design_gains((-350.0, -10.0), M_KG, sob=0.0)
     exact = g.l1 == 360.0 and g.l2 == -182.0
-    lam = sorted(z.real for z in eigenvalues(g, M_KG, 0.0, 0.0))
+    lam = sorted(float(z.real) for z in np.roots([1.0, g.l1, -g.l2 / M_KG]))
     ref = np.sort(np.linalg.eigvals(np.array(observer_matrix(g, M_KG, 0.0))).real)
     placed = (
         abs(lam[0] + 350.0) <= 1e-9 * 350.0
@@ -119,11 +116,9 @@ def test_criterion_3_pole_gap_monotone(random_population, capsys):
     bad = 0
     for gains, m, sob, kappa in random_population:
         phis = np.linspace(0.0, kappa, 100)
-        gaps = []
-        for phi in phis:
-            lam = eigenvalues(gains, m, phi, sob)
-            gaps.append(abs(lam[1].real - lam[0].real))
-        gaps = np.array(gaps)
+        # the observer's error matrix carries sigma/beta inside its phi
+        lam = np.linalg.eigvals(np.array([observer_matrix(gains, m, sob + phi) for phi in phis]))
+        gaps = np.abs(lam[:, 1].real - lam[:, 0].real)
         # allow roundoff slack of a few ulps relative to the gap scale
         if gaps[0] < np.max(gaps) * (1.0 - 1e-12):
             bad += 1
@@ -135,28 +130,31 @@ def test_criterion_3_pole_gap_monotone(random_population, capsys):
 # -- criterion 4 -------------------------------------------------------------
 
 def test_criterion_4_presliding_map(capsys):
-    endpoints = f0_branch(1.0) == 1.0 and f0_branch(-1.0) == -1.0
+    p = FrictionParams(c_f=C_F, sigma=2.0, beta=0.002, s_scale=2000.0)
+
+    def f0(z):
+        # the virgin branch (f_r = 0) as the kernel evaluates it
+        return level(z, 0.0, 1 if z > 0 else -1, False, p.z_floor)
+
+    endpoints = f0(1.0) == 1.0 and f0(-1.0) == -1.0
 
     zs = np.linspace(0.01, 0.99, 197)
     worst_rel = 0.0
     for z in zs:
         h = 1e-5 * z
-        fd = (f0_branch(z + h) - f0_branch(z - h)) / (2.0 * h)
+        fd = (f0(z + h) - f0(z - h)) / (2.0 * h)
         true = -math.log(z)  # analytic slope of z*(1 - ln z)
         worst_rel = max(worst_rel, abs(fd - true) / abs(true))
     slope_ok = worst_rel <= 1e-6
 
     closure = all(
-        presliding_force(1.0, f_r, 1) * C_F == C_F
-        and presliding_force(-1.0, f_r, -1) * C_F == -C_F
+        level(1.0, f_r, 1, False, p.z_floor) * C_F == C_F
+        and level(-1.0, f_r, -1, False, p.z_floor) * C_F == -C_F
         for f_r in (-1.0, -0.5, 0.0, 0.2143, 0.77, 1.0)
     )
 
-    p = FrictionParams(c_f=C_F, sigma=2.0, beta=0.002, s_scale=2000.0)
     rng = np.random.default_rng(99)
-    from frictionobs import PreslidingState, deadband_sign
-
-    ps = PreslidingState()
+    state = (0.0, 0.0, 0, False)  # (z, f_r, dir, sat) at rest
     bound_ok = True
     peak = 0.0
     saturations = 0
@@ -168,10 +166,10 @@ def test_criterion_4_presliding_map(capsys):
         for k in range(128):
             step = direction * dz * float(rng.integers(0, 41))
             vs = deadband_sign(step / 5e-4)
-            was_sat = ps.saturated
-            ps = update_presliding(ps, step, vs, p)
-            saturations += int(ps.saturated and not was_sat)
-            fc = coulomb_force(ps, p, vs)
+            was_sat = state[3]
+            state = advance(*state, step, vs, p.s_scale, p.z_floor)
+            saturations += int(state[3] and not was_sat)
+            fc = C_F * level(*state, p.z_floor)
             peak = max(peak, abs(fc))
             if abs(fc) > C_F:
                 bound_ok = False
@@ -262,8 +260,8 @@ def test_criterion_6_end_to_end(capsys):
     meas = measure(traj, E2E_SIM)
     est = run_observer(meas, g, M_KG, E2E_NOMINAL)
     model = simulate_forced(plant, E2E_NOMINAL, meas.u, E2E_SIM.dt, E2E_SIM.v_max)
-    metrics = error_metrics(meas, est, model)
-    rms_ok = metrics.rms_obs < metrics.rms_model
+    rms_obs, rms_model = rms(est.e_obs), rms(meas.x - model.x)
+    rms_ok = rms_obs < rms_model
 
     w2 = est.w2
     settle = 5.0 / abs(max(E2E_POLES))  # slow pole
@@ -279,7 +277,7 @@ def test_criterion_6_end_to_end(capsys):
         if err > 0.01 * peak:
             conv_ok = False
     _verdict(capsys, 6, "end-to-end scenario", rms_ok and conv_ok,
-             f"rms_e_obs={metrics.rms_obs:.3e} < rms_e_model={metrics.rms_model:.3e}, "
+             f"rms_e_obs={rms_obs:.3e} < rms_e_model={rms_model:.3e}, "
              f"window errors at {['%.2f' % m for m in margins]} of the 1% bars")
 
 

@@ -115,12 +115,15 @@ def test_observe_schema_errors(cfg_file, tmp_path):
     assert rc == EXIT_SCHEMA
 
 
-def test_observe_nonuniform_grid(cfg_file, tmp_path):
+def test_observe_nonuniform_grid(cfg_file, tmp_path, capsys):
     p = tmp_path / "m.csv"
     p.write_text("t,x,u\n0.0,0.0,0.0\n0.0005,0.0,0.0\n0.002,0.0,0.0\n", encoding="utf-8")
     rc = main(["observe", "--config", str(cfg_file), "--measured", str(p),
                "--out", str(tmp_path / "e.csv")])
     assert rc == EXIT_SCHEMA
+    # the third data line breaks the grid; read_columns numbers data lines from 1
+    err = capsys.readouterr().err
+    assert err.startswith("measured CSV rejected: ") and ": row 3: t = 0.002 " in err
 
 
 def test_observe_truth_grid_mismatch(cfg_file, tmp_path, capsys):
@@ -244,12 +247,14 @@ def test_identify_bad_bounds_factor(tmp_path, cfg_file):
     assert rc == EXIT_CONFIG
 
 
-def test_identify_nonuniform_grid_rejected(cfg_file, tmp_path):
+def test_identify_nonuniform_grid_rejected(cfg_file, tmp_path, capsys):
     m = tmp_path / "m.csv"
     m.write_text("t,x,u\n0.0,0.0,0.0\n0.001,0.0,0.0\n0.003,0.0,0.0\n", encoding="utf-8")
     rc = main(["identify", "--config", str(cfg_file), "--measured", str(m),
                "--out", str(tmp_path / "r.txt")])
     assert rc == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("measured CSV rejected: ") and ": row 3: t = 0.003 " in err
 
 
 @pytest.mark.parametrize("command", ["observe", "identify"])
@@ -490,3 +495,42 @@ def test_help_exits_zero_on_stdout(capsys):
         assert main(argv) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.out.startswith("usage: frictionobs") and captured.err == ""
+
+
+def _printed(out):
+    """The `name = value` lines of a command's stdout, values as floats."""
+    return {k: float(v) for k, _, v in (line.partition(" = ") for line in out.splitlines()) if v}
+
+
+def test_observe_truth_on_record_not_starting_at_zero(cfg_file, short_run, tmp_path, capsys):
+    # the nominal model runs from rest at row 0, row for row, whatever t[0] is
+    from frictionobs import write_columns
+
+    sim, measured = short_run
+    argv = ["observe", "--config", str(cfg_file), "--out", str(tmp_path / "e.csv")]
+    assert main(argv + ["--measured", str(measured), "--truth", str(sim)]) == EXIT_OK
+    base = _printed(capsys.readouterr().out)["rms_e_model"]
+    for path, header in ((sim, SIM_HEADER), (measured, MEASURED_HEADER)):
+        cols = read_columns(path, header)
+        write_columns(path, header, [cols[0] + 0.5, *cols[1:]])
+    rc = main(argv + ["--measured", str(measured), "--truth", str(sim)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_OK and captured.err == ""
+    assert _printed(captured.out)["rms_e_model"] == pytest.approx(base, rel=1e-9)
+
+
+def test_compare_overflowing_difference_stays_finite(tmp_path, capsys):
+    # w2 - v overflows in its first row; the RMS itself, sqrt(1.25) * 1e308, does not
+    from frictionobs import write_columns
+
+    t, z = np.arange(4) * 5e-4, np.zeros(4)
+    sim, est = tmp_path / "s.csv", tmp_path / "e.csv"
+    write_columns(sim, SIM_HEADER, [t, z, np.array([1e308, -1e308, 0.0, 0.0]), z, z])
+    write_columns(est, ESTIMATES_HEADER, [t, np.array([-1e308, 0.0, 0.0, 0.0]), z, z, z])
+    rc = main(["compare", "--sim", str(sim), "--estimates", str(est),
+               "--out", str(tmp_path / "m.csv")])
+    captured = capsys.readouterr()
+    assert rc == EXIT_OK and captured.err == ""
+    printed = _printed(captured.out)
+    assert printed["rms_velocity_error"] == pytest.approx(1.25 ** 0.5 * 1e308, rel=1e-15)
+    assert printed["rms_force_error"] == 0.0

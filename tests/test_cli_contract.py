@@ -4,8 +4,9 @@ Whatever the input, ``main`` returns a documented code (0-4) and lets no
 exception escape. A failure prints exactly one stderr line, and a success
 prints nothing there, numpy warnings included. A config always ends with
 bounded ``sim.dt``/``sim.t_end`` lines (at most 801 samples). Values and
-cells are ordinary numbers or come from a fixed set of special and
-malformed ones: nan, inf, 1e400, negatives, empty, text, extra commas.
+cells are ordinary numbers, finite ones near +-1.7e308, or come from a
+fixed set of special and malformed ones: nan, inf, 1e400, negatives,
+empty, text, extra commas.
 """
 
 import contextlib
@@ -47,7 +48,13 @@ JUNK_LINES = st.one_of(
     st.sampled_from(["", "# comment", "no equals sign", "bogus.key = 1", "=", "plant.m"]),
     st.text(max_size=12),
 )
-NUMBERS = st.floats(-1.0, 1.0).map(repr)
+# ordinary cells, and now and then one near the float limits, where sums and
+# differences of two finite cells overflow
+BIG = 1.7976931348623157e308
+NUMBERS = st.one_of(
+    st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+    st.floats(1e307, BIG), st.floats(-BIG, -1e307),
+).map(repr)
 BAD_CELLS = st.sampled_from(["nan", "inf", "-inf", "", "x", " 1 ", "1,2", "1e400"])
 
 

@@ -5,9 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from frictionobs import ObserverGains, char_poly, design_gains, eigenvalues, validate_robust
+from frictionobs import ObserverGains, design_gains, validate_robust
 
 M = 0.052
+
+
+def error_poles(g, m, phi, sob):
+    """numpy's roots of the error polynomial lam^2 + l1 lam + (sob + phi - l2)/m, fast first."""
+    return np.sort_complex(np.roots([1.0, g.l1, (sob + phi - g.l2) / m]))
 
 
 def test_design_reference_pair_exact():
@@ -29,19 +34,6 @@ def test_design_example_pairs():
     assert (g.l1, g.l2) == (360.0, -132.0)
 
 
-def test_char_poly_reference_values():
-    assert char_poly(ObserverGains(360.0, -182.0), M, 0.0, 0.0) == (360.0, 3500.0)
-    assert char_poly(ObserverGains(0.0, 0.0), 1.0, 0.0, 0.0) == (0.0, 0.0)
-    assert char_poly(ObserverGains(2.0, -1.0), 1.0, 0.0, 0.0) == (2.0, 1.0)
-
-
-def test_eigenvalues_double_and_imaginary():
-    lam = eigenvalues(ObserverGains(2.0, -1.0), 1.0, 0.0, 0.0)
-    assert lam == (complex(-1.0, 0.0), complex(-1.0, 0.0))
-    lam = eigenvalues(ObserverGains(0.0, -1.0), 1.0, 0.0, 0.0)
-    assert lam == (complex(0.0, -1.0), complex(0.0, 1.0))
-
-
 def test_cond_a_reports_nonpositive_l1():
     rep = validate_robust(ObserverGains(-1.0, 0.0), 1.0, 0.0, 0.0)
     assert not rep.cond_a
@@ -60,25 +52,10 @@ def test_placed_poles_recovered():
     for poles in ((-350.0, -10.0), (-800.0, -25.0), (-90.0, -80.0)):
         for sob in (0.0, 40.0):
             g = design_gains(poles, M, sob)
-            lam = eigenvalues(g, M, 0.0, sob)
+            lam = error_poles(g, M, 0.0, sob)
             got = sorted((lam[0].real, lam[1].real))
             assert got == pytest.approx(sorted(poles), rel=1e-12)
             assert lam[0].imag == 0.0 and lam[1].imag == 0.0
-
-
-def test_eigenvalues_match_numpy_roots():
-    rng = np.random.default_rng(11)
-    for _ in range(300):
-        g = ObserverGains(l1=rng.uniform(-50, 800), l2=rng.uniform(-5000, 500))
-        m = rng.uniform(0.01, 1.0)
-        phi = rng.uniform(0.0, 1e4)
-        sob = rng.uniform(0.0, 100.0)
-        c1, c0 = char_poly(g, m, phi, sob)
-        ours = sorted(eigenvalues(g, m, phi, sob), key=lambda z: (z.real, z.imag))
-        ref = sorted(np.roots([1.0, c1, c0]), key=lambda z: (z.real, z.imag))
-        for a, b in zip(ours, ref):
-            assert a.real == pytest.approx(b.real, rel=1e-9, abs=1e-9)
-            assert abs(a.imag) == pytest.approx(abs(b.imag), rel=1e-9, abs=1e-9)
 
 
 def test_cond_b_thresholds_frozen():
@@ -113,8 +90,8 @@ def test_pole_ranges_cover_sweep():
     assert lo1 <= hi1 <= lo2 <= hi2 < 0.0
     # rising phi pulls the pair together: fast pole tops out at phi = kappa,
     # slow pole bottoms out there
-    l0 = eigenvalues(g, M, 0.0, 0.0)
-    lk = eigenvalues(g, M, 1000.0, 0.0)
+    l0 = error_poles(g, M, 0.0, 0.0)
+    lk = error_poles(g, M, 1000.0, 0.0)
     assert lo1 == pytest.approx(l0[0].real, rel=1e-12)
     assert hi1 == pytest.approx(lk[0].real, rel=1e-12)
     assert lo2 == pytest.approx(lk[1].real, rel=1e-12)
@@ -138,7 +115,7 @@ def test_randomized_condition_logic():
         assert rep.cond_a and rep.cond_stab
         assert rep.cond_b == ok
         phis = np.linspace(0.0, kappa, 25)
-        roots = [np.roots([1.0, *char_poly(g, m, p, sob)]) for p in phis]
+        roots = [np.roots([1.0, g.l1, (sob + p - g.l2) / m]) for p in phis]
         if ok:
             assert rep.passed
             for r in roots:

@@ -2,8 +2,8 @@
 
 The plant loop and the observer's presliding replica run the hysteresis law
 on local floats. Each must reproduce, bit for bit, a plain loop written here
-over the state-object functions (``update_presliding``, ``coulomb_force``,
-``coulomb_stiffness``, ``observer_update``) and the exact viscous-lag update.
+over the kernel (``advance``, ``level``, ``stiffness``), ``observer_update``
+and the exact viscous-lag update, with the branch state kept in one tuple.
 Random impulse trains cover presliding only, gross sliding with saturation,
 and reversals from rest.
 """
@@ -18,22 +18,22 @@ from frictionobs import (
     FrictionParams,
     ImpulseTrain,
     PlantParams,
-    PreslidingState,
     SimConfig,
-    coulomb_force,
-    coulomb_stiffness,
+    advance,
     deadband_sign,
     design_gains,
+    level,
     measure,
     observer_update,
     run_observer,
     simulate,
     simulate_forced,
-    update_presliding,
+    stiffness,
 )
 
 M_KG = 0.052
 C_F = 0.2143
+REST = (0.0, 0.0, 0, False)  # branch state (z, f_r, dir, sat) before any motion
 
 
 def reference_plant(m, fp, u, dt, deadband):
@@ -41,13 +41,13 @@ def reference_plant(m, fp, u, dt, deadband):
     n = len(u)
     xs, vs, fs = np.zeros(n), np.zeros(n), np.zeros(n)
     x = v = f_v = 0.0
-    ps = PreslidingState()
+    state = REST
     for k in range(n):
         target = fp.sigma * v
         f_v = target + (f_v - target) * math.exp(-dt / fp.beta)
         sign = deadband_sign(v, deadband)
-        ps = update_presliding(ps, v * dt, sign, fp)
-        f = coulomb_force(ps, fp, sign) + f_v
+        state = advance(*state, v * dt, sign, fp.s_scale, fp.z_floor)
+        f = fp.c_f * level(*state, fp.z_floor) + f_v
         xs[k], vs[k], fs[k] = x, v, f
         if k < n - 1:
             v += dt * (float(u[k]) - f) / m
@@ -60,10 +60,10 @@ def reference_observer(x, u, dt, g, m, fp, deadband):
     n = len(x)
     w2s, w3s, phis = np.zeros(n), np.zeros(n), np.zeros(n)
     z1 = z2 = 0.0
-    ps = PreslidingState()
+    state = REST
     sob = fp.sigma / fp.beta
     for k in range(n):
-        phi = coulomb_stiffness(ps, fp) + sob
+        phi = stiffness(*state, fp.s_scale, fp.c_f, fp.z_floor, fp.kappa) + sob
         dx = 0.0
         if k:
             dx = x[k] - x[k - 1]
@@ -72,7 +72,7 @@ def reference_observer(x, u, dt, g, m, fp, deadband):
             )
         w2 = z1 + g.l1 * x[k]
         w3 = z2 + g.l2 * x[k]
-        ps = update_presliding(ps, dx, deadband_sign(w2, deadband), fp)
+        state = advance(*state, dx, deadband_sign(w2, deadband), fp.s_scale, fp.z_floor)
         w2s[k], w3s[k], phis[k] = w2, w3, phi
     return w2s, w3s, phis
 

@@ -1,13 +1,13 @@
 """Observer tests: exact hold discretization, error decay, guards, metrics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from frictionobs import (
-    Estimates,
     FrictionParams,
     GridError,
     ObserverDiverged,
@@ -18,8 +18,6 @@ from frictionobs import (
     SimConfig,
     design_gains,
     e_obs_series,
-    error_metrics,
-    integrated_velocity,
     measure,
     observer_matrix,
     observer_update,
@@ -284,8 +282,9 @@ def test_observer_beats_central_difference_velocity():
 def test_rms_and_integrated_velocity():
     assert rms(np.array([])) == 0.0
     assert rms(np.array([3.0, 4.0])) == pytest.approx(math.sqrt(12.5), rel=1e-15)
+    # on a still record e_obs is minus the running integral of w2, current sample included
     w2 = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(integrated_velocity(w2, 0.5), np.array([0.5, 1.5, 3.0]))
+    assert np.array_equal(e_obs_series(np.zeros(3), w2, 0.5), -np.array([0.5, 1.5, 3.0]))
 
 
 def test_overflowing_estimates_raise_diverged():
@@ -306,6 +305,26 @@ def test_rms_rescales_only_on_overflow():
     assert rms(np.array([1.7976931348623157e308] * 3)) == pytest.approx(1.7976931348623157e308)
     assert rms(np.array([3e200, 4e200])) == pytest.approx(math.sqrt(12.5) * 1e200, rel=1e-15)
     assert rms(np.array([1.0, math.inf])) == math.inf and math.isnan(rms(np.array([math.nan])))
+    # the difference form: plain sqrt(mean(d*d)) to the bit unless a - b or its square overflows
+    for _ in range(200):
+        n = rng.integers(1, 50)
+        scale = 10.0 ** rng.integers(-150, 150)
+        a, b = rng.standard_normal(n) * scale, rng.standard_normal(n) * scale
+        assert rms(a, b) == float(np.sqrt(np.mean((a - b) * (a - b))))
+    assert rms(np.array([]), np.array([])) == 0.0
+    big = 1.7976931348623157e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning on any path
+        # a - b overflows; true value sqrt(((-2)^2 + 1^2) / 4) * 1e308
+        got = rms(np.array([-1e308, 0.0, 0.0, 0.0]), np.array([1e308, -1e308, 0.0, 0.0]))
+        assert got == pytest.approx(math.sqrt(1.25) * 1e308, rel=1e-15)
+        assert rms(np.array([3e200, 1e200]), np.array([-1e200, 1e200])) == pytest.approx(
+            math.sqrt(8.0) * 1e200, rel=1e-15)
+        assert rms(np.array([big, -big]), np.array([0.0, 0.0])) == big
+        # beyond the float range: a true RMS of 2 * big
+        assert rms(np.array([big, big]), np.array([-big, -big])) == math.inf
+        assert rms(np.array([1.0]), np.array([math.inf])) == math.inf
+        assert math.isnan(rms(np.array([math.inf]), np.array([math.inf])))
 
 
 def test_e_obs_series_definition():
@@ -314,22 +333,3 @@ def test_e_obs_series_definition():
     dt = 5e-4
     expect = (x - x[0]) - np.cumsum(w2) * dt
     assert np.allclose(e_obs_series(x, w2, dt), expect, rtol=0, atol=0)
-
-
-def test_error_metrics_mismatch_raises():
-    t = np.array([0.0, 1e-3])
-    meas = Measured(t, np.zeros(2), np.zeros(2))
-
-    def estimates(times):
-        z = np.zeros(len(times))
-        return Estimates(np.array(times), z, z, z, z)
-
-    plant = PlantParams(m=M_KG)
-    traj = simulate(plant, FRICTION, ImpulseTrain(), SimConfig(dt=1e-3, t_end=1e-3))
-    assert error_metrics(meas, estimates([0.0, 1e-3]), traj).rms_obs == 0.0
-    with pytest.raises(ValueError):
-        error_metrics(meas, estimates([0.0]), traj)
-    with pytest.raises(ValueError):
-        error_metrics(meas, estimates([0.0, 5e-4]), traj)  # timestamp mismatch
-    with pytest.raises(ValueError):
-        error_metrics(meas, estimates([0.0, math.nan]), traj)
