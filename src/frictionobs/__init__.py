@@ -5,7 +5,7 @@ observer gain design, reduced-order estimation and parameter fitting,
 with CSV-based CLI entry points for batch work.
 """
 
-from .config import Config, ConfigError, ObserverSettings, load_config, parse_config
+from .config import Config, ConfigError, load_config, parse_config
 from .csvio import (
     ESTIMATES_HEADER,
     MEASURED_HEADER,
@@ -20,7 +20,6 @@ from .friction import (
     FrictionParams,
     advance,
     deadband_sign,
-    default_kappa,
     level,
     stiffness,
 )
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Config",
     "ConfigError",
-    "ObserverSettings",
     "load_config",
     "parse_config",
     "ESTIMATES_HEADER",
@@ -68,7 +66,6 @@ __all__ = [
     "FrictionParams",
     "advance",
     "deadband_sign",
-    "default_kappa",
     "level",
     "stiffness",
     "ObserverGains",

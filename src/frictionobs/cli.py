@@ -101,7 +101,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     paths = [(out, measured_out)]
     if args.runs > 1:
         paths = [(_run_path(out, i), _run_path(measured_out, i)) for i in range(args.runs)]
-    traj = simulate(cfg.plant, cfg.friction, cfg.scenario, cfg.sim, cfg.observer.deadband)
+    traj = simulate(cfg.plant, cfg.friction, cfg.scenario, cfg.sim)
     # the seed only reaches the measurement noise, so every run shares one truth
     for i, (s_path, m_path) in enumerate(paths):
         seed = cfg.sim.seed + i
@@ -143,9 +143,7 @@ def cmd_observe(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     meas = Measured(*_read_measured(args.measured))
     try:
-        est = run_observer(
-            meas, cfg.observer.gains, cfg.plant.m, cfg.friction, cfg.observer.deadband
-        )
+        est = run_observer(meas, cfg.gains, cfg.plant.m, cfg.friction)
     except ValueError as exc:
         # the grid, x and u are checked above, so what is left is the gain condition
         raise ConfigError(str(exc)) from None
@@ -158,7 +156,7 @@ def cmd_observe(args: argparse.Namespace) -> int:
         if n < 2:
             raise CsvSchemaError("truth CSV rejected: --truth needs at least 2 samples")
         model = simulate_forced(cfg.plant, cfg.friction, meas.u, float(meas.t[1] - meas.t[0]),
-                                cfg.sim.v_max, cfg.observer.deadband)
+                                cfg.sim.v_max)
         lines.append(f"rms_velocity_error = {_fmt(rms(est.w2, vs))}")
         # the model runs from rest at row 0, row for row, like the observer
         lines.append(f"rms_e_model = {_fmt(rms(meas.x, model.x))}")
@@ -189,8 +187,7 @@ def cmd_identify(args: argparse.Namespace) -> int:
             )
     try:
         problem = FitProblem(
-            t=t, x=x, plant=cfg.plant, c_f=cfg.friction.c_f, impulse_start=t0,
-            bounds=bounds, z_floor=cfg.friction.z_floor,
+            t=t, x=x, plant=cfg.plant, friction=cfg.friction, impulse_start=t0, bounds=bounds
         )
     except ValueError as exc:
         raise CsvSchemaError(f"measured CSV rejected: {exc}") from None

@@ -20,7 +20,6 @@ raises ConfigError.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,10 +41,9 @@ _FLOAT_KEYS = {
     "friction.beta": 0.002,
     "friction.s_scale": 2000.0,
     "friction.z_floor": 1e-4,
-    "friction.kappa": None,  # None -> consistent default from the other fields
     "observer.l1": 360.0,
     "observer.l2": -182.0,
-    "observer.deadband": 1e-4,
+    "observer.deadband": 1e-4,  # the friction law's reversal deadband
     "sim.dt": 5e-4,
     "sim.t_end": 5.6,
     "sim.noise_std": 2e-6,
@@ -57,18 +55,12 @@ _STR_KEYS = {"scenario.pulses": DEFAULT_PULSES, "observer.poles": None}
 
 
 @dataclass(frozen=True)
-class ObserverSettings:
-    gains: ObserverGains
-    deadband: float
-
-
-@dataclass(frozen=True)
 class Config:
     plant: PlantParams
     friction: FrictionParams
     sim: SimConfig
     scenario: ImpulseTrain
-    observer: ObserverSettings
+    gains: ObserverGains
 
 
 def _parse_pulses(text: str) -> tuple[tuple[float, float, float], ...]:
@@ -102,7 +94,7 @@ def parse_config(text: str) -> Config:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         raw[key] = value.strip()
 
-    def fval(key: str) -> float | None:
+    def fval(key: str) -> float:
         if key in raw:
             try:
                 return float(raw[key])
@@ -125,8 +117,8 @@ def parse_config(text: str) -> Config:
             sigma=fval("friction.sigma"),
             beta=fval("friction.beta"),
             s_scale=fval("friction.s_scale"),
-            kappa=fval("friction.kappa"),
             z_floor=fval("friction.z_floor"),
+            deadband=fval("observer.deadband"),
         )
         sim = SimConfig(
             dt=fval("sim.dt"),
@@ -149,15 +141,11 @@ def parse_config(text: str) -> Config:
             gains = design_gains(poles, plant.m, sob)
         else:
             gains = ObserverGains(l1=fval("observer.l1"), l2=fval("observer.l2"))
-        deadband = fval("observer.deadband")
-        if not (math.isfinite(deadband) and deadband >= 0):
-            raise ConfigError(f"observer.deadband must be >= 0, got {deadband!r}")
-        observer = ObserverSettings(gains=gains, deadband=deadband)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return Config(plant=plant, friction=friction, sim=sim, scenario=scenario, observer=observer)
+    return Config(plant=plant, friction=friction, sim=sim, scenario=scenario, gains=gains)
 
 
 def load_config(path: str | Path) -> Config:

@@ -20,7 +20,10 @@ which runs from f_r at z = 0 to dir (i.e. +-1) at z = dir. Saturation at
 |z| >= 1 erases the branch memory, so the next reversal starts from +-1.
 
 The branch slope diverges like -ln|z| as z -> 0, so stiffness queries clip
-|z| from below at z_floor and cap the result at kappa.
+|z| from below at z_floor. With |dir - f_r| <= 2 the clip alone bounds the
+stiffness by kappa = 2 * s_scale * c_f * (-ln z_floor); there is no separate
+cap. ``FrictionParams`` holds the whole law, the reversal deadband included,
+for the plant, the observer's replica and the fitter's forward model alike.
 
 The law is a scalar kernel on plain floats: ``advance`` (reversal, advance,
 saturation), ``level`` (clipped normalized Coulomb level) and ``stiffness``
@@ -34,24 +37,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Module defaults; both are overridable at call sites.
+# Module defaults for the FrictionParams fields of the same names.
 DEFAULT_Z_FLOOR = 1e-4
 DEFAULT_DEADBAND = 1e-4  # reversal detection deadband on v [m/s]
 
 
-def default_kappa(c_f: float, s_scale: float, z_floor: float = DEFAULT_Z_FLOOR) -> float:
-    """Largest stiffness the clipped branch map can produce.
-
-    With |z| clipped at z_floor and |dir - f_r| <= 2, the branch slope is
-    bounded by 2 * s_scale * c_f * (-ln z_floor); capping at exactly this
-    value makes the cap consistent with the clip.
-    """
-    return 2.0 * s_scale * c_f * (-math.log(z_floor))
-
-
 @dataclass(frozen=True)
 class FrictionParams:
-    """Friction model parameters.
+    """Friction law parameters.
 
     Parameters
     ----------
@@ -63,19 +56,18 @@ class FrictionParams:
         Time constant of the frictional lag [s], > 0.
     s_scale : float
         Scaling of the presliding coordinate, z = s_scale * x-travel [1/m], > 0.
-    kappa : float, optional
-        Cap on the presliding stiffness [N/m]. Defaults to
-        ``default_kappa(c_f, s_scale, z_floor)`` and may not be set below it.
     z_floor : float
         Lower clip on |z| in stiffness/force branch evaluations, 0 < z_floor < 1.
+    deadband : float
+        Reversal detection deadband on the velocity [m/s], finite and >= 0.
     """
 
     c_f: float
     sigma: float
     beta: float
     s_scale: float
-    kappa: float | None = None
     z_floor: float = DEFAULT_Z_FLOOR
+    deadband: float = DEFAULT_DEADBAND
 
     def __post_init__(self) -> None:
         for name in ("c_f", "sigma", "beta", "s_scale"):
@@ -84,15 +76,13 @@ class FrictionParams:
                 raise ValueError(f"{name} must be finite and > 0, got {val!r}")
         if not (0.0 < self.z_floor < 1.0):
             raise ValueError(f"z_floor must lie in (0, 1), got {self.z_floor!r}")
-        floor_kappa = default_kappa(self.c_f, self.s_scale, self.z_floor)
-        if self.kappa is None:
-            object.__setattr__(self, "kappa", floor_kappa)
-        else:
-            if not (math.isfinite(self.kappa) and self.kappa >= floor_kappa * (1.0 - 1e-12)):
-                raise ValueError(
-                    f"kappa must be >= 2*s_scale*c_f*(-ln z_floor) = {floor_kappa!r}, "
-                    f"got {self.kappa!r}"
-                )
+        if not (math.isfinite(self.deadband) and self.deadband >= 0):
+            raise ValueError(f"deadband must be finite and >= 0, got {self.deadband!r}")
+
+    @property
+    def kappa(self) -> float:
+        """Largest presliding stiffness [N/m]: 2 * s_scale * c_f * (-ln z_floor)."""
+        return 2.0 * self.s_scale * self.c_f * (-math.log(self.z_floor))
 
 
 def level(z: float, f_r: float, dir: int, sat: bool, z_floor: float) -> float:
@@ -155,18 +145,16 @@ def stiffness(
     s_scale: float,
     c_f: float,
     z_floor: float,
-    kappa: float,
 ) -> float:
     """Displacement stiffness dF_c/dx [N/m] of a branch state, in [0, kappa].
 
-    In presliding this is min(s_scale * c_f * |dir - f_r| * (-ln |z|), kappa)
-    with |z| clipped at z_floor; zero when saturated (force locked at +-c_f).
+    In presliding this is s_scale * c_f * |dir - f_r| * (-ln |z|) with |z|
+    clipped at z_floor; zero when saturated (force locked at +-c_f).
     """
     if sat:
         return 0.0
     zc = min(max(abs(z), z_floor), 1.0)
-    val = s_scale * c_f * abs(dir - f_r) * max(0.0, -math.log(zc))
-    return min(val, kappa)
+    return s_scale * c_f * abs(dir - f_r) * max(0.0, -math.log(zc))
 
 
 def deadband_sign(v: float, deadband: float = DEFAULT_DEADBAND) -> int:

@@ -2,22 +2,23 @@
 
 Fits theta = (sigma, beta, s_scale, amplitude, width) of a single-impulse
 scenario by minimizing the RMS displacement residual between the measured
-sequence and a forward simulation. The Coulomb level c_f and mass m are
-treated as known. The optimizer is a derivative-free Nelder-Mead simplex
-with every candidate projected onto the box bounds; it stops when the
-relative simplex diameter drops below 1e-8 or after 2000 iterations and
-always returns the best point seen.
+sequence and a forward simulation. The mass m and the rest of the friction
+law (c_f, z_floor and the reversal deadband) are treated as known. The
+optimizer is a derivative-free Nelder-Mead simplex with every candidate
+projected onto the box bounds; it stops when the relative simplex diameter
+drops below 1e-8 or after 2000 iterations and always returns the best point
+seen.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .friction import DEFAULT_Z_FLOOR, FrictionParams
+from .friction import FrictionParams
 from .observer import rms
 from .plant import ImpulseTrain, PlantParams, SimConfig, SimulationDiverged, grid_break, simulate
 
@@ -32,7 +33,8 @@ class FitProblem:
     """Measured data plus the knowns and the search box.
 
     t, x: displacement record on a uniform grid from t = 0, at least 2
-    samples, x finite. plant/c_f/z_floor: fixed model constants.
+    samples, x finite. plant: the known mass. friction: the nominal friction
+    law; the fit replaces its sigma, beta and s_scale and keeps the rest.
     impulse_start: known onset of the excitation pulse whose amplitude and
     width are co-fitted.
     bounds: per-parameter (lo, hi) in THETA_NAMES order, finite and positive.
@@ -41,10 +43,9 @@ class FitProblem:
     t: np.ndarray
     x: np.ndarray
     plant: PlantParams
-    c_f: float
+    friction: FrictionParams
     impulse_start: float
     bounds: tuple[tuple[float, float], ...]
-    z_floor: float = DEFAULT_Z_FLOOR
 
     def __post_init__(self) -> None:
         t = np.asarray(self.t, dtype=float)
@@ -67,8 +68,6 @@ class FitProblem:
         for name, (lo, hi) in zip(THETA_NAMES, self.bounds):
             if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo < hi):
                 raise ValueError(f"bounds for {name} must be finite, positive, lo < hi")
-        if self.c_f <= 0:
-            raise ValueError(f"c_f must be > 0, got {self.c_f!r}")
 
     @property
     def dt(self) -> float:
@@ -107,9 +106,7 @@ def residual(theta: Sequence[float], problem: FitProblem) -> float:
             raise ValueError(f"{name} = {v!r} outside bounds [{lo}, {hi}]")
     sigma, beta, s_scale, amp, width = theta
     try:
-        fp = FrictionParams(
-            c_f=problem.c_f, sigma=sigma, beta=beta, s_scale=s_scale, z_floor=problem.z_floor
-        )
+        fp = replace(problem.friction, sigma=sigma, beta=beta, s_scale=s_scale)
         train = ImpulseTrain(((problem.impulse_start, width, amp),))
         cfg = SimConfig(dt=problem.dt, t_end=float(problem.t[-1]))
         traj = simulate(problem.plant, fp, train, cfg)
@@ -137,8 +134,6 @@ def _nelder_mead(
     fun: Callable[[np.ndarray], float],
     x0: np.ndarray,
     bounds: tuple[tuple[float, float], ...],
-    max_iter: int = MAX_ITERATIONS,
-    diam_tol: float = DIAMETER_TOL,
 ) -> tuple[np.ndarray, float, int, bool]:
     """Projected Nelder-Mead; returns (best x, best f, iterations, converged)."""
     n = len(x0)
@@ -157,11 +152,10 @@ def _nelder_mead(
         fvals[:] = [fvals[i] for i in idx]
 
     order()
-    best_x, best_f = simplex[0].copy(), fvals[0]
     iterations = 0
     converged = False
-    while iterations < max_iter:
-        if _simplex_diameter(simplex) < diam_tol:
+    while iterations < MAX_ITERATIONS:
+        if _simplex_diameter(simplex) < DIAMETER_TOL:
             converged = True
             break
         iterations += 1
@@ -192,9 +186,9 @@ def _nelder_mead(
                     simplex[i] = _project(simplex[0] + 0.5 * (simplex[i] - simplex[0]), bounds)
                     fvals[i] = fun(simplex[i])
         order()
-        if fvals[0] < best_f:
-            best_x, best_f = simplex[0].copy(), fvals[0]
-    return best_x, best_f, iterations, converged
+    # vertex 0 is the best point seen: only the worst vertex is replaced, a
+    # shrink keeps vertex 0, and the stable sort keeps it first on ties
+    return simplex[0], fvals[0], iterations, converged
 
 
 def fit(problem: FitProblem, theta0: Sequence[float]) -> FitResult:

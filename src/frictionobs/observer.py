@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .friction import DEFAULT_DEADBAND, FrictionParams, advance, deadband_sign, stiffness
+from .friction import FrictionParams, advance, deadband_sign, stiffness
 from .gains import ObserverGains
 from .plant import Measured, grid_break
 
@@ -171,7 +171,6 @@ def run_observer(
     g: ObserverGains,
     m: float,
     fp: FrictionParams,
-    deadband: float = DEFAULT_DEADBAND,
 ) -> Estimates:
     """Fold the observer over a measured sequence from zero initial state.
 
@@ -181,7 +180,7 @@ def run_observer(
     replica as of k-1), then the estimate at t_k is emitted as z~ + L x[k].
     Holding the midpoint removes the O(l1 dt/2) velocity bias of a
     start-of-interval hold. The presliding replica then advances with the
-    measured displacement increment, using sign(w2~) through the deadband
+    measured displacement increment, using sign(w2~) through fp.deadband
     for reversal detection.
 
     The gains must satisfy l1 > 0 and l2 < sigma/beta, and x and u must be
@@ -212,7 +211,7 @@ def run_observer(
     x = measured.x.tolist()
     u = measured.u.tolist()
     l1, l2 = g.l1, g.l2
-    s_scale, c_f, z_floor, kappa = fp.s_scale, fp.c_f, fp.z_floor, fp.kappa
+    s_scale, c_f, z_floor, deadband = fp.s_scale, fp.c_f, fp.z_floor, fp.deadband
     w2, w3, phi = np.empty(n), np.empty(n), np.empty(n)
     z1 = z2 = 0.0
     # replica of the presliding state: see friction.advance
@@ -220,7 +219,7 @@ def run_observer(
     d = 0
     sat = False
     for k in range(n):
-        phi_k = stiffness(z, f_r, d, sat, s_scale, c_f, z_floor, kappa) + sob
+        phi_k = stiffness(z, f_r, d, sat, s_scale, c_f, z_floor) + sob
         x_k = x[k]
         if k:
             dx = x_k - x[k - 1]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .friction import DEFAULT_DEADBAND, FrictionParams, advance, deadband_sign, level
+from .friction import FrictionParams, advance, deadband_sign, level
 
 
 class SimulationDiverged(RuntimeError):
@@ -98,6 +98,8 @@ class SimConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if not (math.isfinite(self.v_max) and self.v_max > 0):
             raise ValueError(f"v_max must be finite and > 0, got {self.v_max!r}")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError(f"t_end / dt must be finite, got {self.t_end!r} / {self.dt!r}")
 
     @property
     def n_samples(self) -> int:
@@ -187,7 +189,6 @@ def _integrate(
     u: np.ndarray,
     dt: float,
     v_max: float,
-    deadband: float,
 ) -> Trajectory:
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
@@ -200,7 +201,7 @@ def _integrate(
     vs = [0.0] * n
     fs = [0.0] * n
     m = pp.m
-    sigma, c_f, s_scale, z_floor = fp.sigma, fp.c_f, fp.s_scale, fp.z_floor
+    sigma, c_f, s_scale, z_floor, deadband = fp.sigma, fp.c_f, fp.s_scale, fp.z_floor, fp.deadband
     decay = math.exp(-dt / fp.beta)
     x = v = f_v = 0.0
     # hysteresis state: see friction.advance
@@ -236,7 +237,6 @@ def simulate(
     fp: FrictionParams,
     train: ImpulseTrain,
     cfg: SimConfig,
-    deadband: float = DEFAULT_DEADBAND,
 ) -> Trajectory:
     """Run the plant from rest under an impulse train.
 
@@ -244,7 +244,7 @@ def simulate(
     Raises SimulationDiverged if |v| exceeds cfg.v_max or overflows to NaN.
     """
     u = train.sample(np.arange(cfg.n_samples) * cfg.dt)
-    return _integrate(pp, fp, u, cfg.dt, cfg.v_max, deadband)
+    return _integrate(pp, fp, u, cfg.dt, cfg.v_max)
 
 
 def simulate_forced(
@@ -253,13 +253,12 @@ def simulate_forced(
     u: np.ndarray,
     dt: float,
     v_max: float = 1e3,
-    deadband: float = DEFAULT_DEADBAND,
 ) -> Trajectory:
     """Run the plant from rest under an arbitrary per-sample input sequence.
 
     u must be finite (ValueError otherwise); divergence is as in simulate.
     """
-    return _integrate(pp, fp, np.asarray(u, dtype=float), dt, v_max, deadband)
+    return _integrate(pp, fp, np.asarray(u, dtype=float), dt, v_max)
 
 
 def measure(traj: Trajectory, cfg: SimConfig) -> Measured:

@@ -294,7 +294,7 @@ def test_criterion_7_identification_round_trip(capsys):
     fp = FrictionParams(c_f=C_F, sigma=sigma, beta=beta, s_scale=s_scale)
     cfg = SimConfig(dt=5e-4, t_end=0.3, noise_std=0.0, seed=1)
     traj = simulate(plant, fp, ImpulseTrain(((0.01, width, amp),)), cfg)
-    problem = FitProblem(t=traj.t, x=traj.x, plant=plant, c_f=C_F,
+    problem = FitProblem(t=traj.t, x=traj.x, plant=plant, friction=fp,
                          impulse_start=0.01, bounds=IDENT_BOUNDS)
     r1 = fit(problem, IDENT_THETA0)
     r2 = fit(problem, IDENT_THETA0)

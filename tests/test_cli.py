@@ -229,6 +229,25 @@ def test_identify_runs_and_reports(tmp_path, capsys):
     assert float(vals["rms_residual"]) < 1e-6
 
 
+def test_identify_fits_with_the_config_deadband(tmp_path, capsys):
+    # the forward model runs the configured deadband, so a noise-free record
+    # made with a wide one is fitted back to the truth exactly
+    cfg = tmp_path / "i.cfg"
+    cfg.write_text(
+        "sim.t_end = 0.3\nsim.noise_std = 0\nscenario.pulses = 0.01,0.005,1.0\n"
+        "observer.deadband = 0.02\n",
+        encoding="utf-8",
+    )
+    main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim.csv")])
+    report = tmp_path / "fit.txt"
+    assert main(["identify", "--config", str(cfg),
+                 "--measured", str(tmp_path / "sim_measured.csv"), "--out", str(report)]) == EXIT_OK
+    vals = dict(line.split(" = ") for line in report.read_text(encoding="utf-8").splitlines())
+    got = [float(vals[k]) for k in ("sigma", "beta", "s_scale", "amplitude", "width")]
+    assert got == [2.0, 0.002, 2000.0, 1.0, 0.005]
+    assert float(vals["rms_residual"]) == 0.0
+
+
 def test_identify_needs_impulse_start(tmp_path):
     cfg = tmp_path / "i.cfg"
     cfg.write_text("scenario.pulses =\nsim.t_end = 0.05\nsim.dt = 1e-3\n", encoding="utf-8")
@@ -326,8 +345,10 @@ TWO_ROWS = "t,x,u\n0.0,0.0,0.0\n0.001,0.0,0.0\n"
     ("scenario.pulses = 0.05,0.01,0.0", ["identify"]),
     ("", ["design", "--kappa", "nan"]),
     ("", ["design", "--kappa", "inf"]),
+    ("sim.t_end = 1e300\nsim.dt = 1e-10", ["simulate"]),
 ], ids=["noise_nan", "noise_inf", "quant_inf", "seed_negative", "impulse_start_nan",
-        "bounds_factor_nan", "bounds_factor_inf", "zero_amplitude", "kappa_nan", "kappa_inf"])
+        "bounds_factor_nan", "bounds_factor_inf", "zero_amplitude", "kappa_nan", "kappa_inf",
+        "sample_count_overflow"])
 def test_bad_value_is_config_error(tmp_path, capsys, config_line, argv):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(SHORT_CFG + config_line + "\n", encoding="utf-8")

@@ -29,7 +29,6 @@ GOOD = {
     "friction.beta": ["0.002", "0.01"],
     "friction.s_scale": ["2000", "500"],
     "friction.z_floor": ["1e-4", "1e-3"],
-    "friction.kappa": ["1e7"],
     "observer.l1": ["360", "200"],
     "observer.l2": ["-182", "-100"],
     "observer.deadband": ["1e-4", "0"],

@@ -18,7 +18,6 @@ from frictionobs import (
     PlantParams,
     advance,
     deadband_sign,
-    default_kappa,
     level,
     simulate_forced,
     stiffness,
@@ -45,7 +44,7 @@ def virgin(z):
 
 def test_default_kappa_frozen_value():
     # 2 * 2000 * 0.2143 * (-ln 1e-4), evaluated independently
-    assert default_kappa(0.2143, 2000.0) == pytest.approx(7895.103766857982, rel=0, abs=1e-9)
+    assert P.kappa == pytest.approx(7895.103766857982, rel=0, abs=1e-9)
 
 
 def test_params_validation():
@@ -56,6 +55,9 @@ def test_params_validation():
         dict(s_scale=math.inf),
         dict(z_floor=0.0),
         dict(z_floor=1.0),
+        dict(deadband=-1e-4),
+        dict(deadband=math.nan),
+        dict(deadband=math.inf),
     ):
         bad = dict(c_f=0.2, sigma=2.0, beta=0.002, s_scale=2000.0)
         bad.update(kw)
@@ -63,13 +65,14 @@ def test_params_validation():
             FrictionParams(**bad)
 
 
-def test_kappa_below_consistent_floor_rejected():
-    floor = default_kappa(0.2, 2000.0)
-    with pytest.raises(ValueError):
-        FrictionParams(c_f=0.2, sigma=2.0, beta=0.002, s_scale=2000.0, kappa=0.5 * floor)
-    fp = FrictionParams(c_f=0.2, sigma=2.0, beta=0.002, s_scale=2000.0, kappa=2.0 * floor)
-    assert fp.kappa == 2.0 * floor
-    assert FrictionParams(c_f=0.2, sigma=2.0, beta=0.002, s_scale=2000.0).kappa == floor
+def test_kappa_derived_from_the_law():
+    fp = FrictionParams(c_f=0.2, sigma=2.0, beta=0.002, s_scale=2000.0, z_floor=1e-3)
+    assert fp.kappa == 2.0 * 2000.0 * 0.2 * (-math.log(1e-3))
+    assert fp.deadband == 1e-4
+    with pytest.raises(TypeError):
+        FrictionParams(c_f=0.2, sigma=2.0, beta=0.002, s_scale=2000.0, kappa=1e7)
+    with pytest.raises(AttributeError):
+        fp.kappa = 1e7
 
 
 def test_f0_endpoints_exact():
@@ -103,8 +106,8 @@ def test_virgin_branch_is_f0():
 
 
 def test_stiffness_slope_and_cap():
-    # virgin branch slope is s*c_f*(-ln z); the cap engages at the floor
-    args = (P.s_scale, P.c_f, P.z_floor, P.kappa)
+    # virgin branch slope is s*c_f*(-ln z); the clip at the floor attains kappa
+    args = (P.s_scale, P.c_f, P.z_floor)
     expect = P.s_scale * P.c_f * 1.0 * (-math.log(0.1))
     assert stiffness(0.1, 0.0, 1, False, *args) == pytest.approx(expect, rel=1e-15)
     assert stiffness(1e-7, -1.0, 1, False, *args) == P.kappa  # |dir - f_r| = 2

@@ -2,7 +2,8 @@
 
 The digests are SHA-256 of the files written by ``simulate`` (default config,
 seed 7), ``simulate --runs 2`` (seeds 7 and 8) and ``observe --truth`` over
-the first simulation. They were recorded on x86-64 Linux with CPython 3.11
+the first simulation, and of the ``identify`` report on a short noisy record
+with the default deadband. They were recorded on x86-64 Linux with CPython 3.11
 and numpy 2.4; a refactor that changes any byte of these outputs fails here.
 """
 
@@ -34,3 +35,18 @@ def test_default_config_outputs_byte_identical(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN}
     assert got == GOLDEN
+
+
+IDENTIFY_REPORT = "c01f322d4fe8ecc5dfeaf3dd6354d0f27e73118f11bd6794556239eb432bafbc"
+
+
+def test_identify_report_byte_identical(tmp_path, capsys):
+    cfg = tmp_path / "i.cfg"
+    cfg.write_text("sim.dt = 1e-3\nsim.t_end = 0.08\nscenario.pulses = 0.01,0.005,1.0\n",
+                   encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim.csv")]) == EXIT_OK
+    assert main(["identify", "--config", str(cfg),
+                 "--measured", str(tmp_path / "sim_measured.csv"),
+                 "--out", str(tmp_path / "fit.txt")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert hashlib.sha256((tmp_path / "fit.txt").read_bytes()).hexdigest() == IDENTIFY_REPORT

@@ -1,5 +1,7 @@
 """Identification tests: residual semantics, problem validation, short fits."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,21 +22,30 @@ PLANT = PlantParams(m=0.052)
 TRUTH = (2.0, 0.002, 2000.0, 1.0, 0.005)
 C_F = 0.2143
 BOUNDS = ((0.5, 8.0), (5e-4, 8e-3), (500.0, 8000.0), (0.25, 4.0), (1.25e-3, 0.02))
+LAW = FrictionParams(c_f=C_F, sigma=TRUTH[0], beta=TRUTH[1], s_scale=TRUTH[2])
 
 
-def make_problem(t_end=0.12, dt=1e-3):
-    sigma, beta, s_scale, amp, width = TRUTH
-    fp = FrictionParams(c_f=C_F, sigma=sigma, beta=beta, s_scale=s_scale)
+def make_problem(t_end=0.12, dt=1e-3, law=LAW):
+    _, _, _, amp, width = TRUTH
     train = ImpulseTrain(((0.01, width, amp),))
-    traj = simulate(PLANT, fp, train, SimConfig(dt=dt, t_end=t_end))
+    traj = simulate(PLANT, law, train, SimConfig(dt=dt, t_end=t_end))
     return FitProblem(
-        t=traj.t, x=traj.x, plant=PLANT, c_f=C_F, impulse_start=0.01, bounds=BOUNDS
+        t=traj.t, x=traj.x, plant=PLANT, friction=law, impulse_start=0.01, bounds=BOUNDS
     )
 
 
 def test_residual_zero_at_truth():
     prob = make_problem()
     assert residual(TRUTH, prob) < 1e-15
+
+
+def test_residual_runs_the_problem_deadband():
+    # the forward model keeps the nominal law's deadband, so a record made
+    # with a wide one is matched exactly at the truth
+    prob = make_problem(t_end=0.3, law=replace(LAW, deadband=0.02))
+    assert residual(TRUTH, prob) == 0.0
+    # the default deadband detects other reversals on the same record
+    assert residual(TRUTH, replace(prob, friction=LAW)) > 1e-6
 
 
 def test_residual_positive_off_truth():
@@ -58,25 +69,23 @@ def test_problem_validation():
     t_bad = prob.t.copy()
     t_bad[-1] += 3e-4
     with pytest.raises(ValueError):
-        FitProblem(t=t_bad, x=prob.x, plant=PLANT, c_f=C_F, impulse_start=0.01, bounds=BOUNDS)
+        FitProblem(t=t_bad, x=prob.x, plant=PLANT, friction=LAW, impulse_start=0.01, bounds=BOUNDS)
     t_bad[-1] = np.nan
     with pytest.raises(ValueError):
-        FitProblem(t=t_bad, x=prob.x, plant=PLANT, c_f=C_F, impulse_start=0.01, bounds=BOUNDS)
+        FitProblem(t=t_bad, x=prob.x, plant=PLANT, friction=LAW, impulse_start=0.01, bounds=BOUNDS)
     for bad in (np.nan, np.inf):
         x_bad = prob.x.copy()
         x_bad[5] = bad
         with pytest.raises(ValueError, match="not finite at row 5"):
-            FitProblem(t=prob.t, x=x_bad, plant=PLANT, c_f=C_F, impulse_start=0.01,
+            FitProblem(t=prob.t, x=x_bad, plant=PLANT, friction=LAW, impulse_start=0.01,
                        bounds=BOUNDS)
     with pytest.raises(ValueError):
-        FitProblem(t=prob.t, x=prob.x, plant=PLANT, c_f=C_F, impulse_start=0.01,
+        FitProblem(t=prob.t, x=prob.x, plant=PLANT, friction=LAW, impulse_start=0.01,
                    bounds=BOUNDS[:3])
     bad_bounds = (BOUNDS[0], (0.008, 0.0005)) + BOUNDS[2:]
     with pytest.raises(ValueError):
-        FitProblem(t=prob.t, x=prob.x, plant=PLANT, c_f=C_F, impulse_start=0.01,
+        FitProblem(t=prob.t, x=prob.x, plant=PLANT, friction=LAW, impulse_start=0.01,
                    bounds=bad_bounds)
-    with pytest.raises(ValueError):
-        FitProblem(t=prob.t, x=prob.x, plant=PLANT, c_f=0.0, impulse_start=0.01, bounds=BOUNDS)
 
 
 def test_theta_names_order():
@@ -114,13 +123,12 @@ def test_residual_finite_at_bound_corners():
 
 def test_residual_noise_floor():
     # at the generating parameters only measurement noise remains
-    sigma, beta, s_scale, amp, width = TRUTH
-    fp = FrictionParams(c_f=C_F, sigma=sigma, beta=beta, s_scale=s_scale)
-    traj = simulate(PLANT, fp, ImpulseTrain(((0.01, width, amp),)), SimConfig(dt=1e-3, t_end=0.12))
+    _, _, _, amp, width = TRUTH
+    traj = simulate(PLANT, LAW, ImpulseTrain(((0.01, width, amp),)), SimConfig(dt=1e-3, t_end=0.12))
     cfg = SimConfig(dt=1e-3, t_end=0.12, noise_std=1e-6, seed=9)
     x_noisy = measure(traj, cfg).x
     prob = FitProblem(
-        t=traj.t, x=x_noisy, plant=PLANT, c_f=C_F, impulse_start=0.01, bounds=BOUNDS
+        t=traj.t, x=x_noisy, plant=PLANT, friction=LAW, impulse_start=0.01, bounds=BOUNDS
     )
     assert 5e-7 < residual(TRUTH, prob) < 2e-6
 
@@ -145,5 +153,5 @@ def test_problem_rejects_grid_not_starting_at_zero():
     # at every candidate; the problem names t[0] instead
     prob = make_problem()
     with pytest.raises(ValueError, match=r"t\[0\] = 0.5"):
-        FitProblem(t=prob.t + 0.5, x=prob.x, plant=PLANT, c_f=C_F, impulse_start=0.01,
+        FitProblem(t=prob.t + 0.5, x=prob.x, plant=PLANT, friction=LAW, impulse_start=0.01,
                    bounds=BOUNDS)

@@ -36,7 +36,7 @@ C_F = 0.2143
 REST = (0.0, 0.0, 0, False)  # branch state (z, f_r, dir, sat) before any motion
 
 
-def reference_plant(m, fp, u, dt, deadband):
+def reference_plant(m, fp, u, dt):
     """x, v, f of the semi-implicit plant, one public-API friction step per sample."""
     n = len(u)
     xs, vs, fs = np.zeros(n), np.zeros(n), np.zeros(n)
@@ -45,7 +45,7 @@ def reference_plant(m, fp, u, dt, deadband):
     for k in range(n):
         target = fp.sigma * v
         f_v = target + (f_v - target) * math.exp(-dt / fp.beta)
-        sign = deadband_sign(v, deadband)
+        sign = deadband_sign(v, fp.deadband)
         state = advance(*state, v * dt, sign, fp.s_scale, fp.z_floor)
         f = fp.c_f * level(*state, fp.z_floor) + f_v
         xs[k], vs[k], fs[k] = x, v, f
@@ -55,7 +55,7 @@ def reference_plant(m, fp, u, dt, deadband):
     return xs, vs, fs
 
 
-def reference_observer(x, u, dt, g, m, fp, deadband):
+def reference_observer(x, u, dt, g, m, fp):
     """w2~, w3~ and phi of the observer, folded over the public API."""
     n = len(x)
     w2s, w3s, phis = np.zeros(n), np.zeros(n), np.zeros(n)
@@ -63,7 +63,7 @@ def reference_observer(x, u, dt, g, m, fp, deadband):
     state = REST
     sob = fp.sigma / fp.beta
     for k in range(n):
-        phi = stiffness(*state, fp.s_scale, fp.c_f, fp.z_floor, fp.kappa) + sob
+        phi = stiffness(*state, fp.s_scale, fp.c_f, fp.z_floor) + sob
         dx = 0.0
         if k:
             dx = x[k] - x[k - 1]
@@ -72,7 +72,7 @@ def reference_observer(x, u, dt, g, m, fp, deadband):
             )
         w2 = z1 + g.l1 * x[k]
         w3 = z2 + g.l2 * x[k]
-        state = advance(*state, dx, deadband_sign(w2, deadband), fp.s_scale, fp.z_floor)
+        state = advance(*state, dx, deadband_sign(w2, fp.deadband), fp.s_scale, fp.z_floor)
         w2s[k], w3s[k], phis[k] = w2, w3, phi
     return w2s, w3s, phis
 
@@ -83,13 +83,14 @@ def _bits(a):
 
 @st.composite
 def scenarios(draw):
-    """(friction, impulse train, sim config, deadband) for one of three regimes."""
+    """(friction, impulse train, sim config) for one of three regimes."""
     regime = draw(st.sampled_from(["presliding", "sliding", "reversal"]))
     fp = FrictionParams(
         c_f=C_F,
         sigma=draw(st.sampled_from([0.6, 2.0])),
         beta=draw(st.sampled_from([0.002, 0.016])),
         s_scale=draw(st.sampled_from([500.0, 2000.0])),
+        deadband=draw(st.sampled_from([1e-4, 1e-3])),
     )
     dt = draw(st.sampled_from([2.5e-4, 5e-4, 1e-3]))
     n_pulses = draw(st.integers(1, 4))
@@ -121,8 +122,7 @@ def scenarios(draw):
         noise_std=draw(st.sampled_from([0.0, 5e-7])),
         seed=draw(st.integers(0, 2**16)),
     )
-    deadband = draw(st.sampled_from([1e-4, 1e-3]))
-    return fp, ImpulseTrain(tuple(pulses)), cfg, deadband
+    return fp, ImpulseTrain(tuple(pulses)), cfg
 
 
 PROPERTY = settings(max_examples=60, deadline=None,
@@ -132,10 +132,10 @@ PROPERTY = settings(max_examples=60, deadline=None,
 @PROPERTY
 @given(scenarios())
 def test_plant_matches_reference_loop(case):
-    fp, train, cfg, deadband = case
-    traj = simulate(PlantParams(M_KG), fp, train, cfg, deadband)
-    forced = simulate_forced(PlantParams(M_KG), fp, traj.u, cfg.dt, deadband=deadband)
-    xs, vs, fs = reference_plant(M_KG, fp, traj.u, cfg.dt, deadband)
+    fp, train, cfg = case
+    traj = simulate(PlantParams(M_KG), fp, train, cfg)
+    forced = simulate_forced(PlantParams(M_KG), fp, traj.u, cfg.dt)
+    xs, vs, fs = reference_plant(M_KG, fp, traj.u, cfg.dt)
     for got in (traj, forced):
         assert _bits(got.x) == _bits(xs)
         assert _bits(got.v) == _bits(vs)
@@ -145,13 +145,11 @@ def test_plant_matches_reference_loop(case):
 @PROPERTY
 @given(scenarios(), st.floats(-600.0, -200.0), st.floats(-80.0, -5.0))
 def test_observer_matches_reference_fold(case, lam_fast, lam_slow):
-    fp, train, cfg, deadband = case
+    fp, train, cfg = case
     g = design_gains((lam_fast, lam_slow), M_KG, fp.sigma / fp.beta)
-    meas = measure(simulate(PlantParams(M_KG), fp, train, cfg, deadband), cfg)
-    est = run_observer(meas, g, M_KG, fp, deadband)
-    w2, w3, phi = reference_observer(
-        meas.x.tolist(), meas.u.tolist(), cfg.dt, g, M_KG, fp, deadband
-    )
+    meas = measure(simulate(PlantParams(M_KG), fp, train, cfg), cfg)
+    est = run_observer(meas, g, M_KG, fp)
+    w2, w3, phi = reference_observer(meas.x.tolist(), meas.u.tolist(), cfg.dt, g, M_KG, fp)
     assert _bits(est.w2) == _bits(w2)
     assert _bits(est.w3) == _bits(w3)
     assert _bits(est.phi) == _bits(phi)

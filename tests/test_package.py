@@ -3,11 +3,12 @@
 import frictionobs
 
 # removed with the state-object friction API, the pole helpers and ErrorMetrics;
-# the pipeline runs friction.level/advance/stiffness, numpy checks the poles
+# the pipeline runs friction.level/advance/stiffness, numpy checks the poles;
+# FrictionParams now holds the deadband and derives kappa
 REMOVED = (
     "PreslidingState", "update_presliding", "coulomb_force", "coulomb_stiffness",
     "presliding_force", "f0_branch", "char_poly", "eigenvalues", "integrated_velocity",
-    "ErrorMetrics", "error_metrics",
+    "ErrorMetrics", "error_metrics", "ObserverSettings", "default_kappa",
 )
 
 

@@ -189,6 +189,8 @@ def test_sim_config_validation():
         SimConfig(dt=1e-3, t_end=1.0, noise_std=-1e-6)
     with pytest.raises(ValueError):
         SimConfig(dt=1e-3, t_end=1.0, v_max=0.0)
+    with pytest.raises(ValueError, match="t_end / dt"):
+        SimConfig(dt=1e-10, t_end=1e300)  # the sample count overflows
 
 
 def test_lag_overflow_is_divergence():
