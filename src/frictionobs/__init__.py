@@ -27,7 +27,6 @@ from .gains import ObserverGains, RobustReport, design_gains, validate_robust
 from .ident import FitProblem, FitResult, THETA_NAMES, fit, residual
 from .observer import (
     Estimates,
-    GridError,
     ObserverDiverged,
     e_obs_series,
     observer_matrix,
@@ -37,6 +36,7 @@ from .observer import (
     zoh_discretize,
 )
 from .plant import (
+    GridError,
     ImpulseTrain,
     Measured,
     PlantParams,

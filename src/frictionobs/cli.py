@@ -3,14 +3,14 @@
 Exit codes are stable: 0 success, 1 configuration/argument error (a
 non-finite flag or config value included) or an output that cannot be
 written, 2 simulation divergence or observer estimates that overflow to
-inf or NaN, 3 gain-design conditions failed (gains
-are still printed), 4 CSV schema violation, grid/length mismatch, or a
-record for `identify` that does not start at t = 0. Each command reads and
-checks its inputs, and runs its simulation, observer or fit, before it
-opens its first output, so a rejected input leaves no output behind. The
-commands raise; `main` turns the exception into its exit code and one
-stderr line, an argument that argparse rejects included. Success paths
-print to stdout only.
+inf or NaN, 3 gain-design conditions failed (gains are still printed), 4
+CSV schema violation, grid/length mismatch, or a record for `identify`
+that does not start at t = 0 or whose span (samples - 1) * dt overflows.
+Each command reads and checks its inputs, and runs its simulation,
+observer or fit, before it opens its first output, so a rejected input
+leaves no output behind. The commands raise; `main` turns the exception
+into its exit code and one stderr line, an argument that argparse rejects
+included. Success paths print to stdout only.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .csvio import (
 from .gains import design_gains, validate_robust
 from .ident import THETA_NAMES, FitProblem, fit
 from .observer import ObserverDiverged, rms, run_observer
-from .plant import (Measured, SimulationDiverged, grid_break, measure, same_grid, simulate,
+from .plant import (GridError, Measured, SimulationDiverged, measure, same_grid, simulate,
                     simulate_forced)
 
 EXIT_OK = 0
@@ -75,16 +75,17 @@ def _read(path: str, header: tuple[str, ...], role: str) -> list:
         raise CsvSchemaError(f"{role} CSV rejected: {exc}", exc.row) from None
 
 
-def _read_measured(path: str) -> list:
-    """_read of a measured CSV whose time grid must be uniform, rows numbered as in _read."""
+def _read_measured(path: str) -> Measured:
+    """_read of a measured CSV as a Measured; a grid break is rejected in _read's row numbers."""
     t, x, u = _read(path, MEASURED_HEADER, "measured")
-    k = grid_break(t)
-    if k is not None:
+    try:
+        return Measured(t, x, u)
+    except GridError as exc:
+        k = exc.row
         raise CsvSchemaError(
             f"measured CSV rejected: {path}: row {k + 1}: t = {float(t[k])!r} "
             "breaks the uniform grid", k + 1,
-        )
-    return [t, x, u]
+        ) from None
 
 
 def _run_path(path: Path, i: int) -> Path:
@@ -141,22 +142,21 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 def cmd_observe(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    meas = Measured(*_read_measured(args.measured))
+    meas = _read_measured(args.measured)
     try:
         est = run_observer(meas, cfg.gains, cfg.plant.m, cfg.friction)
     except ValueError as exc:
-        # the grid, x and u are checked above, so what is left is the gain condition
+        # Measured checked the record, so what is left is the gain condition
         raise ConfigError(str(exc)) from None
     n = len(est)
     lines = [f"rms_e_obs = {_fmt(rms(est.e_obs))}"] if n else []
-    if n and args.truth:
+    if args.truth:
         ts, _, vs, _, _ = _read(args.truth, SIM_HEADER, "truth")
         if not same_grid(meas.t, ts):
             raise CsvSchemaError("truth CSV rejected: grid does not match the measured sequence")
         if n < 2:
             raise CsvSchemaError("truth CSV rejected: --truth needs at least 2 samples")
-        model = simulate_forced(cfg.plant, cfg.friction, meas.u, float(meas.t[1] - meas.t[0]),
-                                cfg.sim.v_max)
+        model = simulate_forced(cfg.plant, cfg.friction, meas.u, meas.dt, cfg.sim.v_max)
         lines.append(f"rms_velocity_error = {_fmt(rms(est.w2, vs))}")
         # the model runs from rest at row 0, row for row, like the observer
         lines.append(f"rms_e_model = {_fmt(rms(meas.x, model.x))}")
@@ -168,7 +168,7 @@ def cmd_observe(args: argparse.Namespace) -> int:
 
 def cmd_identify(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    t, x, _ = _read_measured(args.measured)
+    meas = _read_measured(args.measured)
     t0, width0, amp0 = cfg.scenario.pulses[0] if cfg.scenario.pulses else (None, 0.005, 1.0)
     if args.impulse_start is not None:
         t0 = args.impulse_start
@@ -185,16 +185,19 @@ def cmd_identify(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"no finite positive search box for {name} = {v!r} with --bounds-factor {f!r}"
             )
+    # the plant is odd in u, so a negative pulse is fitted as a positive one on -x
+    sign = math.copysign(1.0, amp0)
     try:
-        problem = FitProblem(
-            t=t, x=x, plant=cfg.plant, friction=cfg.friction, impulse_start=t0, bounds=bounds
-        )
+        problem = FitProblem(record=replace(meas, x=sign * meas.x), plant=cfg.plant,
+                             friction=cfg.friction, impulse_start=t0, bounds=bounds)
     except ValueError as exc:
         raise CsvSchemaError(f"measured CSV rejected: {exc}") from None
     result = fit(problem, theta0)
     if not math.isfinite(result.rms_residual):
         raise _NoFiniteResidual()
-    lines = [f"{name} = {_fmt(v)}" for name, v in zip(THETA_NAMES, result.theta)]
+    theta = list(result.theta)
+    theta[THETA_NAMES.index("amplitude")] *= sign
+    lines = [f"{name} = {_fmt(v)}" for name, v in zip(THETA_NAMES, theta)]
     lines.append(f"rms_residual = {_fmt(result.rms_residual)}")
     lines.append(f"iterations = {result.iterations}")
     lines.append(f"converged = {str(result.converged).lower()}")

@@ -2,8 +2,8 @@
 
 Fits theta = (sigma, beta, s_scale, amplitude, width) of a single-impulse
 scenario by minimizing the RMS displacement residual between the measured
-sequence and a forward simulation. The mass m and the rest of the friction
-law (c_f, z_floor and the reversal deadband) are treated as known. The
+record and a forward simulation on its grid. The mass m and the rest of the
+friction law (c_f, z_floor and the reversal deadband) are treated as known. The
 optimizer is a derivative-free Nelder-Mead simplex with every candidate
 projected onto the box bounds; it stops when the relative simplex diameter
 drops below 1e-8 or after 2000 iterations and always returns the best point
@@ -20,7 +20,7 @@ import numpy as np
 
 from .friction import FrictionParams
 from .observer import rms
-from .plant import ImpulseTrain, PlantParams, SimConfig, SimulationDiverged, grid_break, simulate
+from .plant import ImpulseTrain, Measured, PlantParams, SimConfig, SimulationDiverged, simulate
 
 THETA_NAMES = ("sigma", "beta", "s_scale", "amplitude", "width")
 
@@ -30,48 +30,37 @@ MAX_ITERATIONS = 2000
 
 @dataclass(frozen=True)
 class FitProblem:
-    """Measured data plus the knowns and the search box.
+    """Measured record plus the knowns and the search box.
 
-    t, x: displacement record on a uniform grid from t = 0, at least 2
-    samples, x finite. plant: the known mass. friction: the nominal friction
-    law; the fit replaces its sigma, beta and s_scale and keeps the rest.
+    record: the measured displacement, at least 2 samples from t = 0, with
+    (samples - 1) * dt finite; its u is not read. plant: the known mass.
+    friction: the nominal friction law; the fit replaces its sigma, beta and
+    s_scale and keeps the rest.
     impulse_start: known onset of the excitation pulse whose amplitude and
     width are co-fitted.
     bounds: per-parameter (lo, hi) in THETA_NAMES order, finite and positive.
     """
 
-    t: np.ndarray
-    x: np.ndarray
+    record: Measured
     plant: PlantParams
     friction: FrictionParams
     impulse_start: float
     bounds: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.t, dtype=float)
-        x = np.asarray(self.x, dtype=float)
-        if len(t) != len(x) or len(t) < 2:
-            raise ValueError("need matching t/x columns with at least 2 samples")
-        k = grid_break(t)
-        if k is not None:
-            raise ValueError(f"measured grid is not uniform at row {k}")
+        t = self.record.t
+        if len(t) < 2:
+            raise ValueError("need a measured record with at least 2 samples")
         if t[0] != 0.0:
             # the forward run starts at rest at t = 0 and must match x row for row
             raise ValueError(f"measured grid must start at t = 0, got t[0] = {float(t[0])!r}")
-        ok = np.isfinite(x)
-        if not ok.all():
-            raise ValueError(f"measured x is not finite at row {int(np.argmin(ok))}")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "x", x)
+        if not math.isfinite((len(t) - 1) * self.record.dt):
+            raise ValueError("measured grid: (samples - 1) * dt overflows the float range")
         if len(self.bounds) != len(THETA_NAMES):
             raise ValueError(f"bounds must cover {THETA_NAMES}")
         for name, (lo, hi) in zip(THETA_NAMES, self.bounds):
             if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo < hi):
                 raise ValueError(f"bounds for {name} must be finite, positive, lo < hi")
-
-    @property
-    def dt(self) -> float:
-        return float(self.t[1] - self.t[0])
 
 
 @dataclass(frozen=True)
@@ -93,6 +82,7 @@ class FitResult:
 def residual(theta: Sequence[float], problem: FitProblem) -> float:
     """RMS displacement error of a forward run at theta.
 
+    The run takes exactly the record's samples: len(record) at record.dt.
     Diverging or non-finite simulations score +inf, never NaN. theta must
     lie inside the bounds.
     """
@@ -105,16 +95,19 @@ def residual(theta: Sequence[float], problem: FitProblem) -> float:
         if not (lo <= v <= hi):
             raise ValueError(f"{name} = {v!r} outside bounds [{lo}, {hi}]")
     sigma, beta, s_scale, amp, width = theta
+    rec = problem.record
     try:
         fp = replace(problem.friction, sigma=sigma, beta=beta, s_scale=s_scale)
         train = ImpulseTrain(((problem.impulse_start, width, amp),))
-        cfg = SimConfig(dt=problem.dt, t_end=float(problem.t[-1]))
+        # t_end from the sample count, not t[-1]: steps that pass as uniform
+        # may still sum to a t[-1] whose floor(t_end/dt) is one sample short
+        cfg = SimConfig(dt=rec.dt, t_end=(len(rec) - 1) * rec.dt)
         traj = simulate(problem.plant, fp, train, cfg)
     except (SimulationDiverged, OverflowError):
         return math.inf
-    if len(traj) != len(problem.x) or not np.all(np.isfinite(traj.x)):
+    if len(traj) != len(rec) or not np.all(np.isfinite(traj.x)):
         return math.inf
-    return rms(traj.x, problem.x)
+    return rms(traj.x, rec.x)
 
 
 def _project(theta: np.ndarray, bounds: tuple[tuple[float, float], ...]) -> np.ndarray:

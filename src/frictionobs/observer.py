@@ -34,17 +34,9 @@ import numpy as np
 
 from .friction import FrictionParams, advance, deadband_sign, stiffness
 from .gains import ObserverGains
-from .plant import Measured, grid_break
+from .plant import Measured
 
 Mat2 = tuple[tuple[float, float], tuple[float, float]]
-
-
-class GridError(ValueError):
-    """Measured samples are not on a uniform time grid; carries the row index."""
-
-    def __init__(self, row: int, message: str):
-        super().__init__(message)
-        self.row = row
 
 
 class ObserverDiverged(RuntimeError):
@@ -128,11 +120,12 @@ def observer_update(
     g: ObserverGains,
     m: float,
     phi: float,
-) -> tuple[float, float, float, float]:
-    """One frozen-phi observer step; returns (z1', z2', w2~, w3~).
+) -> tuple[float, float]:
+    """One frozen-phi observer step; returns (z1', z2').
 
     Integrates z~' = M z~ + M L x + b_z u over dt with x and u held at the
-    given constants, then back-transforms, w~ = z~' + L x_held.
+    given constants. The estimates are z~' + L x, back-transformed by the
+    caller at the x it emits them for (see ``run_observer``).
     """
     M = observer_matrix(g, m, phi)
     ph, jj = zoh_discretize(M, dt)
@@ -144,7 +137,7 @@ def observer_update(
     c2 = (a10 * g.l1 + a11 * g.l2) * x_held
     z1n = p00 * z1 + p01 * z2 + j00 * c1 + j01 * c2
     z2n = p10 * z1 + p11 * z2 + j10 * c1 + j11 * c2
-    return z1n, z2n, z1n + g.l1 * x_held, z2n + g.l2 * x_held
+    return z1n, z2n
 
 
 @dataclass(frozen=True)
@@ -183,12 +176,12 @@ def run_observer(
     measured displacement increment, using sign(w2~) through fp.deadband
     for reversal detection.
 
-    The gains must satisfy l1 > 0 and l2 < sigma/beta, and x and u must be
-    finite; otherwise ValueError. The time grid must be uniform; a row that
-    breaks it (a non-finite timestamp included) raises GridError naming that
-    row. Finite inputs near the float limits can still overflow the
-    estimates (w2, w3 or e_obs) to inf or NaN, which raises ObserverDiverged
-    naming the first such sample. An empty sequence yields empty columns.
+    The record comes checked by ``Measured``: x and u finite on a uniform
+    grid of step ``measured.dt``. The gains must satisfy l1 > 0 and
+    l2 < sigma/beta; otherwise ValueError. Finite inputs near the float
+    limits can still overflow the estimates (w2, w3 or e_obs) to inf or
+    NaN, which raises ObserverDiverged naming the first such sample. An
+    empty sequence yields empty columns.
     """
     sob = fp.sigma / fp.beta
     if not (g.l1 > 0.0 and g.l2 < sob):
@@ -197,17 +190,8 @@ def run_observer(
         )
     t = measured.t
     n = len(measured)
-    row = grid_break(t)
-    if row is not None:
-        raise GridError(row, f"non-uniform grid at row {row}: t = {float(t[row])!r}")
-    # grid_break leaves dt finite and > 0; x and u are checked here because
-    # a caller may hand in columns that never went through Measured
-    for name in ("x", "u"):
-        ok = np.isfinite(getattr(measured, name))
-        if not ok.all():
-            raise ValueError(f"measured {name} is not finite at row {int(np.argmin(ok))}")
-    # a single sample needs no integration step, but still gets its estimate
-    dt = float(t[1] - t[0]) if n >= 2 else 0.0
+    # a single sample needs no integration step (dt = 0), but still gets its estimate
+    dt = measured.dt
     x = measured.x.tolist()
     u = measured.u.tolist()
     l1, l2 = g.l1, g.l2
@@ -223,7 +207,7 @@ def run_observer(
         x_k = x[k]
         if k:
             dx = x_k - x[k - 1]
-            z1, z2, _, _ = observer_update(
+            z1, z2 = observer_update(
                 z1, z2, 0.5 * (x[k - 1] + x_k), u[k - 1], dt, g, m, phi_k
             )
         else:

@@ -106,6 +106,14 @@ class SimConfig:
         return int(math.floor(self.t_end / self.dt + 1e-9)) + 1
 
 
+class GridError(ValueError):
+    """Samples are not on a uniform time grid; carries the row index, 0-based over the data."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
 def grid_break(t: np.ndarray) -> int | None:
     """First row of t that breaks a uniform increasing grid, or None if none does.
 
@@ -164,7 +172,11 @@ class Trajectory:
 class Measured:
     """Measured sequence: t, noisy/quantized displacement x [m], input u [N].
 
-    x and u must be finite; the grid of t is checked by its consumers.
+    The one checked record that the observer and the fitter consume. The
+    columns must have one length and x and u must be finite (ValueError
+    otherwise). t must be a uniform increasing grid: a row that breaks it,
+    a non-finite timestamp included, raises GridError naming that row. dt is
+    the grid step, 0.0 below 2 samples.
     """
 
     t: np.ndarray
@@ -178,9 +190,16 @@ class Measured:
             ok = np.isfinite(getattr(self, name))
             if not ok.all():
                 raise ValueError(f"measured {name} is not finite at row {int(np.argmin(ok))}")
+        row = grid_break(self.t)
+        if row is not None:
+            raise GridError(row, f"non-uniform grid at row {row}: t = {float(self.t[row])!r}")
 
     def __len__(self) -> int:
         return len(self.t)
+
+    @property
+    def dt(self) -> float:
+        return float(self.t[1] - self.t[0]) if len(self.t) >= 2 else 0.0
 
 
 def _integrate(

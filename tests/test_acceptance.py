@@ -23,6 +23,7 @@ from frictionobs import (
     FitProblem,
     FrictionParams,
     ImpulseTrain,
+    Measured,
     PlantParams,
     SimConfig,
     advance,
@@ -200,7 +201,7 @@ def test_criterion_5_frozen_phi_observer(capsys):
         aug[:2, :2] = M
         aug[:2, 2] = c
         ref = expm(aug * dt) @ np.array([z[0], z[1], 1.0])
-        z1n, z2n, _, _ = observer_update(z[0], z[1], x_held, u, dt, g, M_KG, phi)
+        z1n, z2n = observer_update(z[0], z[1], x_held, u, dt, g, M_KG, phi)
         scale = max(1.0, float(np.max(np.abs(ref[:2]))))
         worst = max(worst, abs(z1n - ref[0]) / scale, abs(z2n - ref[1]) / scale)
     maps_ok = worst <= 1e-8
@@ -225,8 +226,7 @@ def test_criterion_5_frozen_phi_observer(capsys):
     z1 = z2 = 0.0
     e0 = math.hypot(g.l1 * xs[0] - vs[0], g.l2 * xs[0] - fs[0])
     for k in range(1, n):
-        z1, z2, _, _ = observer_update(z1, z2, 0.5 * (xs[k - 1] + xs[k]),
-                                       0.0, dt, g, M_KG, phi_star)
+        z1, z2 = observer_update(z1, z2, 0.5 * (xs[k - 1] + xs[k]), 0.0, dt, g, M_KG, phi_star)
     e_end = math.hypot(z1 + g.l1 * xs[-1] - vs[-1], z2 + g.l2 * xs[-1] - fs[-1])
     decay = e_end / e0
     decay_ok = decay <= 1e-3
@@ -294,8 +294,8 @@ def test_criterion_7_identification_round_trip(capsys):
     fp = FrictionParams(c_f=C_F, sigma=sigma, beta=beta, s_scale=s_scale)
     cfg = SimConfig(dt=5e-4, t_end=0.3, noise_std=0.0, seed=1)
     traj = simulate(plant, fp, ImpulseTrain(((0.01, width, amp),)), cfg)
-    problem = FitProblem(t=traj.t, x=traj.x, plant=plant, friction=fp,
-                         impulse_start=0.01, bounds=IDENT_BOUNDS)
+    problem = FitProblem(record=Measured(traj.t, traj.x, np.zeros(len(traj))), plant=plant,
+                         friction=fp, impulse_start=0.01, bounds=IDENT_BOUNDS)
     r1 = fit(problem, IDENT_THETA0)
     r2 = fit(problem, IDENT_THETA0)
     sig_err = abs(r1.theta[0] - sigma) / sigma

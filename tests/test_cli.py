@@ -248,6 +248,49 @@ def test_identify_fits_with_the_config_deadband(tmp_path, capsys):
     assert float(vals["rms_residual"]) == 0.0
 
 
+def _identify(tmp_path, amplitude, regrid=None):
+    """The identify report on a noise-free 601-sample record of one pulse of this amplitude.
+
+    regrid, if given, maps the record's t column to the t that identify reads.
+    """
+    name = f"amp{amplitude}" + ("_regrid" if regrid else "")
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text("sim.t_end = 0.3\nsim.noise_std = 0\n"
+                   f"scenario.pulses = 0.01,0.005,{amplitude}\n", encoding="utf-8")
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / f"{name}.csv")])
+    assert rc == EXIT_OK
+    measured = tmp_path / f"{name}_measured.csv"
+    if regrid:
+        from frictionobs import write_columns
+
+        t, x, u = read_columns(measured, MEASURED_HEADER)
+        write_columns(measured, MEASURED_HEADER, [regrid(t), x, u])
+    report = tmp_path / f"{name}.txt"
+    rc = main(["identify", "--config", str(cfg), "--measured", str(measured),
+               "--out", str(report)])
+    assert rc == EXIT_OK
+    return report.read_text(encoding="utf-8")
+
+
+def test_identify_negative_pulse_keeps_its_sign(tmp_path, capsys):
+    # the plant is odd in u: a -1.0 pulse is the +1.0 fit with the amplitude negated
+    positive = _identify(tmp_path, 1.0)
+    assert "amplitude = 1.0\n" in positive and "rms_residual = 0.0\n" in positive
+    assert _identify(tmp_path, -1.0) == positive.replace("amplitude = 1.0", "amplitude = -1.0")
+    assert capsys.readouterr().err == ""
+
+
+def test_identify_runs_every_sample_of_a_grid_within_tolerance(tmp_path, capsys):
+    # steps of (1 - 5e-7) dt after the first pass as uniform, but t[-1]/dt then
+    # floors to 599: the forward runs must still take all 601 samples
+    def shrink(t):
+        dt = t[1]
+        return np.concatenate(([0.0], dt + np.arange(len(t) - 1) * ((1 - 5e-7) * dt)))
+
+    assert _identify(tmp_path, 1.0, regrid=shrink) == _identify(tmp_path, 1.0)
+    assert capsys.readouterr().err == ""
+
+
 def test_identify_needs_impulse_start(tmp_path):
     cfg = tmp_path / "i.cfg"
     cfg.write_text("scenario.pulses =\nsim.t_end = 0.05\nsim.dt = 1e-3\n", encoding="utf-8")
@@ -379,7 +422,7 @@ def short_run(cfg_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["truth_bad_grid", "truth_one_sample", "truth_missing",
-                                  "identify_shifted_grid"])
+                                  "truth_missing_empty_measured", "identify_shifted_grid"])
 def test_rejected_input_writes_nothing(cfg_file, short_run, tmp_path, capsys, case):
     _, measured = short_run
     out = tmp_path / "out.csv"
@@ -394,10 +437,13 @@ def test_rejected_input_writes_nothing(cfg_file, short_run, tmp_path, capsys, ca
         expect = "t[0] = 0.5"
     else:
         # the one-sample truth is off the grid of the 801-sample record
-        truth = tmp_path / "missing.csv" if case == "truth_missing" else one
+        truth = tmp_path / "missing.csv" if case.startswith("truth_missing") else one
         if case == "truth_one_sample":
             measured = tmp_path / "m1.csv"
             measured.write_text("t,x,u\n0.0,0.0,0.0\n", encoding="utf-8")
+        if case == "truth_missing_empty_measured":
+            measured = tmp_path / "m0.csv"
+            measured.write_text("t,x,u\n", encoding="utf-8")
         argv = ["observe", "--measured", str(measured), "--truth", str(truth)]
         expect = "truth CSV rejected: "
     rc = main(argv + ["--config", str(cfg_file), "--out", str(out)])

@@ -8,7 +8,9 @@ import pytest
 from frictionobs import (
     FitProblem,
     FrictionParams,
+    GridError,
     ImpulseTrain,
+    Measured,
     PlantParams,
     SimConfig,
     THETA_NAMES,
@@ -29,9 +31,12 @@ def make_problem(t_end=0.12, dt=1e-3, law=LAW):
     _, _, _, amp, width = TRUTH
     train = ImpulseTrain(((0.01, width, amp),))
     traj = simulate(PLANT, law, train, SimConfig(dt=dt, t_end=t_end))
-    return FitProblem(
-        t=traj.t, x=traj.x, plant=PLANT, friction=law, impulse_start=0.01, bounds=BOUNDS
-    )
+    return problem_on(traj.t, traj.x, law=law)
+
+
+def problem_on(t, x, law=LAW, bounds=BOUNDS):
+    return FitProblem(record=Measured(t, x, np.zeros(len(t))), plant=PLANT, friction=law,
+                      impulse_start=0.01, bounds=bounds)
 
 
 def test_residual_zero_at_truth():
@@ -65,27 +70,32 @@ def test_residual_validation():
 
 
 def test_problem_validation():
-    prob = make_problem()
-    t_bad = prob.t.copy()
+    # the grid and finiteness of the record are Measured's to check
+    rec = make_problem().record
+    t, x = rec.t, rec.x
+    t_bad = t.copy()
     t_bad[-1] += 3e-4
-    with pytest.raises(ValueError):
-        FitProblem(t=t_bad, x=prob.x, plant=PLANT, friction=LAW, impulse_start=0.01, bounds=BOUNDS)
+    with pytest.raises(GridError):
+        problem_on(t_bad, x)
     t_bad[-1] = np.nan
-    with pytest.raises(ValueError):
-        FitProblem(t=t_bad, x=prob.x, plant=PLANT, friction=LAW, impulse_start=0.01, bounds=BOUNDS)
+    with pytest.raises(GridError):
+        problem_on(t_bad, x)
     for bad in (np.nan, np.inf):
-        x_bad = prob.x.copy()
+        x_bad = x.copy()
         x_bad[5] = bad
         with pytest.raises(ValueError, match="not finite at row 5"):
-            FitProblem(t=prob.t, x=x_bad, plant=PLANT, friction=LAW, impulse_start=0.01,
-                       bounds=BOUNDS)
+            problem_on(t, x_bad)
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        problem_on(t[:1], x[:1])
+    # steps 1e-7 short of dt pass as uniform, yet 2 dt overflows where t[-1] does not
+    d = np.finfo(float).max / (2 - 1e-7)
+    with pytest.raises(ValueError, match="overflows"):
+        problem_on(np.array([0.0, d, d + d * (1 - 1e-7)]), np.zeros(3))
     with pytest.raises(ValueError):
-        FitProblem(t=prob.t, x=prob.x, plant=PLANT, friction=LAW, impulse_start=0.01,
-                   bounds=BOUNDS[:3])
+        problem_on(t, x, bounds=BOUNDS[:3])
     bad_bounds = (BOUNDS[0], (0.008, 0.0005)) + BOUNDS[2:]
     with pytest.raises(ValueError):
-        FitProblem(t=prob.t, x=prob.x, plant=PLANT, friction=LAW, impulse_start=0.01,
-                   bounds=bad_bounds)
+        problem_on(t, x, bounds=bad_bounds)
 
 
 def test_theta_names_order():
@@ -126,10 +136,7 @@ def test_residual_noise_floor():
     _, _, _, amp, width = TRUTH
     traj = simulate(PLANT, LAW, ImpulseTrain(((0.01, width, amp),)), SimConfig(dt=1e-3, t_end=0.12))
     cfg = SimConfig(dt=1e-3, t_end=0.12, noise_std=1e-6, seed=9)
-    x_noisy = measure(traj, cfg).x
-    prob = FitProblem(
-        t=traj.t, x=x_noisy, plant=PLANT, friction=LAW, impulse_start=0.01, bounds=BOUNDS
-    )
+    prob = problem_on(traj.t, measure(traj, cfg).x)
     assert 5e-7 < residual(TRUTH, prob) < 2e-6
 
 
@@ -151,7 +158,6 @@ def test_fit_rejects_bad_theta0():
 def test_problem_rejects_grid_not_starting_at_zero():
     # the forward run starts at t = 0, so a shifted grid would score +inf
     # at every candidate; the problem names t[0] instead
-    prob = make_problem()
+    rec = make_problem().record
     with pytest.raises(ValueError, match=r"t\[0\] = 0.5"):
-        FitProblem(t=prob.t + 0.5, x=prob.x, plant=PLANT, friction=LAW, impulse_start=0.01,
-                   bounds=BOUNDS)
+        problem_on(rec.t + 0.5, rec.x)

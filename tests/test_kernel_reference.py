@@ -67,7 +67,7 @@ def reference_observer(x, u, dt, g, m, fp):
         dx = 0.0
         if k:
             dx = x[k] - x[k - 1]
-            z1, z2, _, _ = observer_update(
+            z1, z2 = observer_update(
                 z1, z2, 0.5 * (x[k - 1] + x[k]), u[k - 1], dt, g, m, phi
             )
         w2 = z1 + g.l1 * x[k]

@@ -5,11 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from frictionobs import (
     FrictionParams,
-    GridError,
     ObserverDiverged,
     ImpulseTrain,
     Measured,
@@ -24,6 +25,7 @@ from frictionobs import (
     rms,
     run_observer,
     simulate,
+    validate_robust,
     zoh_discretize,
 )
 
@@ -89,11 +91,9 @@ def test_observer_update_matches_augmented_expm():
         aug[:2, :2] = M
         aug[:2, 2] = c
         ref = expm(aug * dt) @ np.array([z[0], z[1], 1.0])
-        z1n, z2n, w2, w3 = observer_update(z[0], z[1], x_held, u, dt, g, M_KG, phi)
+        z1n, z2n = observer_update(z[0], z[1], x_held, u, dt, g, M_KG, phi)
         assert z1n == pytest.approx(ref[0], rel=1e-9, abs=1e-12)
         assert z2n == pytest.approx(ref[1], rel=1e-9, abs=1e-12)
-        assert w2 == z1n + g.l1 * x_held
-        assert w3 == z2n + g.l2 * x_held
 
 
 def test_frozen_phi_error_decay():
@@ -118,13 +118,46 @@ def test_frozen_phi_error_decay():
     z1 = z2 = 0.0
     err0 = math.hypot(0.0 + g.l1 * xs[0] - vs[0], 0.0 + g.l2 * xs[0] - fs[0])
     for k in range(1, n):
-        z1, z2, _, _ = observer_update(
-            z1, z2, 0.5 * (xs[k - 1] + xs[k]), 0.0, dt, g, M_KG, phi_star
-        )
+        z1, z2 = observer_update(z1, z2, 0.5 * (xs[k - 1] + xs[k]), 0.0, dt, g, M_KG, phi_star)
     w2 = z1 + g.l1 * xs[-1]
     w3 = z2 + g.l2 * xs[-1]
     err = math.hypot(w2 - vs[-1], w3 - fs[-1])
     assert err < 1e-3 * err0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.floats(0.01, 1.0),
+    lam_fast=st.floats(-3000.0, -10.0),
+    slow_share=st.floats(1.0 / 300.0, 1.0),
+    sob=st.floats(0.0, 1e4),
+    kappa_share=st.floats(0.0, 1.0, exclude_max=True),
+    phi_share=st.floats(0.0, 1.0),
+    angle=st.floats(0.0, 2.0 * math.pi),
+    steps=st.integers(1, 300),
+)
+def test_frozen_phi_error_decays_for_robust_designs(
+    m, lam_fast, slow_share, sob, kappa_share, phi_share, angle, steps
+):
+    # A design that passes validate_robust has real error poles lam1 <= lam2 < 0
+    # for every frozen phi in [sob, sob + kappa], and then
+    #   |exp(M t)| <= exp(lam2 t) * (1 + t |M - lam2 I|),
+    # since M's two-point interpolation has a divided difference of at most
+    # t exp(lam2 t). At t = 20/|lam2| that is exp(-20) * (1 + 20 r), with
+    # r = |M - lam2 I|_F / |lam2| at most about 4300 over the ranges drawn,
+    # so an error of norm 1 must fall below 1e-3 (the bound gives 1.8e-4).
+    g = design_gains((lam_fast, slow_share * lam_fast), m, sob)
+    # cond_b holds iff kappa < m (lam1 - lam2)^2 / 4 at the placed poles
+    kappa = kappa_share * m * (lam_fast - slow_share * lam_fast) ** 2 / 4.0
+    assume(validate_robust(g, m, sob, kappa).passed)
+    phi = sob + phi_share * kappa
+    disc = g.l1 * g.l1 - 4.0 * (phi - g.l2) / m
+    lam_slow = (-g.l1 + math.sqrt(max(disc, 0.0))) / 2.0
+    dt = 20.0 / abs(lam_slow) / steps
+    e = (math.cos(angle), math.sin(angle))
+    for _ in range(steps):
+        e = observer_update(e[0], e[1], 0.0, 0.0, dt, g, m, phi)
+    assert math.hypot(*e) < 1e-3
 
 
 def test_error_decay_rates_match_designed_poles():
@@ -141,8 +174,7 @@ def test_error_decay_rates_match_designed_poles():
     e = (0.1, 0.05)
     hist = [e]
     for _ in range(1000):
-        z1, z2, _, _ = observer_update(e[0], e[1], 0.0, 0.0, dt, g, M_KG, 0.0)
-        e = (z1, z2)
+        e = observer_update(e[0], e[1], 0.0, 0.0, dt, g, M_KG, 0.0)
         hist.append(e)
     H = np.array(hist)
     t = np.arange(len(H)) * dt
@@ -175,7 +207,7 @@ def test_constant_measurement_estimates_settle_to_zero():
 
 
 def _unchecked(t, x, u):
-    # a record that skips Measured's finiteness check, as a direct caller could build
+    # a record that skips Measured's checks, as a direct caller could forge one
     rec = object.__new__(Measured)
     for name, col in (("t", t), ("x", x), ("u", u)):
         object.__setattr__(rec, name, np.asarray(col, dtype=float))
@@ -195,15 +227,13 @@ def test_gain_guard_rejects_unstable_pair():
 
 
 def test_nan_guard():
+    # run_observer does not check x again: a forged non-finite x reaches the
+    # estimates, which the divergence check then rejects at that sample
     t = np.arange(3) * 5e-4
-    cases = (
-        ([0.0, math.nan, 0.0], [0.0] * 3),
-        ([0.0] * 3, [0.0, 0.0, math.nan]),
-        ([0.0, math.inf, 0.0], [0.0] * 3),
-    )
-    for x, u in cases:
-        with pytest.raises(ValueError):
-            run_observer(_unchecked(t, x, u), GAINS, M_KG, FRICTION)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ObserverDiverged) as exc:
+            run_observer(_unchecked(t, [0.0, bad, 0.0], [0.0] * 3), GAINS, M_KG, FRICTION)
+        assert exc.value.row == 1
 
 
 def test_run_observer_empty_and_single():
@@ -215,22 +245,6 @@ def test_run_observer_empty_and_single():
     assert len(out) == 1 and out.t[0] == 0.0
     assert out.w2[0] == GAINS.l1 * 1e-5
     assert out.e_obs[0] == 0.0
-
-
-def test_run_observer_grid_error_row():
-    t = np.array([0.0, 1e-3, 2e-3, 3.5e-3])
-    bad = Measured(t, np.zeros(4), np.zeros(4))
-    with pytest.raises(GridError) as exc:
-        run_observer(bad, GAINS, M_KG, FRICTION)
-    assert exc.value.row == 3
-    rev = Measured(np.array([0.0, -1e-3]), np.zeros(2), np.zeros(2))
-    with pytest.raises(GridError):
-        run_observer(rev, GAINS, M_KG, FRICTION)
-    # NaN compares false, so a NaN timestamp must not pass as an on-grid gap
-    nan_t = Measured(np.array([0.0, 1e-3, math.nan, 3e-3]), np.zeros(4), np.zeros(4))
-    with pytest.raises(GridError) as exc:
-        run_observer(nan_t, GAINS, M_KG, FRICTION)
-    assert exc.value.row == 2
 
 
 def test_replica_phi_spans_presliding_to_sliding():

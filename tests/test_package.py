@@ -1,4 +1,9 @@
-"""The package's public surface: what ``__all__`` promises, and what it no longer holds."""
+"""The package's surface: what ``__all__`` promises, what it no longer holds, and
+the module attributes that the benchmark's layer tracer wraps."""
+
+import ast
+import importlib
+from pathlib import Path
 
 import frictionobs
 
@@ -19,3 +24,37 @@ def test_public_surface():
     assert len(set(frictionobs.__all__)) == len(frictionobs.__all__)
     assert not [name for name in REMOVED if hasattr(frictionobs, name)]
     assert not hasattr(frictionobs.FrictionParams, "beta_ok")
+
+
+# wrap targets in perfbench/layertrace.py that name functions gone from the
+# package; each of their metrics reads 0 until the tracer is pointed at the
+# kernel, and this list must shrink as that happens
+STALE_TRACE_TARGETS = {
+    ("plant", "step_friction"),
+    ("observer", "update_presliding"),
+    ("observer", "coulomb_stiffness"),
+    ("observer", "observer_step"),
+    ("cli", "error_metrics"),
+}
+
+
+def _trace_targets():
+    """(module, attr) of every ``t.wrap(module, attr, ...)`` call in the benchmark's tracer."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        (node.args[0].value, node.args[1].value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "wrap" and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "t"
+    ]
+
+
+def test_trace_targets_resolve():
+    targets = _trace_targets()
+    assert len(targets) > len(STALE_TRACE_TARGETS)
+    assert STALE_TRACE_TARGETS <= set(targets)
+    for module, attr in targets:
+        found = hasattr(importlib.import_module(f"frictionobs.{module}"), attr)
+        assert found != ((module, attr) in STALE_TRACE_TARGETS), f"{module}.{attr}"

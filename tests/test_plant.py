@@ -7,6 +7,7 @@ import pytest
 
 from frictionobs import (
     FrictionParams,
+    GridError,
     ImpulseTrain,
     Measured,
     PlantParams,
@@ -150,6 +151,25 @@ def test_measured_rejects_non_finite():
             Measured(t, np.array([0.0, bad, 0.0]), np.zeros(3))
         with pytest.raises(ValueError, match="u is not finite at row 2"):
             Measured(t, np.zeros(3), np.array([0.0, 0.0, -bad]))
+
+
+def test_measured_grid_error_row():
+    t = np.array([0.0, 1e-3, 2e-3, 3.5e-3])
+    with pytest.raises(GridError) as exc:
+        Measured(t, np.zeros(4), np.zeros(4))
+    assert exc.value.row == 3
+    with pytest.raises(GridError):
+        Measured(np.array([0.0, -1e-3]), np.zeros(2), np.zeros(2))
+    # NaN compares false, so a NaN timestamp must not pass as an on-grid gap
+    with pytest.raises(GridError) as exc:
+        Measured(np.array([0.0, 1e-3, math.nan, 3e-3]), np.zeros(4), np.zeros(4))
+    assert exc.value.row == 2
+
+
+def test_measured_dt():
+    assert Measured(np.array([0.0, 5e-4, 1e-3]), np.zeros(3), np.zeros(3)).dt == 5e-4
+    for n in (0, 1):
+        assert Measured(np.zeros(n), np.zeros(n), np.zeros(n)).dt == 0.0
 
 
 def test_measure_quantization_reference_value():
