@@ -5,7 +5,8 @@ non-finite flag or config value included) or an output that cannot be
 written, 2 simulation divergence or observer estimates that overflow to
 inf or NaN, 3 gain-design conditions failed (gains are still printed), 4
 CSV schema violation, grid/length mismatch, or a record for `identify`
-that does not start at t = 0 or whose span (samples - 1) * dt overflows.
+that does not start at t = 0, whose span (samples - 1) * dt overflows or
+whose u is not one rectangular pulse.
 Each command reads and checks its inputs, and runs its simulation,
 observer or fit, before it opens its first output, so a rejected input
 leaves no output behind. The commands raise; `main` turns the exception
@@ -143,19 +144,20 @@ def cmd_design(args: argparse.Namespace) -> int:
 def cmd_observe(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     meas = _read_measured(args.measured)
-    try:
-        est = run_observer(meas, cfg.gains, cfg.plant.m, cfg.friction)
-    except ValueError as exc:
-        # Measured checked the record, so what is left is the gain condition
-        raise ConfigError(str(exc)) from None
-    n = len(est)
-    lines = [f"rms_e_obs = {_fmt(rms(est.e_obs))}"] if n else []
+    n = len(meas)
     if args.truth:
         ts, _, vs, _, _ = _read(args.truth, SIM_HEADER, "truth")
         if not same_grid(meas.t, ts):
             raise CsvSchemaError("truth CSV rejected: grid does not match the measured sequence")
         if n < 2:
             raise CsvSchemaError("truth CSV rejected: --truth needs at least 2 samples")
+    try:
+        est = run_observer(meas, cfg.gains, cfg.plant.m, cfg.friction)
+    except ValueError as exc:
+        # Measured checked the record, so what is left is the gain condition
+        raise ConfigError(str(exc)) from None
+    lines = [f"rms_e_obs = {_fmt(rms(est.e_obs))}"] if n else []
+    if args.truth:
         model = simulate_forced(cfg.plant, cfg.friction, meas.u, meas.dt, cfg.sim.v_max)
         lines.append(f"rms_velocity_error = {_fmt(rms(est.w2, vs))}")
         # the model runs from rest at row 0, row for row, like the observer
@@ -169,13 +171,8 @@ def cmd_observe(args: argparse.Namespace) -> int:
 def cmd_identify(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     meas = _read_measured(args.measured)
-    t0, width0, amp0 = cfg.scenario.pulses[0] if cfg.scenario.pulses else (None, 0.005, 1.0)
-    if args.impulse_start is not None:
-        t0 = args.impulse_start
-    if t0 is None:
-        raise ConfigError("no impulse start: give --impulse-start or a scenario.pulses entry")
-    if not math.isfinite(t0):
-        raise ConfigError(f"--impulse-start must be finite, got {t0!r}")
+    # the record's u gives the pulse's onset and sign; the config seeds |amplitude| and width
+    _, width0, amp0 = cfg.scenario.pulses[0] if cfg.scenario.pulses else (0.0, 0.005, 1.0)
     theta0 = (cfg.friction.sigma, cfg.friction.beta, cfg.friction.s_scale, abs(amp0), width0)
     f = args.bounds_factor
     bounds = tuple((v / f, v * f) for v in theta0)
@@ -185,27 +182,23 @@ def cmd_identify(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"no finite positive search box for {name} = {v!r} with --bounds-factor {f!r}"
             )
-    # the plant is odd in u, so a negative pulse is fitted as a positive one on -x
-    sign = math.copysign(1.0, amp0)
     try:
-        problem = FitProblem(record=replace(meas, x=sign * meas.x), plant=cfg.plant,
-                             friction=cfg.friction, impulse_start=t0, bounds=bounds)
+        problem = FitProblem(record=meas, plant=cfg.plant, friction=cfg.friction, bounds=bounds)
     except ValueError as exc:
         raise CsvSchemaError(f"measured CSV rejected: {exc}") from None
     result = fit(problem, theta0)
     if not math.isfinite(result.rms_residual):
         raise _NoFiniteResidual()
     theta = list(result.theta)
-    theta[THETA_NAMES.index("amplitude")] *= sign
+    # FitProblem has checked that u holds one pulse, so its first nonzero row has its sign
+    theta[THETA_NAMES.index("amplitude")] *= math.copysign(1.0, meas.u[meas.u != 0][0])
     lines = [f"{name} = {_fmt(v)}" for name, v in zip(THETA_NAMES, theta)]
     lines.append(f"rms_residual = {_fmt(result.rms_residual)}")
     lines.append(f"iterations = {result.iterations}")
     lines.append(f"converged = {str(result.converged).lower()}")
     lines.append(f"beta_insensitive = {str(result.beta_insensitive).lower()}")
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    for line in lines:
-        print(line)
-    print(f"wrote {args.out}")
+    print("\n".join(lines + [f"wrote {args.out}"]))
     return EXIT_OK
 
 
@@ -241,15 +234,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not same_grid(ts, te):
         raise CsvSchemaError("timestamp mismatch between sim and estimates")
     header = ("t", "x", "v", "f", "u", "w2_tilde", "w3_tilde", "phi", "e_obs")
+    lines = [f"rows = {len(ts)}", f"rms_e_obs = {_fmt(rms(e_obs))}",
+             f"rms_velocity_error = {_fmt(rms(w2, vs))}", f"rms_force_error = {_fmt(rms(w3, fs))}"]
     write_columns(Path(args.out), header, [ts, xs, vs, fs, us, w2, w3, phi, e_obs])
-    print(f"rows = {len(ts)}")
-    print(f"rms_e_obs = {_fmt(rms(e_obs))}")
-    print(f"rms_velocity_error = {_fmt(rms(w2, vs))}")
-    print(f"rms_force_error = {_fmt(rms(w3, fs))}")
     if args.plot_script:
         Path(args.plot_script).write_text(PLOT_SCRIPT, encoding="utf-8")
-        print(f"wrote {args.plot_script}")
-    print(f"wrote {args.out}")
+        lines.append(f"wrote {args.plot_script}")
+    lines.append(f"wrote {args.out}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -297,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--measured", required=True, help="measured CSV (t,x,u)")
     p.add_argument("--out", required=True, help="report path (key=value lines)")
-    p.add_argument("--impulse-start", type=float, default=None,
-                   help="pulse onset; default: first scenario pulse")
     p.add_argument("--bounds-factor", type=float, default=10.0,
                    help="search box is theta0/f .. theta0*f")
     p.set_defaults(func=cmd_identify)

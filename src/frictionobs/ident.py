@@ -1,19 +1,20 @@
 """Parameter identification from a measured displacement response.
 
-Fits theta = (sigma, beta, s_scale, amplitude, width) of a single-impulse
-scenario by minimizing the RMS displacement residual between the measured
-record and a forward simulation on its grid. The mass m and the rest of the
-friction law (c_f, z_floor and the reversal deadband) are treated as known. The
-optimizer is a derivative-free Nelder-Mead simplex with every candidate
-projected onto the box bounds; it stops when the relative simplex diameter
-drops below 1e-8 or after 2000 iterations and always returns the best point
-seen.
+Fits theta = (sigma, beta, s_scale, amplitude, width) by minimizing the RMS
+displacement residual between a measured record and a forward simulation on
+its grid. The record's u must hold one rectangular pulse, whose onset and
+sign are read and whose |amplitude| and width are fitted; the mass and the
+rest of the friction law (c_f, z_floor, deadband) are known. The optimizer is
+a derivative-free Nelder-Mead simplex with every candidate projected onto the
+box bounds; it stops when the relative simplex diameter drops below 1e-8 or
+after 2000 iterations and always returns the best point seen.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,18 +34,17 @@ class FitProblem:
     """Measured record plus the knowns and the search box.
 
     record: the measured displacement, at least 2 samples from t = 0, with
-    (samples - 1) * dt finite; its u is not read. plant: the known mass.
-    friction: the nominal friction law; the fit replaces its sigma, beta and
-    s_scale and keeps the rest.
-    impulse_start: known onset of the excitation pulse whose amplitude and
-    width are co-fitted.
+    (samples - 1) * dt finite, whose u holds one rectangular pulse: its
+    nonzero rows are consecutive and of one value (ValueError otherwise). The
+    pulse's first row k gives the onset k * dt and the fitted amplitude's sign.
+    plant: the known mass. friction: the nominal friction law; the fit
+    replaces its sigma, beta and s_scale and keeps the rest.
     bounds: per-parameter (lo, hi) in THETA_NAMES order, finite and positive.
     """
 
     record: Measured
     plant: PlantParams
     friction: FrictionParams
-    impulse_start: float
     bounds: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
@@ -61,6 +61,19 @@ class FitProblem:
         for name, (lo, hi) in zip(THETA_NAMES, self.bounds):
             if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo < hi):
                 raise ValueError(f"bounds for {name} must be finite, positive, lo < hi")
+        self._pulse  # reading it checks u
+
+    @cached_property
+    def _pulse(self) -> tuple[float, float]:
+        """(onset k * dt, sign) of the one pulse in the record's u, k its first nonzero row."""
+        t, u = self.record.t, self.record.u
+        rows = np.flatnonzero(u)
+        if len(rows) == 0:
+            raise ValueError("u is zero in every row: no pulse to fit")
+        k = int(rows[0])
+        if not np.all(u[k : rows[-1] + 1] == u[k]):
+            raise ValueError(f"u holds more than one pulse: one starts at t = {float(t[k])!r}")
+        return k * self.record.dt, math.copysign(1.0, u[k])
 
 
 @dataclass(frozen=True)
@@ -83,6 +96,7 @@ def residual(theta: Sequence[float], problem: FitProblem) -> float:
     """RMS displacement error of a forward run at theta.
 
     The run takes exactly the record's samples: len(record) at record.dt.
+    Its pulse starts at the record's onset and carries the record's sign.
     Diverging or non-finite simulations score +inf, never NaN. theta must
     lie inside the bounds.
     """
@@ -90,15 +104,15 @@ def residual(theta: Sequence[float], problem: FitProblem) -> float:
     if len(theta) != len(THETA_NAMES):
         raise ValueError(f"theta must have {len(THETA_NAMES)} entries")
     for name, v, (lo, hi) in zip(THETA_NAMES, theta, problem.bounds):
-        if math.isnan(v):
-            raise ValueError(f"{name} is NaN")
+        # a NaN fails the comparison too
         if not (lo <= v <= hi):
             raise ValueError(f"{name} = {v!r} outside bounds [{lo}, {hi}]")
     sigma, beta, s_scale, amp, width = theta
     rec = problem.record
+    start, sign = problem._pulse
     try:
         fp = replace(problem.friction, sigma=sigma, beta=beta, s_scale=s_scale)
-        train = ImpulseTrain(((problem.impulse_start, width, amp),))
+        train = ImpulseTrain(((start, width, sign * amp),))
         # t_end from the sample count, not t[-1]: steps that pass as uniform
         # may still sum to a t[-1] whose floor(t_end/dt) is one sample short
         cfg = SimConfig(dt=rec.dt, t_end=(len(rec) - 1) * rec.dt)
@@ -190,10 +204,8 @@ def fit(problem: FitProblem, theta0: Sequence[float]) -> FitResult:
     if len(theta0) != len(THETA_NAMES):
         raise ValueError(f"theta0 must have {len(THETA_NAMES)} entries")
 
-    def fun(v: np.ndarray) -> float:
-        return residual(v, problem)
-
-    best, f_best, iters, converged = _nelder_mead(fun, theta0, problem.bounds)
+    best, f_best, iters, converged = _nelder_mead(lambda v: residual(v, problem), theta0,
+                                                  problem.bounds)
 
     # beta sensitivity probe across its whole bound range at the solution
     lo, hi = problem.bounds[1]

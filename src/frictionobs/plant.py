@@ -161,8 +161,6 @@ class Trajectory:
         for name in ("x", "v", "f", "u"):
             if len(getattr(self, name)) != n:
                 raise ValueError("trajectory columns must have equal length")
-        if grid_break(self.t) is not None:
-            raise ValueError("trajectory grid is not uniform")
 
     def __len__(self) -> int:
         return len(self.t)

@@ -294,8 +294,8 @@ def test_criterion_7_identification_round_trip(capsys):
     fp = FrictionParams(c_f=C_F, sigma=sigma, beta=beta, s_scale=s_scale)
     cfg = SimConfig(dt=5e-4, t_end=0.3, noise_std=0.0, seed=1)
     traj = simulate(plant, fp, ImpulseTrain(((0.01, width, amp),)), cfg)
-    problem = FitProblem(record=Measured(traj.t, traj.x, np.zeros(len(traj))), plant=plant,
-                         friction=fp, impulse_start=0.01, bounds=IDENT_BOUNDS)
+    problem = FitProblem(record=Measured(traj.t, traj.x, traj.u), plant=plant, friction=fp,
+                         bounds=IDENT_BOUNDS)
     r1 = fit(problem, IDENT_THETA0)
     r2 = fit(problem, IDENT_THETA0)
     sig_err = abs(r1.theta[0] - sigma) / sigma

@@ -1,5 +1,9 @@
 """Command-line interface tests driven through main(argv)."""
 
+import argparse
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,7 @@ from frictionobs.cli import (
     EXIT_DIVERGED,
     EXIT_OK,
     EXIT_SCHEMA,
+    build_parser,
     main,
 )
 
@@ -186,13 +191,29 @@ def test_observe_truth_single_sample(cfg_file, tmp_path, capsys):
     assert "--truth needs at least 2 samples" in err and err.count("\n") == 1
 
 
+def test_observe_checks_truth_before_the_observer(cfg_file, short_run, tmp_path, capsys,
+                                                  monkeypatch):
+    # a rejected --truth must not cost an observer pass
+    def fail(*args):
+        raise AssertionError("run_observer ran")
+
+    monkeypatch.setattr("frictionobs.cli.run_observer", fail)
+    out = tmp_path / "e.csv"
+    rc = main(["observe", "--config", str(cfg_file), "--measured", str(short_run[1]),
+               "--out", str(out), "--truth", str(tmp_path / "missing.csv")])
+    captured = capsys.readouterr()
+    assert rc == EXIT_SCHEMA
+    assert captured.err.startswith("truth CSV rejected: ") and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+
+
 def test_identify_no_finite_residual(tmp_path, capsys):
-    # a 1e7 N pulse diverges at every candidate: exit 2, no report
+    # started at a 1e7 N pulse, every candidate diverges: exit 2, no report
+    rec = tmp_path / "rec.cfg"
+    rec.write_text("sim.t_end = 0.1\nscenario.pulses = 0.01,0.005,1.0\n", encoding="utf-8")
+    main(["simulate", "--config", str(rec), "--out", str(tmp_path / "sim.csv")])
     cfg = tmp_path / "i.cfg"
-    cfg.write_text("scenario.pulses = 0.3,0.01,1e7\n", encoding="utf-8")
-    d = tmp_path / "default.cfg"
-    d.write_text("", encoding="utf-8")
-    main(["simulate", "--config", str(d), "--out", str(tmp_path / "sim.csv")])
+    cfg.write_text("sim.t_end = 0.1\nscenario.pulses = 0.01,0.005,1e7\n", encoding="utf-8")
     capsys.readouterr()
     report = tmp_path / "fit.txt"
     rc = main(["identify", "--config", str(cfg), "--measured", str(tmp_path / "sim_measured.csv"),
@@ -291,14 +312,58 @@ def test_identify_runs_every_sample_of_a_grid_within_tolerance(tmp_path, capsys)
     assert capsys.readouterr().err == ""
 
 
-def test_identify_needs_impulse_start(tmp_path):
-    cfg = tmp_path / "i.cfg"
-    cfg.write_text("scenario.pulses =\nsim.t_end = 0.05\nsim.dt = 1e-3\n", encoding="utf-8")
+def test_identify_reads_the_onset_from_the_record(tmp_path, capsys):
+    # the record's pulse starts at 0.05 s: a config that puts it at 0.01 s only
+    # seeds |amplitude| and width, so it fits the same as one at 0.05 s
+    reports = []
+    for start in ("0.05", "0.01"):
+        cfg = tmp_path / f"at{start}.cfg"
+        cfg.write_text("sim.t_end = 0.3\nsim.noise_std = 0\n"
+                       f"scenario.pulses = {start},0.005,1.0\n", encoding="utf-8")
+        if start == "0.05":
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 0
+        report = tmp_path / f"at{start}.txt"
+        rc = main(["identify", "--config", str(cfg), "--measured",
+                   str(tmp_path / "s_measured.csv"), "--out", str(report)])
+        assert rc == EXIT_OK
+        reports.append(report.read_text(encoding="utf-8"))
+    assert reports[0] == reports[1]
+    assert "sigma = 2.0\n" in reports[0] and "rms_residual = 0.0\n" in reports[0]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("case", ["all_zero", "staircase", "default_five_pulses"])
+def test_identify_rejects_a_record_without_one_pulse(tmp_path, capsys, case):
+    # the fit models one rectangular pulse; any other u is rejected before it runs
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("scenario.pulses =\n" if case == "all_zero" else "", encoding="utf-8")
     m = tmp_path / "m.csv"
-    m.write_text("t,x,u\n0.0,0.0,0.0\n0.001,0.0,0.0\n", encoding="utf-8")
-    rc = main(["identify", "--config", str(cfg), "--measured", str(m),
-               "--out", str(tmp_path / "r.txt")])
+    if case == "default_five_pulses":
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 0
+        m = tmp_path / "s_measured.csv"
+        capsys.readouterr()
+    else:
+        u = ("0.0", "0.0", "0.0") if case == "all_zero" else ("1.0", "2.0", "0.0")
+        m.write_text("t,x,u\n" + "".join(f"{k * 1e-3!r},0.0,{v}\n" for k, v in enumerate(u)),
+                     encoding="utf-8")
+    report = tmp_path / "r.txt"
+    rc = main(["identify", "--config", str(cfg), "--measured", str(m), "--out", str(report)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_SCHEMA
+    assert captured.err.startswith("measured CSV rejected: u ") and captured.err.count("\n") == 1
+    assert captured.out == "" and not report.exists()
+
+
+def test_identify_rejects_impulse_start(tmp_path, capsys, cfg_file):
+    # the onset is read from the record, so the option that set it is gone
+    m = tmp_path / "m.csv"
+    m.write_text(TWO_ROWS, encoding="utf-8")
+    rc = main(["identify", "--config", str(cfg_file), "--measured", str(m),
+               "--out", str(tmp_path / "r.txt"), "--impulse-start", "0.01"])
+    captured = capsys.readouterr()
     assert rc == EXIT_CONFIG
+    assert "unrecognized arguments: --impulse-start 0.01" in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 def test_identify_bad_bounds_factor(tmp_path, cfg_file):
@@ -369,6 +434,21 @@ def test_compare_length_mismatch(cfg_file, tmp_path, capsys):
     assert rc == EXIT_SCHEMA
 
 
+def test_readme_synopsis_matches_the_parser():
+    # the flags of each command in README's "Command line" block are its parser's options
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = {}
+    for line in block.splitlines():
+        if line.startswith("frictionobs "):
+            command = line.split()[1]
+        documented.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+              for name, p in sub.choices.items()}
+    assert documented == parsed
+
+
 def test_unknown_subcommand_maps_to_config_error():
     assert main(["frobnicate"]) == EXIT_CONFIG
     assert main([]) == EXIT_CONFIG
@@ -382,16 +462,14 @@ TWO_ROWS = "t,x,u\n0.0,0.0,0.0\n0.001,0.0,0.0\n"
     ("sim.noise_std = inf", ["simulate"]),
     ("sim.quant = inf", ["simulate"]),
     ("sim.seed = -1", ["simulate"]),
-    ("", ["identify", "--impulse-start", "nan"]),
     ("", ["identify", "--bounds-factor", "nan"]),
     ("", ["identify", "--bounds-factor", "inf"]),
     ("scenario.pulses = 0.05,0.01,0.0", ["identify"]),
     ("", ["design", "--kappa", "nan"]),
     ("", ["design", "--kappa", "inf"]),
     ("sim.t_end = 1e300\nsim.dt = 1e-10", ["simulate"]),
-], ids=["noise_nan", "noise_inf", "quant_inf", "seed_negative", "impulse_start_nan",
-        "bounds_factor_nan", "bounds_factor_inf", "zero_amplitude", "kappa_nan", "kappa_inf",
-        "sample_count_overflow"])
+], ids=["noise_nan", "noise_inf", "quant_inf", "seed_negative", "bounds_factor_nan",
+        "bounds_factor_inf", "zero_amplitude", "kappa_nan", "kappa_inf", "sample_count_overflow"])
 def test_bad_value_is_config_error(tmp_path, capsys, config_line, argv):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(SHORT_CFG + config_line + "\n", encoding="utf-8")
@@ -454,24 +532,30 @@ def test_rejected_input_writes_nothing(cfg_file, short_run, tmp_path, capsys, ca
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "observe", "identify", "compare"])
+@pytest.mark.parametrize("command", ["simulate", "observe", "identify", "compare",
+                                     "compare_plot_script"])
 def test_unwritable_output_is_config_error(cfg_file, short_run, tmp_path, capsys, command):
     sim, measured = short_run
     est = tmp_path / "est.csv"
     main(["observe", "--config", str(cfg_file), "--measured", str(measured), "--out", str(est)])
     capsys.readouterr()
-    out = str(tmp_path / "missing_dir" / "out.csv")
+    unwritable = str(tmp_path / "missing_dir" / "out.csv")
+    out = str(tmp_path / "merged.csv") if command == "compare_plot_script" else unwritable
     argv = {
         "simulate": ["simulate", "--config", str(cfg_file)],
         "observe": ["observe", "--config", str(cfg_file), "--measured", str(measured)],
         "identify": ["identify", "--config", str(cfg_file), "--measured", str(measured),
                      "--bounds-factor", "1.01"],
         "compare": ["compare", "--sim", str(sim), "--estimates", str(est)],
+        "compare_plot_script": ["compare", "--sim", str(sim), "--estimates", str(est),
+                                "--plot-script", unwritable],
     }[command]
     rc = main(argv + ["--out", out])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert rc == EXIT_CONFIG
-    assert err.startswith("cannot write output: ") and err.count("\n") == 1
+    assert captured.err.startswith("cannot write output: ") and captured.err.count("\n") == 1
+    # a command prints its report only once every output is written
+    assert captured.out == ""
 
 
 def test_non_utf8_input_rejected(cfg_file, tmp_path, capsys):

@@ -27,16 +27,18 @@ BOUNDS = ((0.5, 8.0), (5e-4, 8e-3), (500.0, 8000.0), (0.25, 4.0), (1.25e-3, 0.02
 LAW = FrictionParams(c_f=C_F, sigma=TRUTH[0], beta=TRUTH[1], s_scale=TRUTH[2])
 
 
+TRAIN = ImpulseTrain(((0.01, TRUTH[4], TRUTH[3]),))
+
+
 def make_problem(t_end=0.12, dt=1e-3, law=LAW):
-    _, _, _, amp, width = TRUTH
-    train = ImpulseTrain(((0.01, width, amp),))
-    traj = simulate(PLANT, law, train, SimConfig(dt=dt, t_end=t_end))
+    traj = simulate(PLANT, law, TRAIN, SimConfig(dt=dt, t_end=t_end))
     return problem_on(traj.t, traj.x, law=law)
 
 
-def problem_on(t, x, law=LAW, bounds=BOUNDS):
-    return FitProblem(record=Measured(t, x, np.zeros(len(t))), plant=PLANT, friction=law,
-                      impulse_start=0.01, bounds=bounds)
+def problem_on(t, x, law=LAW, bounds=BOUNDS, u=None):
+    """A problem on this record; its u defaults to the truth pulse sampled on t."""
+    u = TRAIN.sample(t) if u is None else u
+    return FitProblem(record=Measured(t, x, u), plant=PLANT, friction=law, bounds=bounds)
 
 
 def test_residual_zero_at_truth():
@@ -133,8 +135,7 @@ def test_residual_finite_at_bound_corners():
 
 def test_residual_noise_floor():
     # at the generating parameters only measurement noise remains
-    _, _, _, amp, width = TRUTH
-    traj = simulate(PLANT, LAW, ImpulseTrain(((0.01, width, amp),)), SimConfig(dt=1e-3, t_end=0.12))
+    traj = simulate(PLANT, LAW, TRAIN, SimConfig(dt=1e-3, t_end=0.12))
     cfg = SimConfig(dt=1e-3, t_end=0.12, noise_std=1e-6, seed=9)
     prob = problem_on(traj.t, measure(traj, cfg).x)
     assert 5e-7 < residual(TRUTH, prob) < 2e-6
@@ -161,3 +162,27 @@ def test_problem_rejects_grid_not_starting_at_zero():
     rec = make_problem().record
     with pytest.raises(ValueError, match=r"t\[0\] = 0.5"):
         problem_on(rec.t + 0.5, rec.x)
+
+
+def test_residual_runs_the_record_pulse():
+    # onset and sign come from u: a later pulse, and a negative one, are
+    # matched exactly at the truth's |amplitude|
+    sigma, beta, s_scale, amp, width = TRUTH
+    for start, sign in ((0.05, 1.0), (0.01, -1.0)):
+        train = ImpulseTrain(((start, width, sign * amp),))
+        traj = simulate(PLANT, LAW, train, SimConfig(dt=1e-3, t_end=0.12))
+        prob = problem_on(traj.t, traj.x, u=traj.u)
+        assert residual(TRUTH, prob) == 0.0
+    # the plant is odd in u, so the negative record is the positive one negated
+    assert residual(TRUTH, problem_on(traj.t, -traj.x)) == 0.0
+
+
+@pytest.mark.parametrize("u, match", [
+    ([0.0] * 6, "zero in every row"),
+    ([0.0, 1.0, 0.0, 1.0, 0.0, 0.0], "more than one pulse: one starts at t = 0.001"),
+    ([0.0, 1.0, 2.0, 0.0, 0.0, 0.0], "more than one pulse"),
+], ids=["all_zero", "two_pulses", "staircase"])
+def test_problem_needs_one_rectangular_pulse(u, match):
+    t = np.arange(6) * 1e-3
+    with pytest.raises(ValueError, match=match):
+        problem_on(t, np.zeros(6), u=np.array(u))
