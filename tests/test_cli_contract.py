@@ -168,7 +168,10 @@ def test_compare_contract(bodies):
 
 
 def with_pulse(body, start, rows, value):
-    """body with the u cell of each full row set to one pulse of value over rows start.."""
+    """body with the u cell of data row i set to value for start <= i < start + rows, else 0.
+
+    Rows that do not have 3 cells keep their defect.
+    """
     lines = body.split("\n")
     for i, line in enumerate(lines[1:]):
         cells = line.split(",")

@@ -167,7 +167,7 @@ def test_problem_rejects_grid_not_starting_at_zero():
 def test_residual_runs_the_record_pulse():
     # onset and sign come from u: a later pulse, and a negative one, are
     # matched exactly at the truth's |amplitude|
-    sigma, beta, s_scale, amp, width = TRUTH
+    _, _, _, amp, width = TRUTH
     for start, sign in ((0.05, 1.0), (0.01, -1.0)):
         train = ImpulseTrain(((start, width, sign * amp),))
         traj = simulate(PLANT, LAW, train, SimConfig(dt=1e-3, t_end=0.12))
