@@ -3,10 +3,11 @@
 Exit codes are stable: 0 success, 1 configuration/argument error (a
 non-finite flag or config value included) or an output that cannot be
 written, 2 simulation divergence or observer estimates that overflow to
-inf or NaN, 3 gain-design conditions failed (gains are still printed), 4
-CSV schema violation, grid/length mismatch, or a record for `identify`
-that does not start at t = 0, whose span (samples - 1) * dt overflows or
-whose u is not one rectangular pulse.
+inf or NaN, or an `identify` start point with no finite residual, 3
+gain-design conditions failed (gains are still printed), 4 CSV schema
+violation, grid/length mismatch, or a record for `identify` that does not
+start at t = 0, whose span (samples - 1) * dt overflows, or whose u is zero
+in every row or too small for x to respond to the fitted parameters.
 Each command reads and checks its inputs, and runs its simulation,
 observer or fit, before it opens its first output, so a rejected input
 leaves no output behind. The commands raise; `main` turns the exception
@@ -23,6 +24,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import NoReturn
+
+import numpy as np
 
 from .config import ConfigError, load_config
 from .csvio import (
@@ -58,10 +61,10 @@ _FAILURES = {
 
 
 class _NoFiniteResidual(SimulationDiverged):
-    """Every forward run that identify tried diverged or failed."""
+    """The forward run that identify starts from diverged or failed."""
 
     def __init__(self) -> None:
-        RuntimeError.__init__(self, "no fit candidate gave a finite residual")
+        RuntimeError.__init__(self, "the start point gives no finite residual")
 
 
 def _fmt(v: float) -> str:
@@ -168,31 +171,37 @@ def cmd_observe(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _first_pulse(u, dt: float) -> tuple[float, float]:
+    """(value, duration) of the run of equal values that starts at u's first nonzero row."""
+    k = int(np.flatnonzero(u)[0])
+    ends = np.flatnonzero(u[k:] != u[k])
+    return float(u[k]), (int(ends[0]) if len(ends) else len(u) - k) * dt
+
+
 def cmd_identify(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     meas = _read_measured(args.measured)
-    # the record's u gives the pulse's onset and sign; the config seeds |amplitude| and width
-    _, width0, amp0 = cfg.scenario.pulses[0] if cfg.scenario.pulses else (0.0, 0.005, 1.0)
-    theta0 = (cfg.friction.sigma, cfg.friction.beta, cfg.friction.s_scale, abs(amp0), width0)
+    theta0 = (cfg.friction.sigma, cfg.friction.beta, cfg.friction.s_scale)
     f = args.bounds_factor
     bounds = tuple((v / f, v * f) for v in theta0)
     for name, v, (lo, hi) in zip(THETA_NAMES, theta0, bounds):
-        # fails for f <= 1, a non-finite f, a zero amplitude and an overflow
+        # fails for f <= 1, a non-finite f and an overflow
         if not 0.0 < lo < hi < math.inf:
             raise ConfigError(
                 f"no finite positive search box for {name} = {v!r} with --bounds-factor {f!r}"
             )
     try:
         problem = FitProblem(record=meas, plant=cfg.plant, friction=cfg.friction, bounds=bounds)
+        result = fit(problem, theta0)
     except ValueError as exc:
         raise CsvSchemaError(f"measured CSV rejected: {exc}") from None
-    result = fit(problem, theta0)
     if not math.isfinite(result.rms_residual):
         raise _NoFiniteResidual()
-    theta = list(result.theta)
-    # FitProblem has checked that u holds one pulse, so its first nonzero row has its sign
-    theta[THETA_NAMES.index("amplitude")] *= math.copysign(1.0, meas.u[meas.u != 0][0])
-    lines = [f"{name} = {_fmt(v)}" for name, v in zip(THETA_NAMES, theta)]
+    # the excitation is read, not fitted: FitProblem has checked that u is nonzero somewhere
+    amplitude, width = _first_pulse(meas.u, meas.dt)
+    lines = [f"{name} = {_fmt(v)}" for name, v in zip(THETA_NAMES, result.theta)]
+    lines.append(f"amplitude = {_fmt(amplitude)}")
+    lines.append(f"width = {_fmt(width)}")
     lines.append(f"rms_residual = {_fmt(result.rms_residual)}")
     lines.append(f"iterations = {result.iterations}")
     lines.append(f"converged = {str(result.converged).lower()}")
@@ -236,10 +245,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     header = ("t", "x", "v", "f", "u", "w2_tilde", "w3_tilde", "phi", "e_obs")
     lines = [f"rows = {len(ts)}", f"rms_e_obs = {_fmt(rms(e_obs))}",
              f"rms_velocity_error = {_fmt(rms(w2, vs))}", f"rms_force_error = {_fmt(rms(w3, fs))}"]
-    write_columns(Path(args.out), header, [ts, xs, vs, fs, us, w2, w3, phi, e_obs])
     if args.plot_script:
+        # the short script first: when it cannot be written, no merged CSV is left behind
         Path(args.plot_script).write_text(PLOT_SCRIPT, encoding="utf-8")
         lines.append(f"wrote {args.plot_script}")
+    try:
+        write_columns(Path(args.out), header, [ts, xs, vs, fs, us, w2, w3, phi, e_obs])
+    except OSError:
+        if args.plot_script:
+            Path(args.plot_script).unlink(missing_ok=True)
+        raise
     lines.append(f"wrote {args.out}")
     print("\n".join(lines))
     return EXIT_OK

@@ -1,32 +1,31 @@
 """Parameter identification from a measured displacement response.
 
-Fits theta = (sigma, beta, s_scale, amplitude, width) by minimizing the RMS
-displacement residual between a measured record and a forward simulation on
-its grid. The record's u must hold one rectangular pulse, whose onset and
-sign are read and whose |amplitude| and width are fitted; the mass and the
-rest of the friction law (c_f, z_floor, deadband) are known. The optimizer is
-a derivative-free Nelder-Mead simplex with every candidate projected onto the
-box bounds; it stops when the relative simplex diameter drops below 1e-8 or
-after 2000 iterations and always returns the best point seen.
+Fits theta = (sigma, beta, s_scale) by minimizing the RMS displacement
+residual between a measured record and a forward run of the plant under the
+record's own input u, on its grid; the mass and the rest of the friction law
+(c_f, z_floor, deadband) are known. The optimizer is a deterministic
+Levenberg-Marquardt loop in log theta, clipped to the box bounds, with a
+forward-difference Jacobian; it stops when an accepted step lowers the RMS by
+a relative 1e-8 or less, or after MAX_ITERATIONS trial steps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .friction import FrictionParams
 from .observer import rms
-from .plant import ImpulseTrain, Measured, PlantParams, SimConfig, SimulationDiverged, simulate
+from .plant import Measured, PlantParams, SimulationDiverged, simulate_forced
 
-THETA_NAMES = ("sigma", "beta", "s_scale", "amplitude", "width")
+THETA_NAMES = ("sigma", "beta", "s_scale")
 
-DIAMETER_TOL = 1e-8
-MAX_ITERATIONS = 2000
+STEP = 1e-6  # Jacobian difference step in log theta
+COST_TOL = 1e-8
+MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -34,11 +33,10 @@ class FitProblem:
     """Measured record plus the knowns and the search box.
 
     record: the measured displacement, at least 2 samples from t = 0, with
-    (samples - 1) * dt finite, whose u holds one rectangular pulse: its
-    nonzero rows are consecutive and of one value (ValueError otherwise). The
-    pulse's first row k gives the onset k * dt and the fitted amplitude's sign.
-    plant: the known mass. friction: the nominal friction law; the fit
-    replaces its sigma, beta and s_scale and keeps the rest.
+    (samples - 1) * dt finite, and a u that is nonzero in some row (ValueError
+    otherwise); the forward runs are driven by that u. plant: the known mass.
+    friction: the nominal friction law; the fit replaces its sigma, beta and
+    s_scale and keeps the rest.
     bounds: per-parameter (lo, hi) in THETA_NAMES order, finite and positive.
     """
 
@@ -61,28 +59,19 @@ class FitProblem:
         for name, (lo, hi) in zip(THETA_NAMES, self.bounds):
             if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo < hi):
                 raise ValueError(f"bounds for {name} must be finite, positive, lo < hi")
-        self._pulse  # reading it checks u
-
-    @cached_property
-    def _pulse(self) -> tuple[float, float]:
-        """(onset k * dt, sign) of the one pulse in the record's u, k its first nonzero row."""
-        t, u = self.record.t, self.record.u
-        rows = np.flatnonzero(u)
-        if len(rows) == 0:
-            raise ValueError("u is zero in every row: no pulse to fit")
-        k = int(rows[0])
-        if not np.all(u[k : rows[-1] + 1] == u[k]):
-            raise ValueError(f"u holds more than one pulse: one starts at t = {float(t[k])!r}")
-        return k * self.record.dt, math.copysign(1.0, u[k])
+        if not np.any(self.record.u):
+            # x would not depend on theta at all
+            raise ValueError("u is zero in every row: nothing excites the plant")
 
 
 @dataclass(frozen=True)
 class FitResult:
     """Best parameters found, their residual and convergence bookkeeping.
 
-    beta_insensitive flags a residual that moves by less than 1% when beta
-    is swept across its whole bound range at the fitted point, i.e. the
-    record does not constrain the lag constant.
+    iterations counts trial steps, accepted or not. beta_insensitive flags a
+    residual that moves by less than 1% when beta is swept across its whole
+    bound range at the fitted point, i.e. the record does not constrain the
+    lag constant.
     """
 
     theta: tuple[float, ...]
@@ -92,13 +81,29 @@ class FitResult:
     beta_insensitive: bool
 
 
+def _forward_x(theta: Sequence[float], problem: FitProblem) -> np.ndarray | None:
+    """x of the forward run at theta on the record's u and dt; None if it diverges."""
+    sigma, beta, s_scale = theta
+    rec = problem.record
+    try:
+        law = replace(problem.friction, sigma=float(sigma), beta=float(beta),
+                      s_scale=float(s_scale))
+        x = simulate_forced(problem.plant, law, rec.u, rec.dt).x
+    except (SimulationDiverged, OverflowError):
+        return None
+    return x if np.all(np.isfinite(x)) else None
+
+
+def _rms(x: np.ndarray | None, problem: FitProblem) -> float:
+    return math.inf if x is None else rms(x, problem.record.x)
+
+
 def residual(theta: Sequence[float], problem: FitProblem) -> float:
     """RMS displacement error of a forward run at theta.
 
-    The run takes exactly the record's samples: len(record) at record.dt.
-    Its pulse starts at the record's onset and carries the record's sign.
-    Diverging or non-finite simulations score +inf, never NaN. theta must
-    lie inside the bounds.
+    The run takes exactly the record's samples at record.dt, driven by the
+    record's u. Diverging or non-finite simulations score +inf, never NaN.
+    theta must lie inside the bounds.
     """
     theta = [float(v) for v in theta]
     if len(theta) != len(THETA_NAMES):
@@ -107,121 +112,92 @@ def residual(theta: Sequence[float], problem: FitProblem) -> float:
         # a NaN fails the comparison too
         if not (lo <= v <= hi):
             raise ValueError(f"{name} = {v!r} outside bounds [{lo}, {hi}]")
-    sigma, beta, s_scale, amp, width = theta
-    rec = problem.record
-    start, sign = problem._pulse
-    try:
-        fp = replace(problem.friction, sigma=sigma, beta=beta, s_scale=s_scale)
-        train = ImpulseTrain(((start, width, sign * amp),))
-        # t_end from the sample count, not t[-1]: steps that pass as uniform
-        # may still sum to a t[-1] whose floor(t_end/dt) is one sample short
-        cfg = SimConfig(dt=rec.dt, t_end=(len(rec) - 1) * rec.dt)
-        traj = simulate(problem.plant, fp, train, cfg)
-    except (SimulationDiverged, OverflowError):
-        return math.inf
-    if len(traj) != len(rec) or not np.all(np.isfinite(traj.x)):
-        return math.inf
-    return rms(traj.x, rec.x)
+    return _rms(_forward_x(theta, problem), problem)
 
 
-def _project(theta: np.ndarray, bounds: tuple[tuple[float, float], ...]) -> np.ndarray:
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    return np.minimum(np.maximum(theta, lo), hi)
+def _jacobian(theta: np.ndarray, x: np.ndarray, problem: FitProblem,
+              hi: np.ndarray) -> np.ndarray:
+    """dx/d(log theta) by one-sided differences, stepped down at the top of the box.
 
-
-def _simplex_diameter(simplex: list[np.ndarray]) -> float:
-    # relative infinity-norm spread around the best vertex
-    best = simplex[0]
-    scale = np.maximum(1.0, np.abs(best))
-    return max(float(np.max(np.abs(v - best) / scale)) for v in simplex[1:])
-
-
-def _nelder_mead(
-    fun: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    bounds: tuple[tuple[float, float], ...],
-) -> tuple[np.ndarray, float, int, bool]:
-    """Projected Nelder-Mead; returns (best x, best f, iterations, converged)."""
-    n = len(x0)
-    x0 = _project(np.asarray(x0, dtype=float), bounds)
-    simplex = [x0]
-    for i in range(n):
-        step = 0.05 * (bounds[i][1] - bounds[i][0])
-        v = x0.copy()
-        v[i] = v[i] + step if v[i] + step <= bounds[i][1] else v[i] - step
-        simplex.append(_project(v, bounds))
-    fvals = [fun(v) for v in simplex]
-
-    def order() -> None:
-        idx = np.argsort(fvals, kind="stable")
-        simplex[:] = [simplex[i] for i in idx]
-        fvals[:] = [fvals[i] for i in idx]
-
-    order()
-    iterations = 0
-    converged = False
-    while iterations < MAX_ITERATIONS:
-        if _simplex_diameter(simplex) < DIAMETER_TOL:
-            converged = True
-            break
-        iterations += 1
-        centroid = np.mean(simplex[:-1], axis=0)
-        worst = simplex[-1]
-        refl = _project(centroid + (centroid - worst), bounds)
-        f_refl = fun(refl)
-        if f_refl < fvals[0]:
-            exp = _project(centroid + 2.0 * (centroid - worst), bounds)
-            f_exp = fun(exp)
-            if f_exp < f_refl:
-                simplex[-1], fvals[-1] = exp, f_exp
-            else:
-                simplex[-1], fvals[-1] = refl, f_refl
-        elif f_refl < fvals[-2]:
-            simplex[-1], fvals[-1] = refl, f_refl
-        else:
-            if f_refl < fvals[-1]:
-                cand = _project(centroid + 0.5 * (refl - centroid), bounds)
-            else:
-                cand = _project(centroid - 0.5 * (centroid - worst), bounds)
-            f_cand = fun(cand)
-            if f_cand < min(f_refl, fvals[-1]):
-                simplex[-1], fvals[-1] = cand, f_cand
-            else:
-                # shrink toward the best vertex
-                for i in range(1, len(simplex)):
-                    simplex[i] = _project(simplex[0] + 0.5 * (simplex[i] - simplex[0]), bounds)
-                    fvals[i] = fun(simplex[i])
-        order()
-    # vertex 0 is the best point seen: only the worst vertex is replaced, a
-    # shrink keeps vertex 0, and the stable sort keeps it first on ties
-    return simplex[0], fvals[0], iterations, converged
+    A diverging probe gives a NaN column.
+    """
+    jac = np.empty((len(x), len(theta)))
+    for i in range(len(theta)):
+        h = STEP if theta[i] * math.exp(STEP) <= hi[i] else -STEP
+        probe = theta.copy()
+        probe[i] = theta[i] * math.exp(h)
+        xp = _forward_x(probe, problem)
+        with np.errstate(over="ignore", invalid="ignore"):
+            jac[:, i] = np.nan if xp is None else (xp - x) / h
+    return jac
 
 
 def fit(problem: FitProblem, theta0: Sequence[float]) -> FitResult:
-    """Minimize the residual from theta0; deterministic for identical inputs."""
-    theta0 = np.asarray([float(v) for v in theta0], dtype=float)
-    if len(theta0) != len(THETA_NAMES):
-        raise ValueError(f"theta0 must have {len(THETA_NAMES)} entries")
+    """Minimize the residual from theta0, clipped into the box; deterministic.
 
-    best, f_best, iters, converged = _nelder_mead(lambda v: residual(v, problem), theta0,
-                                                  problem.bounds)
+    Raises ValueError when x responds to none of the parameters, i.e. u is
+    too small to move the forward model.
+    """
+    theta = np.asarray([float(v) for v in theta0], dtype=float)
+    if len(theta) != len(THETA_NAMES):
+        raise ValueError(f"theta0 must have {len(THETA_NAMES)} entries")
+    lo = np.array([b[0] for b in problem.bounds])
+    hi = np.array([b[1] for b in problem.bounds])
+    theta = np.clip(theta, lo, hi)
+
+    x = _forward_x(theta, problem)
+    cost = _rms(x, problem)
+    iterations = 0
+    converged = cost == 0.0
+    jtj = None  # a new Jacobian is due
+    lam = 1e-3
+    while not converged and math.isfinite(cost) and iterations < MAX_ITERATIONS:
+        if jtj is None:
+            jac = _jacobian(theta, x, problem, hi)
+            with np.errstate(all="ignore"):
+                jtj, jtr = jac.T @ jac, jac.T @ (x - problem.record.x)
+            scale = np.diag(jtj)
+            if not np.any(scale):
+                raise ValueError("x does not respond to theta: u is too small to move the plant")
+            # a parameter x does not respond to keeps its value: its row of
+            # jtj and its entry of jtr are zero
+            scale = np.where(scale > 0, scale, 1.0)
+        iterations += 1
+        try:
+            with np.errstate(all="ignore"):
+                trial = np.clip(theta * np.exp(np.linalg.solve(jtj + lam * np.diag(scale), -jtr)),
+                                lo, hi)
+        except np.linalg.LinAlgError:
+            trial = None
+        if trial is None or not np.all(np.isfinite(trial)):
+            lam *= 10.0
+            continue
+        if np.array_equal(trial, theta):
+            # the damped step no longer moves theta: nothing left to gain
+            converged = True
+            break
+        x_trial = _forward_x(trial, problem)
+        cost_trial = _rms(x_trial, problem)
+        if not cost_trial <= cost:
+            lam *= 10.0
+            continue
+        converged = cost - cost_trial <= COST_TOL * cost
+        theta, x, cost, jtj = trial, x_trial, cost_trial, None
+        lam /= 10.0
 
     # beta sensitivity probe across its whole bound range at the solution
-    lo, hi = problem.bounds[1]
-    probe = best.copy()
+    probe = theta.copy()
     worst_change = 0.0
-    for b in (lo, hi):
+    for b in problem.bounds[1]:
         probe[1] = b
-        r = residual(probe, problem)
-        denom = max(f_best, 1e-300)
-        worst_change = max(worst_change, abs(r - f_best) / denom)
+        r_b = residual(probe, problem)
+        worst_change = max(worst_change, abs(r_b - cost) / max(cost, 1e-300))
     beta_insensitive = worst_change < 0.01
 
     return FitResult(
-        theta=tuple(float(v) for v in best),
-        rms_residual=float(f_best),
-        iterations=iters,
-        converged=converged,
+        theta=tuple(float(v) for v in theta),
+        rms_residual=float(cost),
+        iterations=iterations,
+        converged=bool(converged),
         beta_insensitive=beta_insensitive,
     )

@@ -283,17 +283,18 @@ def test_criterion_6_end_to_end(capsys):
 
 # -- criterion 7 -------------------------------------------------------------
 
-IDENT_TRUTH = (2.0, 0.002, 2000.0, 1.0, 0.005)
-IDENT_BOUNDS = ((0.5, 8.0), (5e-4, 8e-3), (500.0, 8000.0), (0.25, 4.0), (1.25e-3, 0.02))
-IDENT_THETA0 = (2.6, 0.0015, 1500.0, 0.8, 0.004)
+IDENT_TRUTH = (2.0, 0.002, 2000.0)
+IDENT_PULSE = (0.01, 0.005, 1.0)
+IDENT_BOUNDS = ((0.5, 8.0), (5e-4, 8e-3), (500.0, 8000.0))
+IDENT_THETA0 = (2.6, 0.0015, 1500.0)
 
 
 def test_criterion_7_identification_round_trip(capsys):
-    sigma, beta, s_scale, amp, width = IDENT_TRUTH
+    sigma, beta, s_scale = IDENT_TRUTH
     plant = PlantParams(m=M_KG)
     fp = FrictionParams(c_f=C_F, sigma=sigma, beta=beta, s_scale=s_scale)
     cfg = SimConfig(dt=5e-4, t_end=0.3, noise_std=0.0, seed=1)
-    traj = simulate(plant, fp, ImpulseTrain(((0.01, width, amp),)), cfg)
+    traj = simulate(plant, fp, ImpulseTrain((IDENT_PULSE,)), cfg)
     problem = FitProblem(record=Measured(traj.t, traj.x, traj.u), plant=plant, friction=fp,
                          bounds=IDENT_BOUNDS)
     r1 = fit(problem, IDENT_THETA0)
@@ -356,3 +357,26 @@ def test_criterion_8_determinism_and_io(tmp_path, capsys):
     _verdict(capsys, 8, "determinism and I/O", byte_identical and identity_ok,
              f"rerun CSVs byte-identical={byte_identical}, "
              f"ingest/emit identity={identity_ok}")
+
+
+def test_identify_on_the_two_pulse_record(tmp_path, capsys):
+    # criterion 8's noisy two-pulse record, fitted from criterion 7's start point
+    # through the CLI: the forward model runs the record's own u
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CFG_TEXT, encoding="utf-8")
+    start = tmp_path / "start.cfg"
+    start.write_text(CFG_TEXT.replace("sigma = 2.0", "sigma = 2.6")
+                     .replace("beta = 0.002", "beta = 0.0015")
+                     .replace("s_scale = 2000", "s_scale = 1500"), encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim.csv")]) == 0
+    report = tmp_path / "fit.txt"
+    assert main(["identify", "--config", str(start), "--measured",
+                 str(tmp_path / "sim_measured.csv"), "--out", str(report),
+                 "--bounds-factor", "4"]) == 0
+    assert capsys.readouterr().err == ""
+    got = dict(line.split(" = ") for line in report.read_text(encoding="utf-8").splitlines())
+    assert got["converged"] == "true"
+    assert abs(float(got["sigma"]) - 2.0) / 2.0 < 0.05
+    assert abs(float(got["s_scale"]) - 2000.0) / 2000.0 < 0.05
+    # the first pulse, read from u
+    assert (got["amplitude"], got["width"]) == ("1.6", "0.01")

@@ -207,17 +207,20 @@ def test_observe_checks_truth_before_the_observer(cfg_file, short_run, tmp_path,
     assert captured.out == "" and not out.exists()
 
 
-def test_identify_no_finite_residual(tmp_path, capsys):
-    # started at a 1e7 N pulse, every candidate diverges: exit 2, no report
-    rec = tmp_path / "rec.cfg"
-    rec.write_text("sim.t_end = 0.1\nscenario.pulses = 0.01,0.005,1.0\n", encoding="utf-8")
-    main(["simulate", "--config", str(rec), "--out", str(tmp_path / "sim.csv")])
-    cfg = tmp_path / "i.cfg"
-    cfg.write_text("sim.t_end = 0.1\nscenario.pulses = 0.01,0.005,1e7\n", encoding="utf-8")
-    capsys.readouterr()
+def _record(path, u, x=None):
+    """A measured CSV on a 5e-4 s grid with these u cells (x zero unless given)."""
+    x = [0.0] * len(u) if x is None else x
+    path.write_text("t,x,u\n" + "".join(f"{k * 5e-4!r},{xk!r},{uk!r}\n"
+                                          for k, (xk, uk) in enumerate(zip(x, u))),
+                    encoding="utf-8")
+
+
+def test_identify_no_finite_residual(tmp_path, capsys, cfg_file):
+    # a 1e7 N cell in u makes the forward run diverge from the start: exit 2, no report
+    m = tmp_path / "m.csv"
+    _record(m, [0.0, 1e7, 0.0, 0.0, 0.0, 0.0])
     report = tmp_path / "fit.txt"
-    rc = main(["identify", "--config", str(cfg), "--measured", str(tmp_path / "sim_measured.csv"),
-               "--out", str(report)])
+    rc = main(["identify", "--config", str(cfg_file), "--measured", str(m), "--out", str(report)])
     assert rc == EXIT_DIVERGED
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and "finite residual" in captured.err
@@ -313,8 +316,8 @@ def test_identify_runs_every_sample_of_a_grid_within_tolerance(tmp_path, capsys)
 
 
 def test_identify_reads_the_onset_from_the_record(tmp_path, capsys):
-    # the record's pulse starts at 0.05 s: a config that puts it at 0.01 s only
-    # seeds |amplitude| and width, so it fits the same as one at 0.05 s
+    # the record's pulse starts at 0.05 s: the fit runs the record's u and does
+    # not read the config's pulses, so a config that puts it at 0.01 s fits the same
     reports = []
     for start in ("0.05", "0.01"):
         cfg = tmp_path / f"at{start}.cfg"
@@ -332,25 +335,30 @@ def test_identify_reads_the_onset_from_the_record(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("case", ["all_zero", "staircase", "default_five_pulses"])
-def test_identify_rejects_a_record_without_one_pulse(tmp_path, capsys, case):
-    # the fit models one rectangular pulse; any other u is rejected before it runs
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("scenario.pulses =\n" if case == "all_zero" else "", encoding="utf-8")
+@pytest.mark.parametrize("case", ["all_zero"])
+def test_identify_rejects_a_record_without_one_pulse(tmp_path, capsys, cfg_file, case):
+    # x cannot depend on theta when nothing excites the plant
     m = tmp_path / "m.csv"
-    if case == "default_five_pulses":
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 0
-        m = tmp_path / "s_measured.csv"
-        capsys.readouterr()
-    else:
-        u = ("0.0", "0.0", "0.0") if case == "all_zero" else ("1.0", "2.0", "0.0")
-        m.write_text("t,x,u\n" + "".join(f"{k * 1e-3!r},0.0,{v}\n" for k, v in enumerate(u)),
-                     encoding="utf-8")
+    _record(m, [0.0] * 3)
     report = tmp_path / "r.txt"
-    rc = main(["identify", "--config", str(cfg), "--measured", str(m), "--out", str(report)])
+    rc = main(["identify", "--config", str(cfg_file), "--measured", str(m), "--out", str(report)])
     captured = capsys.readouterr()
     assert rc == EXIT_SCHEMA
     assert captured.err.startswith("measured CSV rejected: u ") and captured.err.count("\n") == 1
+    assert captured.out == "" and not report.exists()
+
+
+def test_identify_rejects_an_input_too_small_to_move_the_plant(tmp_path, capsys, cfg_file):
+    # a 1e-300 N cell moves x by less than a rounding step, so the Jacobian is
+    # zero in every column: one line and exit 4, not a LinAlgError traceback
+    m = tmp_path / "m.csv"
+    _record(m, [0.0, 1e-300, 0.0, 0.0, 0.0, 0.0], x=[0.0, 1e-3, 2e-3, 1e-3, 0.0, 0.0])
+    report = tmp_path / "r.txt"
+    rc = main(["identify", "--config", str(cfg_file), "--measured", str(m), "--out", str(report)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_SCHEMA
+    assert captured.err == ("measured CSV rejected: x does not respond to theta: "
+                            "u is too small to move the plant\n")
     assert captured.out == "" and not report.exists()
 
 
@@ -464,12 +472,11 @@ TWO_ROWS = "t,x,u\n0.0,0.0,0.0\n0.001,0.0,0.0\n"
     ("sim.seed = -1", ["simulate"]),
     ("", ["identify", "--bounds-factor", "nan"]),
     ("", ["identify", "--bounds-factor", "inf"]),
-    ("scenario.pulses = 0.05,0.01,0.0", ["identify"]),
     ("", ["design", "--kappa", "nan"]),
     ("", ["design", "--kappa", "inf"]),
     ("sim.t_end = 1e300\nsim.dt = 1e-10", ["simulate"]),
 ], ids=["noise_nan", "noise_inf", "quant_inf", "seed_negative", "bounds_factor_nan",
-        "bounds_factor_inf", "zero_amplitude", "kappa_nan", "kappa_inf", "sample_count_overflow"])
+        "bounds_factor_inf", "kappa_nan", "kappa_inf", "sample_count_overflow"])
 def test_bad_value_is_config_error(tmp_path, capsys, config_line, argv):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(SHORT_CFG + config_line + "\n", encoding="utf-8")
@@ -546,7 +553,8 @@ def test_unwritable_output_is_config_error(cfg_file, short_run, tmp_path, capsys
         "observe": ["observe", "--config", str(cfg_file), "--measured", str(measured)],
         "identify": ["identify", "--config", str(cfg_file), "--measured", str(measured),
                      "--bounds-factor", "1.01"],
-        "compare": ["compare", "--sim", str(sim), "--estimates", str(est)],
+        "compare": ["compare", "--sim", str(sim), "--estimates", str(est),
+                    "--plot-script", str(tmp_path / "plot.py")],
         "compare_plot_script": ["compare", "--sim", str(sim), "--estimates", str(est),
                                 "--plot-script", unwritable],
     }[command]
@@ -556,6 +564,8 @@ def test_unwritable_output_is_config_error(cfg_file, short_run, tmp_path, capsys
     assert captured.err.startswith("cannot write output: ") and captured.err.count("\n") == 1
     # a command prints its report only once every output is written
     assert captured.out == ""
+    # and compare leaves neither of its two outputs behind when the other fails
+    assert not (tmp_path / "merged.csv").exists() and not (tmp_path / "plot.py").exists()
 
 
 def test_non_utf8_input_rejected(cfg_file, tmp_path, capsys):

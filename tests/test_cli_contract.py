@@ -187,8 +187,9 @@ def with_pulse(body, start, rows, value):
                         ["--bounds-factor", "inf"]]),
        st.none() | st.tuples(st.integers(0, 6), st.integers(1, 12), NUMBERS))
 def test_identify_contract(config, bodies, flags, pulse):
-    # drawn u cells seldom form the one pulse the fit needs, so u is mostly
-    # rewritten to one, and the fit itself meets the fuzzed records
+    # u is mostly rewritten to one pulse of a drawn value, so that a bad u cell
+    # does not stop most records before the fit, which then meets the fuzzed x
+    # and a u of any size
     measured = bodies[0]
     if measured is not None and pulse is not None:
         measured = with_pulse(measured, *pulse)

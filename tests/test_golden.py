@@ -37,7 +37,7 @@ def test_default_config_outputs_byte_identical(tmp_path, capsys):
     assert got == GOLDEN
 
 
-IDENTIFY_REPORT = "c01f322d4fe8ecc5dfeaf3dd6354d0f27e73118f11bd6794556239eb432bafbc"
+IDENTIFY_REPORT = "a26b11a7a19558a230f75856e7d97b245df14c7192b9a4ba8940868b64914290"
 
 
 def test_identify_report_byte_identical(tmp_path, capsys):

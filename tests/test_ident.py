@@ -21,13 +21,13 @@ from frictionobs import (
 )
 
 PLANT = PlantParams(m=0.052)
-TRUTH = (2.0, 0.002, 2000.0, 1.0, 0.005)
+TRUTH = (2.0, 0.002, 2000.0)
 C_F = 0.2143
-BOUNDS = ((0.5, 8.0), (5e-4, 8e-3), (500.0, 8000.0), (0.25, 4.0), (1.25e-3, 0.02))
+BOUNDS = ((0.5, 8.0), (5e-4, 8e-3), (500.0, 8000.0))
 LAW = FrictionParams(c_f=C_F, sigma=TRUTH[0], beta=TRUTH[1], s_scale=TRUTH[2])
 
 
-TRAIN = ImpulseTrain(((0.01, TRUTH[4], TRUTH[3]),))
+TRAIN = ImpulseTrain(((0.01, 0.005, 1.0),))
 
 
 def make_problem(t_end=0.12, dt=1e-3, law=LAW):
@@ -57,18 +57,18 @@ def test_residual_runs_the_problem_deadband():
 
 def test_residual_positive_off_truth():
     prob = make_problem()
-    off = (2.4, 0.002, 2000.0, 1.0, 0.005)
+    off = (2.4, 0.002, 2000.0)
     assert residual(off, prob) > 1e-7
 
 
 def test_residual_validation():
     prob = make_problem()
     with pytest.raises(ValueError):
-        residual((1.0, 2.0, 3.0), prob)
+        residual((1.0, 2.0), prob)
     with pytest.raises(ValueError):
-        residual((float("nan"), 0.002, 2000.0, 1.0, 0.005), prob)
+        residual((float("nan"), 0.002, 2000.0), prob)
     with pytest.raises(ValueError):
-        residual((100.0, 0.002, 2000.0, 1.0, 0.005), prob)  # outside bounds
+        residual((100.0, 0.002, 2000.0), prob)  # outside bounds
 
 
 def test_problem_validation():
@@ -94,19 +94,19 @@ def test_problem_validation():
     with pytest.raises(ValueError, match="overflows"):
         problem_on(np.array([0.0, d, d + d * (1 - 1e-7)]), np.zeros(3))
     with pytest.raises(ValueError):
-        problem_on(t, x, bounds=BOUNDS[:3])
+        problem_on(t, x, bounds=BOUNDS[:2])
     bad_bounds = (BOUNDS[0], (0.008, 0.0005)) + BOUNDS[2:]
     with pytest.raises(ValueError):
         problem_on(t, x, bounds=bad_bounds)
 
 
 def test_theta_names_order():
-    assert THETA_NAMES == ("sigma", "beta", "s_scale", "amplitude", "width")
+    assert THETA_NAMES == ("sigma", "beta", "s_scale")
 
 
 def test_fit_deterministic_and_improves():
     prob = make_problem()
-    theta0 = (2.3, 0.0024, 1700.0, 0.9, 0.0056)
+    theta0 = (2.3, 0.0024, 1700.0)
     r1 = fit(prob, theta0)
     r2 = fit(prob, theta0)
     assert r1.theta == r2.theta
@@ -124,8 +124,8 @@ def test_residual_finite_at_bound_corners():
     corners = [
         tuple(lo for lo, hi in BOUNDS),
         tuple(hi for lo, hi in BOUNDS),
-        (0.5, 8e-3, 8000.0, 0.25, 0.02),
-        (8.0, 5e-4, 500.0, 4.0, 1.25e-3),
+        (0.5, 8e-3, 8000.0),
+        (8.0, 5e-4, 500.0),
     ]
     for theta in corners:
         r = residual(theta, prob)
@@ -147,7 +147,7 @@ def test_fit_from_truth_keeps_truth():
     assert tuple(res.theta) == TRUTH  # nothing beats a zero residual
     assert res.rms_residual == 0.0
     assert res.converged
-    assert res.iterations <= 300  # simplex only has to collapse
+    assert res.iterations == 0  # a zero cost is converged before the first step
 
 
 def test_fit_rejects_bad_theta0():
@@ -165,24 +165,27 @@ def test_problem_rejects_grid_not_starting_at_zero():
 
 
 def test_residual_runs_the_record_pulse():
-    # onset and sign come from u: a later pulse, and a negative one, are
-    # matched exactly at the truth's |amplitude|
-    _, _, _, amp, width = TRUTH
-    for start, sign in ((0.05, 1.0), (0.01, -1.0)):
-        train = ImpulseTrain(((start, width, sign * amp),))
-        traj = simulate(PLANT, LAW, train, SimConfig(dt=1e-3, t_end=0.12))
+    # the forward run is driven by the record's u: a later pulse, a negative
+    # one and a train of two are all matched exactly at the truth
+    trains = (((0.05, 0.005, 1.0),), ((0.01, 0.005, -1.0),),
+              ((0.01, 0.005, 1.0), (0.06, 0.01, -0.8)))
+    for pulses in trains:
+        traj = simulate(PLANT, LAW, ImpulseTrain(pulses), SimConfig(dt=1e-3, t_end=0.12))
         prob = problem_on(traj.t, traj.x, u=traj.u)
         assert residual(TRUTH, prob) == 0.0
-    # the plant is odd in u, so the negative record is the positive one negated
-    assert residual(TRUTH, problem_on(traj.t, -traj.x)) == 0.0
 
 
 @pytest.mark.parametrize("u, match", [
     ([0.0] * 6, "zero in every row"),
-    ([0.0, 1.0, 0.0, 1.0, 0.0, 0.0], "more than one pulse: one starts at t = 0.001"),
-    ([0.0, 1.0, 2.0, 0.0, 0.0, 0.0], "more than one pulse"),
+    ([0.0, 1.0, 0.0, 1.0, 0.0, 0.0], None),
+    ([0.0, 1.0, 2.0, 0.0, 0.0, 0.0], None),
 ], ids=["all_zero", "two_pulses", "staircase"])
 def test_problem_needs_one_rectangular_pulse(u, match):
+    # at least one: a u with no pulse is rejected, any other u is accepted
     t = np.arange(6) * 1e-3
+    if match is None:
+        problem_on(t, np.zeros(6), u=np.array(u))
+        return
     with pytest.raises(ValueError, match=match):
         problem_on(t, np.zeros(6), u=np.array(u))
+

@@ -35,6 +35,8 @@ STALE_TRACE_TARGETS = {
     ("observer", "coulomb_stiffness"),
     ("observer", "observer_step"),
     ("cli", "error_metrics"),
+    # the fitter's forward model is simulate_forced on the record's u
+    ("ident", "simulate"),
 }
 
 
