@@ -10,9 +10,11 @@ start at t = 0, whose span (samples - 1) * dt overflows, or whose u is zero
 in every row or too small for x to respond to the fitted parameters.
 Each command reads and checks its inputs, and runs its simulation,
 observer or fit, before it opens its first output, so a rejected input
-leaves no output behind. The commands raise; `main` turns the exception
-into its exit code and one stderr line, an argument that argparse rejects
-included. Success paths print to stdout only.
+leaves no output behind; `simulate --runs` measures each seed between its
+writes, and removes what it wrote when a later seed or write fails. The
+commands raise; `main` turns the exception into its exit code and one
+stderr line, an argument that argparse rejects included. Success paths
+print to stdout only.
 """
 
 from __future__ import annotations
@@ -106,21 +108,33 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     paths = [(out, measured_out)]
     if args.runs > 1:
         paths = [(_run_path(out, i), _run_path(measured_out, i)) for i in range(args.runs)]
+    if len({p.resolve() for pair in paths for p in pair}) < 2 * len(paths):
+        raise ConfigError("--measured-out names the --out file")
     traj = simulate(cfg.plant, cfg.friction, cfg.scenario, cfg.sim)
-    # the seed only reaches the measurement noise, so every run shares one truth
-    for i, (s_path, m_path) in enumerate(paths):
-        seed = cfg.sim.seed + i
-        try:
-            meas = measure(traj, replace(cfg.sim, seed=seed))
-        except ValueError as exc:
-            # finite settings can still overflow x: a huge noise_std, a tiny quant
-            raise ConfigError(f"sim.noise_std/sim.quant: {exc}") from None
-        if i == 0:
-            write_columns(s_path, SIM_HEADER, [traj.t, traj.x, traj.v, traj.f, traj.u])
-        else:
-            shutil.copyfile(paths[0][0], s_path)
-        write_columns(m_path, MEASURED_HEADER, [meas.t, meas.x, meas.u])
-        print(f"seed {seed}: wrote {s_path} and {m_path}")
+    lines, written = [], []
+    try:
+        # the seed only reaches the measurement noise, so every run shares one truth
+        for i, (s_path, m_path) in enumerate(paths):
+            seed = cfg.sim.seed + i
+            try:
+                meas = measure(traj, replace(cfg.sim, seed=seed))
+            except ValueError as exc:
+                # finite settings can still overflow x: a huge noise_std, a tiny quant
+                raise ConfigError(f"sim.noise_std/sim.quant: {exc}") from None
+            if i == 0:
+                write_columns(s_path, SIM_HEADER, [traj.t, traj.x, traj.v, traj.f, traj.u])
+            else:
+                shutil.copyfile(paths[0][0], s_path)
+            written.append(s_path)
+            write_columns(m_path, MEASURED_HEADER, [meas.t, meas.x, meas.u])
+            written.append(m_path)
+            lines.append(f"seed {seed}: wrote {s_path} and {m_path}")
+    except Exception:
+        # a later seed's failure must not leave the earlier runs' files behind
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -8,6 +8,9 @@ reproduces the floats bit for bit:
     sim-out       : t,x,v,f,u
     estimates-out : t,w2_tilde,w3_tilde,phi,e_obs
 
+The writer formats and writes ``_ROWS`` rows at a time, so its memory is
+bounded by one block of strings whatever the record's length.
+
 A file is read in bulk when it can be: a body of plain numeric text under
 the header exactly as ``write_columns`` writes it is parsed by one
 ``np.loadtxt`` call. Any other file, and any body that call does not turn
@@ -34,6 +37,7 @@ _PLAIN = b"0123456789.e+-,\n"
 # no ',' and no '\n' leaves the file to the csv reader
 _BLOCK = 1 << 16
 _CHUNK = 16 * _BLOCK
+_ROWS = 4096
 
 
 class CsvSchemaError(ValueError):
@@ -49,10 +53,14 @@ def write_columns(path: str | Path, header: tuple[str, ...], columns: list[np.nd
     lengths = {len(c) for c in columns}
     if len(columns) != len(header) or (lengths and lengths != {len(columns[0])}):
         raise ValueError("columns must match the header and share one length")
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    n = len(columns[0]) if columns else 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(map(repr, map(float, row))) + "\n")
+        for i in range(0, n, _ROWS):
+            # tolist() yields Python floats, so each cell is repr of a float
+            cells = [map(repr, c[i:i + _ROWS].tolist()) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def read_columns(path: str | Path, header: tuple[str, ...]) -> list[np.ndarray]:

@@ -539,17 +539,25 @@ def test_rejected_input_writes_nothing(cfg_file, short_run, tmp_path, capsys, ca
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "observe", "identify", "compare",
-                                     "compare_plot_script"])
+@pytest.mark.parametrize("command", ["simulate", "simulate_measured_out", "simulate_runs",
+                                     "observe", "identify", "compare", "compare_plot_script"])
 def test_unwritable_output_is_config_error(cfg_file, short_run, tmp_path, capsys, command):
     sim, measured = short_run
     est = tmp_path / "est.csv"
     main(["observe", "--config", str(cfg_file), "--measured", str(measured), "--out", str(est)])
     capsys.readouterr()
     unwritable = str(tmp_path / "missing_dir" / "out.csv")
-    out = str(tmp_path / "merged.csv") if command == "compare_plot_script" else unwritable
+    # the second run's measured CSV cannot be written, after three files were
+    (tmp_path / "b_measured_run001.csv").mkdir()
+    out = {"compare_plot_script": str(tmp_path / "merged.csv"),
+           "simulate_measured_out": str(tmp_path / "s.csv"),
+           "simulate_runs": str(tmp_path / "b.csv")}.get(command, unwritable)
+    before = sorted(tmp_path.rglob("*"))
     argv = {
         "simulate": ["simulate", "--config", str(cfg_file)],
+        "simulate_measured_out": ["simulate", "--config", str(cfg_file),
+                                  "--measured-out", unwritable],
+        "simulate_runs": ["simulate", "--config", str(cfg_file), "--runs", "2"],
         "observe": ["observe", "--config", str(cfg_file), "--measured", str(measured)],
         "identify": ["identify", "--config", str(cfg_file), "--measured", str(measured),
                      "--bounds-factor", "1.01"],
@@ -564,8 +572,19 @@ def test_unwritable_output_is_config_error(cfg_file, short_run, tmp_path, capsys
     assert captured.err.startswith("cannot write output: ") and captured.err.count("\n") == 1
     # a command prints its report only once every output is written
     assert captured.out == ""
-    # and compare leaves neither of its two outputs behind when the other fails
-    assert not (tmp_path / "merged.csv").exists() and not (tmp_path / "plot.py").exists()
+    # and no command leaves any of its outputs behind when another fails
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_measured_out_naming_out_is_config_error(cfg_file, tmp_path, capsys, monkeypatch):
+    # one file named by a relative and by an absolute path
+    monkeypatch.chdir(tmp_path)
+    rc = main(["simulate", "--config", str(cfg_file), "--out", "s.csv",
+               "--measured-out", str(tmp_path / "s.csv")])
+    captured = capsys.readouterr()
+    assert rc == EXIT_CONFIG
+    assert captured.err == "config error: --measured-out names the --out file\n"
+    assert captured.out == "" and not (tmp_path / "s.csv").exists()
 
 
 def test_non_utf8_input_rejected(cfg_file, tmp_path, capsys):
@@ -637,6 +656,19 @@ def test_simulate_subnormal_quant_is_one_config_error(tmp_path, capsys):
     assert captured.err.startswith("config error: sim.noise_std/sim.quant: ")
     assert captured.err.count("\n") == 1
     assert not out.exists()
+
+
+def test_later_seed_overflow_leaves_no_files(tmp_path, capsys):
+    # seed 9's noise stays finite at this std, seed 10's overflows x
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SHORT_CFG.replace("sim.noise_std = 1e-6", "sim.noise_std = 5.6e307")
+                   .replace("sim.seed = 3", "sim.seed = 9"), encoding="utf-8")
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv"),
+               "--runs", "2"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_CONFIG and captured.out == ""
+    assert captured.err.startswith("config error: sim.noise_std/sim.quant: ")
+    assert sorted(tmp_path.iterdir()) == [cfg]
 
 
 def test_argparse_rejection_is_one_config_error_line(capsys):

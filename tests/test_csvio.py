@@ -217,3 +217,36 @@ def test_write_read_roundtrip_any_finite_float(rows):
         with open(p, "rb") as fh:
             assert csvio._read_plain(fh, MEASURED_HEADER) is not None
     assert [c.tobytes() for c in back] == [c.tobytes() for c in cols]
+
+
+def _write_rows_reference(path, header, columns):
+    """The writer as it was before it worked in blocks: one row per write."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(map(repr, map(float, row))) + "\n")
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1e16, 1e-5, 1e22, 0.1]
+
+
+@pytest.mark.parametrize("n", [0, 1, csvio._ROWS - 1, csvio._ROWS, csvio._ROWS + 1,
+                               2 * csvio._ROWS + 3])
+def test_block_writer_matches_row_writer(tmp_path, n):
+    rng = np.random.default_rng(n)
+    edge = np.resize(np.array(EDGE_VALUES), n)
+    # the strided columns of one table, as read_columns returns them
+    table = np.column_stack([edge[::-1], rng.standard_normal(n) * 1e-3, np.arange(n) * 5e-4])
+    columns = [
+        edge,
+        *table.T,
+        rng.integers(-2**62, 2**62, size=n),
+        list(rng.permutation(edge)),
+    ]
+    assert not columns[1].flags.c_contiguous or n < 2
+    assert columns[4].dtype == np.int64 and isinstance(columns[5], list)
+    header = ("e", "r", "n", "t", "i", "l")
+    write_columns(tmp_path / "block.csv", header, columns)
+    _write_rows_reference(tmp_path / "row.csv", header, columns)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
