@@ -1,13 +1,15 @@
 """Command-line front end: simulate | design | observe | identify | compare.
 
 Exit codes are stable: 0 success, 1 configuration/argument error (a
-non-finite flag or config value included) or an output that cannot be
-written, 2 simulation divergence or observer estimates that overflow to
-inf or NaN, or an `identify` start point with no finite residual, 3
-gain-design conditions failed (gains are still printed), 4 CSV schema
-violation, grid/length mismatch, or a record for `identify` that does not
-start at t = 0, whose span (samples - 1) * dt overflows, or whose u is zero
-in every row or too small for x to respond to the fitted parameters.
+non-finite flag or config value included, and two outputs that name one
+file) or an output that cannot be written, 2 simulation divergence or
+observer estimates that overflow to inf or NaN, or an `identify` start
+point with no finite residual, 3 gain-design conditions failed (gains are
+still printed), 4 CSV schema violation, grid/length mismatch, or a record
+for `identify` that does not start at t = 0, whose span (samples - 1) * dt
+overflows, or whose u is zero in every row or too small for x to respond
+to the fitted parameters.
+`identify` calls fit(problem), which starts from the config's friction law.
 Each command reads and checks its inputs, and runs its simulation,
 observer or fit, before it opens its first output, so a rejected input
 leaves no output behind; `simulate --runs` measures each seed between its
@@ -29,7 +31,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, parse_poles
 from .csvio import (
     ESTIMATES_HEADER,
     MEASURED_HEADER,
@@ -139,11 +141,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_design(args: argparse.Namespace) -> int:
-    parts = [p.strip() for p in args.poles.split(",")]
-    if len(parts) != 2:
-        raise ConfigError(f"invalid pole specification {args.poles!r}: need two values")
+    poles = parse_poles(args.poles, "--poles")
     try:
-        g = design_gains((float(parts[0]), float(parts[1])), args.m, args.sob)
+        g = design_gains(poles, args.m, args.sob)
         report = validate_robust(g, args.m, args.sob, args.kappa)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -195,7 +195,7 @@ def _first_pulse(u, dt: float) -> tuple[float, float]:
 def cmd_identify(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     meas = _read_measured(args.measured)
-    theta0 = (cfg.friction.sigma, cfg.friction.beta, cfg.friction.s_scale)
+    theta0 = [getattr(cfg.friction, name) for name in THETA_NAMES]
     f = args.bounds_factor
     bounds = tuple((v / f, v * f) for v in theta0)
     for name, v, (lo, hi) in zip(THETA_NAMES, theta0, bounds):
@@ -206,7 +206,7 @@ def cmd_identify(args: argparse.Namespace) -> int:
             )
     try:
         problem = FitProblem(record=meas, plant=cfg.plant, friction=cfg.friction, bounds=bounds)
-        result = fit(problem, theta0)
+        result = fit(problem)
     except ValueError as exc:
         raise CsvSchemaError(f"measured CSV rejected: {exc}") from None
     if not math.isfinite(result.rms_residual):
@@ -248,6 +248,8 @@ plt.tight_layout(); plt.show()
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    if args.plot_script and Path(args.plot_script).resolve() == Path(args.out).resolve():
+        raise ConfigError("--plot-script names the --out file")
     ts, xs, vs, fs, us = _read(args.sim, SIM_HEADER, "sim")
     te, w2, w3, phi, e_obs = _read(args.estimates, ESTIMATES_HEADER, "estimates")
     if len(ts) != len(te):

@@ -12,8 +12,10 @@ Example:
     sim.t_end = 5.6
     scenario.pulses = 0.3,0.01,1.2; 1.35,0.01,-0.9
 
-Every key has a default, so an empty file is a valid configuration. Lines
-starting with '#' and blank lines are ignored. All module parameter
+Every key has a default, so an empty file is a valid configuration. The
+plant.*, friction.* and sim.* keys are the fields of PlantParams,
+FrictionParams and SimConfig; observer.deadband completes the friction law.
+Lines starting with '#' and blank lines are ignored. All module parameter
 invariants are re-validated while building the typed objects; any problem
 raises ConfigError.
 """
@@ -34,13 +36,15 @@ class ConfigError(ValueError):
 
 DEFAULT_PULSES = "0.3,0.01,1.2; 1.35,0.01,-0.9; 2.4,0.01,1.0; 3.45,0.01,-1.1; 4.5,0.01,0.8"
 
-_FLOAT_KEYS = {
+# a key takes the type of its default; after the dot comes its dataclass field name
+_DEFAULTS = {
     "plant.m": 0.052,
     "friction.c_f": 0.2143,
     "friction.sigma": 2.0,
     "friction.beta": 0.002,
     "friction.s_scale": 2000.0,
     "friction.z_floor": 1e-4,
+    "observer.poles": "",
     "observer.l1": 360.0,
     "observer.l2": -182.0,
     "observer.deadband": 1e-4,  # the friction law's reversal deadband
@@ -48,10 +52,10 @@ _FLOAT_KEYS = {
     "sim.t_end": 5.6,
     "sim.noise_std": 2e-6,
     "sim.quant": 0.0,
+    "sim.seed": 7,
     "sim.v_max": 1e3,
+    "scenario.pulses": DEFAULT_PULSES,
 }
-_INT_KEYS = {"sim.seed": 7}
-_STR_KEYS = {"scenario.pulses": DEFAULT_PULSES, "observer.poles": None}
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,17 @@ def _parse_pulses(text: str) -> tuple[tuple[float, float, float], ...]:
     return tuple(pulses)
 
 
+def parse_poles(text: str, name: str) -> tuple[float, float]:
+    """Two comma-separated poles; a ConfigError names the setting they came from."""
+    parts = [p.strip() for p in text.split(",")]
+    if len(parts) != 2:
+        raise ConfigError(f"{name} must be two comma-separated values, got {text!r}")
+    try:
+        return float(parts[0]), float(parts[1])
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
 def parse_config(text: str) -> Config:
     """Build a validated Config from key=value text."""
     raw: dict[str, str] = {}
@@ -90,57 +105,33 @@ def parse_config(text: str) -> Config:
             raise ConfigError(f"line {lineno}: expected key = value, got {stripped!r}")
         key, _, value = stripped.partition("=")
         key = key.strip().lower()
-        if key not in _FLOAT_KEYS and key not in _INT_KEYS and key not in _STR_KEYS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         raw[key] = value.strip()
 
-    def fval(key: str) -> float:
-        if key in raw:
-            try:
-                return float(raw[key])
-            except ValueError as exc:
-                raise ConfigError(f"{key}: not a number: {raw[key]!r}") from exc
-        return _FLOAT_KEYS[key]
+    def get(key: str):
+        default = _DEFAULTS[key]
+        if key not in raw:
+            return default
+        try:
+            return type(default)(raw[key])
+        except ValueError:
+            what = "an integer" if type(default) is int else "a number"
+            raise ConfigError(f"{key}: not {what}: {raw[key]!r}") from None
 
-    def ival(key: str) -> int:
-        if key in raw:
-            try:
-                return int(raw[key])
-            except ValueError as exc:
-                raise ConfigError(f"{key}: not an integer: {raw[key]!r}") from exc
-        return _INT_KEYS[key]
+    def section(name: str) -> dict:
+        return {k.partition(".")[2]: get(k) for k in _DEFAULTS if k.startswith(name + ".")}
 
     try:
-        plant = PlantParams(m=fval("plant.m"))
-        friction = FrictionParams(
-            c_f=fval("friction.c_f"),
-            sigma=fval("friction.sigma"),
-            beta=fval("friction.beta"),
-            s_scale=fval("friction.s_scale"),
-            z_floor=fval("friction.z_floor"),
-            deadband=fval("observer.deadband"),
-        )
-        sim = SimConfig(
-            dt=fval("sim.dt"),
-            t_end=fval("sim.t_end"),
-            noise_std=fval("sim.noise_std"),
-            quant=fval("sim.quant"),
-            seed=ival("sim.seed"),
-            v_max=fval("sim.v_max"),
-        )
-        scenario = ImpulseTrain(_parse_pulses(raw.get("scenario.pulses", DEFAULT_PULSES)))
-        if raw.get("observer.poles"):
-            parts = [p.strip() for p in raw["observer.poles"].split(",")]
-            if len(parts) != 2:
-                raise ConfigError("observer.poles must be two comma-separated values")
-            try:
-                poles = (float(parts[0]), float(parts[1]))
-            except ValueError as exc:
-                raise ConfigError(f"observer.poles: {exc}") from exc
-            sob = friction.sigma / friction.beta
-            gains = design_gains(poles, plant.m, sob)
+        plant = PlantParams(**section("plant"))
+        friction = FrictionParams(**section("friction"), deadband=get("observer.deadband"))
+        sim = SimConfig(**section("sim"))
+        scenario = ImpulseTrain(_parse_pulses(get("scenario.pulses")))
+        if get("observer.poles"):
+            poles = parse_poles(get("observer.poles"), "observer.poles")
+            gains = design_gains(poles, plant.m, friction.sigma / friction.beta)
         else:
-            gains = ObserverGains(l1=fval("observer.l1"), l2=fval("observer.l2"))
+            gains = ObserverGains(l1=get("observer.l1"), l2=get("observer.l2"))
     except ConfigError:
         raise
     except ValueError as exc:

@@ -15,13 +15,14 @@ A file is read in bulk when it can be: a body of plain numeric text under
 the header exactly as ``write_columns`` writes it is parsed by one
 ``np.loadtxt`` call. Any other file, and any body that call does not turn
 into one finite row per line, is read again row by row with the csv module,
-which accepts what float() accepts and names the first bad row.
+which accepts every finite number float() parses and names the first bad row.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from pathlib import Path
 
 import numpy as np
@@ -117,62 +118,44 @@ def _read_plain(fh: io.BufferedReader, header: tuple[str, ...]) -> list[np.ndarr
     return list(table.T)
 
 
-def _records(reader, path: Path):
-    """(row, fields) from a csv reader, the header as row 0.
-
-    The csv module's own errors (a field over its size limit) become
-    CsvSchemaError naming the row.
-    """
-    row = 0
-    while True:
-        try:
-            fields = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            raise CsvSchemaError(f"{path}: row {row}: {exc}", row=row) from None
-        yield row, fields
-        row += 1
-
-
 def _read_rows(path: Path, header: tuple[str, ...]) -> list[np.ndarray]:
-    """Read a CSV cell by cell with the csv module; the first bad row raises CsvSchemaError."""
+    """Read a CSV cell by cell with the csv module; the first bad row raises CsvSchemaError.
+
+    The header is row 0. The csv module's own errors (a field over its size
+    limit) name the row they stop at.
+    """
+    cols: list[list[float]] = [[] for _ in header]
+    row = 0
     # a byte that is not UTF-8 decodes to U+FFFD, which no number or header
     # contains, so it is reported like any other bad cell
     with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
-        records = _records(csv.reader(fh), path)
+        reader = csv.reader(fh)
         try:
-            _, got = next(records)
-        except StopIteration:
-            raise CsvSchemaError(
-                f"{path}: empty file, expected header {','.join(header)}", row=0
-            ) from None
-        if tuple(s.strip() for s in got) != header:
-            raise CsvSchemaError(
-                f"{path}: bad header {','.join(got)!r}, expected {','.join(header)}", row=0
-            )
-        cols: list[list[float]] = [[] for _ in header]
-        for rownum, row in records:
-            if len(row) != len(header):
+            got = next(reader, None)
+            if got is None:
                 raise CsvSchemaError(
-                    f"{path}: row {rownum} has {len(row)} fields, expected {len(header)}",
-                    row=rownum,
-                )
-            for j, cell in enumerate(row):
-                try:
-                    cols[j].append(float(cell))
-                except ValueError:
+                    f"{path}: empty file, expected header {','.join(header)}", row=0)
+            if tuple(s.strip() for s in got) != header:
+                raise CsvSchemaError(
+                    f"{path}: bad header {','.join(got)!r}, expected {','.join(header)}", row=0)
+            row = 1
+            for fields in reader:
+                if len(fields) != len(header):
                     raise CsvSchemaError(
-                        f"{path}: row {rownum} column {header[j]!r}: not a number: {cell!r}",
-                        row=rownum,
-                    ) from None
-    arrays = [np.array(c, dtype=float) for c in cols]
-    # float() accepts nan and inf; report the first such cell, row-major
-    finite = [np.isfinite(a) for a in arrays]
-    bad = [(int(np.argmin(ok)), j) for j, ok in enumerate(finite) if not ok.all()]
-    if bad:
-        i, j = min(bad)
-        raise CsvSchemaError(
-            f"{path}: row {i + 1} column {header[j]!r}: not finite: {cols[j][i]!r}", row=i + 1
-        )
-    return arrays
+                        f"{path}: row {row} has {len(fields)} fields, expected {len(header)}",
+                        row=row)
+                for j, cell in enumerate(fields):
+                    try:
+                        v = float(cell)
+                    except ValueError:
+                        raise CsvSchemaError(f"{path}: row {row} column {header[j]!r}: "
+                                             f"not a number: {cell!r}", row=row) from None
+                    # float() accepts nan and inf, but they are not measurements
+                    if not math.isfinite(v):
+                        raise CsvSchemaError(f"{path}: row {row} column {header[j]!r}: "
+                                             f"not finite: {v!r}", row=row)
+                    cols[j].append(v)
+                row += 1
+        except csv.Error as exc:
+            raise CsvSchemaError(f"{path}: row {row}: {exc}", row=row) from None
+    return [np.array(c, dtype=float) for c in cols]

@@ -1,9 +1,10 @@
 """Parameter identification from a measured displacement response.
 
-Fits theta = (sigma, beta, s_scale) by minimizing the RMS displacement
-residual between a measured record and a forward run of the plant under the
-record's own input u, on its grid; the mass and the rest of the friction law
-(c_f, z_floor, deadband) are known. The optimizer is a deterministic
+Fits theta = (sigma, beta, s_scale), the fields of the friction law named in
+THETA_NAMES, by minimizing the RMS displacement residual between a measured
+record and a forward run of the plant under the record's own input u, on its
+grid; the mass and the rest of the friction law (c_f, z_floor, deadband) are
+known. fit(problem) starts from the values of problem.friction. The optimizer is a deterministic
 Levenberg-Marquardt loop in log theta, clipped to the box bounds, with a
 forward-difference Jacobian; it stops when an accepted step lowers the RMS by
 a relative 1e-8 or less, or after MAX_ITERATIONS trial steps.
@@ -35,8 +36,8 @@ class FitProblem:
     record: the measured displacement, at least 2 samples from t = 0, with
     (samples - 1) * dt finite, and a u that is nonzero in some row (ValueError
     otherwise); the forward runs are driven by that u. plant: the known mass.
-    friction: the nominal friction law; the fit replaces its sigma, beta and
-    s_scale and keeps the rest.
+    friction: the nominal friction law; the fit starts from its THETA_NAMES
+    fields, replaces them and keeps the rest.
     bounds: per-parameter (lo, hi) in THETA_NAMES order, finite and positive.
     """
 
@@ -83,11 +84,9 @@ class FitResult:
 
 def _forward_x(theta: Sequence[float], problem: FitProblem) -> np.ndarray | None:
     """x of the forward run at theta on the record's u and dt; None if it diverges."""
-    sigma, beta, s_scale = theta
     rec = problem.record
     try:
-        law = replace(problem.friction, sigma=float(sigma), beta=float(beta),
-                      s_scale=float(s_scale))
+        law = replace(problem.friction, **{name: float(v) for name, v in zip(THETA_NAMES, theta)})
         x = simulate_forced(problem.plant, law, rec.u, rec.dt).x
     except (SimulationDiverged, OverflowError):
         return None
@@ -132,18 +131,15 @@ def _jacobian(theta: np.ndarray, x: np.ndarray, problem: FitProblem,
     return jac
 
 
-def fit(problem: FitProblem, theta0: Sequence[float]) -> FitResult:
-    """Minimize the residual from theta0, clipped into the box; deterministic.
+def fit(problem: FitProblem) -> FitResult:
+    """Minimize the residual from problem.friction, clipped into the box; deterministic.
 
     Raises ValueError when x responds to none of the parameters, i.e. u is
     too small to move the forward model.
     """
-    theta = np.asarray([float(v) for v in theta0], dtype=float)
-    if len(theta) != len(THETA_NAMES):
-        raise ValueError(f"theta0 must have {len(THETA_NAMES)} entries")
     lo = np.array([b[0] for b in problem.bounds])
     hi = np.array([b[1] for b in problem.bounds])
-    theta = np.clip(theta, lo, hi)
+    theta = np.clip([float(getattr(problem.friction, name)) for name in THETA_NAMES], lo, hi)
 
     x = _forward_x(theta, problem)
     cost = _rms(x, problem)
@@ -187,9 +183,10 @@ def fit(problem: FitProblem, theta0: Sequence[float]) -> FitResult:
 
     # beta sensitivity probe across its whole bound range at the solution
     probe = theta.copy()
+    i = THETA_NAMES.index("beta")
     worst_change = 0.0
-    for b in problem.bounds[1]:
-        probe[1] = b
+    for b in problem.bounds[i]:
+        probe[i] = b
         r_b = residual(probe, problem)
         worst_change = max(worst_change, abs(r_b - cost) / max(cost, 1e-300))
     beta_insensitive = worst_change < 0.01

@@ -285,9 +285,10 @@ def measure(traj: Trajectory, cfg: SimConfig) -> Measured:
     quant = 0 disables it. The noise stream is drawn from
     numpy.random.default_rng(cfg.seed), so a fixed seed reproduces the
     sequence bit-identically. An x that overflows to inf or NaN raises
-    ValueError naming the row.
+    ValueError naming the row. The result shares t and u with traj, and x too
+    when neither noise nor quantization applies.
     """
-    x = traj.x.copy()
+    x = traj.x
     # finite settings can still overflow x (a huge noise_std, a subnormal
     # quant); Measured then rejects the non-finite x
     with np.errstate(over="ignore"):
@@ -296,4 +297,4 @@ def measure(traj: Trajectory, cfg: SimConfig) -> Measured:
             x = x + rng.normal(0.0, cfg.noise_std, size=len(x))
         if cfg.quant > 0:
             x = np.floor(x / cfg.quant) * cfg.quant
-    return Measured(traj.t.copy(), x, traj.u.copy())
+    return Measured(traj.t, x, traj.u)

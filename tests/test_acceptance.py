@@ -295,10 +295,13 @@ def test_criterion_7_identification_round_trip(capsys):
     fp = FrictionParams(c_f=C_F, sigma=sigma, beta=beta, s_scale=s_scale)
     cfg = SimConfig(dt=5e-4, t_end=0.3, noise_std=0.0, seed=1)
     traj = simulate(plant, fp, ImpulseTrain((IDENT_PULSE,)), cfg)
-    problem = FitProblem(record=Measured(traj.t, traj.x, traj.u), plant=plant, friction=fp,
+    # the fit starts from the problem's friction law
+    start = FrictionParams(c_f=C_F, sigma=IDENT_THETA0[0], beta=IDENT_THETA0[1],
+                           s_scale=IDENT_THETA0[2])
+    problem = FitProblem(record=Measured(traj.t, traj.x, traj.u), plant=plant, friction=start,
                          bounds=IDENT_BOUNDS)
-    r1 = fit(problem, IDENT_THETA0)
-    r2 = fit(problem, IDENT_THETA0)
+    r1 = fit(problem)
+    r2 = fit(problem)
     sig_err = abs(r1.theta[0] - sigma) / sigma
     s_err = abs(r1.theta[2] - s_scale) / s_scale
     deterministic = r1.theta == r2.theta and r1.rms_residual == r2.rms_residual

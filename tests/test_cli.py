@@ -587,6 +587,24 @@ def test_measured_out_naming_out_is_config_error(cfg_file, tmp_path, capsys, mon
     assert captured.out == "" and not (tmp_path / "s.csv").exists()
 
 
+def test_plot_script_naming_out_is_config_error(cfg_file, short_run, tmp_path, capsys,
+                                                monkeypatch):
+    sim, measured = short_run
+    est = tmp_path / "est.csv"
+    main(["observe", "--config", str(cfg_file), "--measured", str(measured), "--out", str(est)])
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    # one file named by a relative and by an absolute path
+    rc = main(["compare", "--sim", str(sim), "--estimates", str(est), "--out", "p.py",
+               "--plot-script", str(tmp_path / "p.py")])
+    captured = capsys.readouterr()
+    assert rc == EXIT_CONFIG
+    assert captured.err == "config error: --plot-script names the --out file\n"
+    assert captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_non_utf8_input_rejected(cfg_file, tmp_path, capsys):
     m = tmp_path / "m.csv"
     m.write_bytes(b"t,x,u\n0.0,\xff,0.0\n")

@@ -1,10 +1,12 @@
 """Configuration parsing tests."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frictionobs import ConfigError, load_config, parse_config
+from frictionobs import ConfigError, config, load_config, parse_config
 
 KEYS = (
     "plant.m", "friction.c_f", "friction.sigma", "friction.beta", "friction.s_scale",
@@ -117,6 +119,24 @@ def test_kappa_is_not_a_key():
     # kappa follows from c_f, s_scale and z_floor
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("friction.kappa = 1e7\n")
+
+
+def test_readme_configuration_block_matches_the_defaults():
+    # the keys in README's "Configuration" block are config._DEFAULTS, with their defaults
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Configuration", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+    documented = {}
+    for line in block.splitlines():
+        key, _, value = line.split("#", 1)[0].partition("=")
+        documented[key.strip()] = value.strip()
+    assert list(documented) == list(config._DEFAULTS)
+    for key, default in config._DEFAULTS.items():
+        value = documented[key]
+        if value.endswith("..."):
+            # a long default is shown truncated
+            assert default.startswith(value[:-3]), key
+        else:
+            assert type(default)(value) == default, key
 
 
 def test_load_config_missing_file(tmp_path):

@@ -108,7 +108,9 @@ def test_non_numeric_cell_names_row_and_column(tmp_path):
     # float() parses nan and inf, but they are not measurements
     for body, row, column in (("0.0,0.0,0.0\n1e-3,nan,-inf\n", 2, "'x'"),
                               ("0.0,0.0,inf\nnan,0.0,0.0\n", 1, "'u'"),
-                              ("0.0,0.0,0.0\nInfinity,0.0,0.0\n", 2, "'t'")):
+                              ("0.0,0.0,0.0\nInfinity,0.0,0.0\n", 2, "'t'"),
+                              # the first bad row is named, whatever is wrong further on
+                              ("0.0,inf,0.0\n0.0005,abc,0.0\n", 1, "'x'")):
         p.write_text("t,x,u\n" + body, encoding="utf-8")
         with pytest.raises(CsvSchemaError, match=f"row {row} column {column}: not finite") as exc:
             read_columns(p, MEASURED_HEADER)
