@@ -2,13 +2,13 @@
 
 Exit codes are stable: 0 success, 1 configuration/argument error (a
 non-finite flag or config value included, and two outputs that name one
-file) or an output that cannot be written, 2 simulation divergence or
-observer estimates that overflow to inf or NaN, or an `identify` start
-point with no finite residual, 3 gain-design conditions failed (gains are
-still printed), 4 CSV schema violation, grid/length mismatch, or a record
-for `identify` that does not start at t = 0, whose span (samples - 1) * dt
-overflows, or whose u is zero in every row or too small for x to respond
-to the fitted parameters.
+file), an output that cannot be written or a record too long to hold in
+memory, 2 simulation divergence or observer estimates that overflow to inf
+or NaN, or an `identify` start point with no finite residual, 3
+gain-design conditions failed (gains are still printed), 4 CSV schema
+violation, grid/length mismatch, or a record for `identify` that does
+not start at t = 0, whose span (samples - 1) * dt overflows, or whose u is
+zero in every row or too small for x to respond to the fitted parameters.
 `identify` calls fit(problem), which starts from the config's friction law.
 Each command reads and checks its inputs, and runs its simulation,
 observer or fit, before it opens its first output, so a rejected input
@@ -61,6 +61,7 @@ _FAILURES = {
     SimulationDiverged: (EXIT_DIVERGED, "simulation diverged: "),
     ObserverDiverged: (EXIT_DIVERGED, "observer diverged: "),
     CsvSchemaError: (EXIT_SCHEMA, ""),
+    MemoryError: (EXIT_CONFIG, "out of memory: "),
 }
 
 
@@ -163,7 +164,11 @@ def cmd_observe(args: argparse.Namespace) -> int:
     meas = _read_measured(args.measured)
     n = len(meas)
     if args.truth:
-        ts, _, vs, _, _ = _read(args.truth, SIM_HEADER, "truth")
+        truth = _read(args.truth, SIM_HEADER, "truth")
+        # copies of the two columns used, so the 5-column table is freed
+        # before the observer and the model run
+        ts, vs = truth[0].copy(), truth[2].copy()
+        del truth
         if not same_grid(meas.t, ts):
             raise CsvSchemaError("truth CSV rejected: grid does not match the measured sequence")
         if n < 2:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -124,7 +125,8 @@ def _read_rows(path: Path, header: tuple[str, ...]) -> list[np.ndarray]:
     The header is row 0. The csv module's own errors (a field over its size
     limit) name the row they stop at.
     """
-    cols: list[list[float]] = [[] for _ in header]
+    # one packed float64 buffer per column, 8 bytes a cell
+    cols = [array("d") for _ in header]
     row = 0
     # a byte that is not UTF-8 decodes to U+FFFD, which no number or header
     # contains, so it is reported like any other bad cell
@@ -158,4 +160,4 @@ def _read_rows(path: Path, header: tuple[str, ...]) -> list[np.ndarray]:
                 row += 1
         except csv.Error as exc:
             raise CsvSchemaError(f"{path}: row {row}: {exc}", row=row) from None
-    return [np.array(c, dtype=float) for c in cols]
+    return [np.frombuffer(c) for c in cols]

@@ -21,13 +21,16 @@ observer-internal replica of the presliding state, driven by the measured
 displacement increments with reversal detection on sign(w2~). The replica
 runs the same scalar hysteresis kernel as the plant (``friction.advance``
 and ``friction.stiffness``), its state held in local floats of the
-``run_observer`` loop.
+``run_observer`` loop. That loop reads x and u from the record's float64
+buffers and writes w2, w3 and phi as packed float64 values, 8 bytes a
+sample, which the returned Estimates' arrays share.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,32 +195,37 @@ def run_observer(
     n = len(measured)
     # a single sample needs no integration step (dt = 0), but still gets its estimate
     dt = measured.dt
-    x = measured.x.tolist()
-    u = measured.u.tolist()
+    # packed float64 columns, 8 bytes a sample where a list of floats takes
+    # 32; a memoryview stores a float in half the time array item assignment takes
+    x = memoryview(measured.x)
+    u = memoryview(measured.u)
     l1, l2 = g.l1, g.l2
     s_scale, c_f, z_floor, deadband = fp.s_scale, fp.c_f, fp.z_floor, fp.deadband
-    w2, w3, phi = np.empty(n), np.empty(n), np.empty(n)
+    w2_d, w3_d, phi_d = (memoryview(array("d", [0.0]) * n) for _ in range(3))
     z1 = z2 = 0.0
     # replica of the presliding state: see friction.advance
     z = f_r = 0.0
     d = 0
     sat = False
+    x_prev = 0.0
     for k in range(n):
         phi_k = stiffness(z, f_r, d, sat, s_scale, c_f, z_floor) + sob
         x_k = x[k]
         if k:
-            dx = x_k - x[k - 1]
+            dx = x_k - x_prev
             z1, z2 = observer_update(
-                z1, z2, 0.5 * (x[k - 1] + x_k), u[k - 1], dt, g, m, phi_k
+                z1, z2, 0.5 * (x_prev + x_k), u[k - 1], dt, g, m, phi_k
             )
         else:
             dx = 0.0
+        x_prev = x_k
         w2_k = z1 + l1 * x_k
-        w2[k] = w2_k
-        w3[k] = z2 + l2 * x_k
-        phi[k] = phi_k
+        w2_d[k] = w2_k
+        w3_d[k] = z2 + l2 * x_k
+        phi_d[k] = phi_k
         z, f_r, d, sat = advance(z, f_r, d, sat, dx, deadband_sign(w2_k, deadband),
                                  s_scale, z_floor)
+    w2, w3, phi = np.frombuffer(w2_d), np.frombuffer(w3_d), np.frombuffer(phi_d)
     # an overflow here is reported by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         e_obs = e_obs_series(measured.x, w2, dt) if n else np.empty(0)

@@ -6,11 +6,17 @@ scalar hysteresis kernel ``friction.advance``/``friction.level``, state kept
 in local floats), then updates the velocity with the resulting force and
 the position with the new velocity. The sample grid is exactly
 k * dt for k = 0 .. floor(t_end/dt).
+
+Every per-sample column is held as packed float64 values, 8 bytes a sample:
+the loop reads u from the input array's buffer and writes x, v and f into
+``array("d")`` buffers that the returned Trajectory's arrays share.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +106,12 @@ class SimConfig:
             raise ValueError(f"v_max must be finite and > 0, got {self.v_max!r}")
         if not math.isfinite(self.t_end / self.dt):
             raise ValueError(f"t_end / dt must be finite, got {self.t_end!r} / {self.dt!r}")
+        # a float64 column of this length could not even be addressed
+        if self.n_samples * 8 > sys.maxsize:
+            raise ValueError(
+                f"t_end / dt = {self.t_end!r} / {self.dt!r} gives {self.n_samples:.3g} samples, "
+                "too many to hold as float64 columns"
+            )
 
     @property
     def n_samples(self) -> int:
@@ -213,10 +225,10 @@ def _integrate(
     if not ok.all():
         raise ValueError(f"input u is not finite at row {int(np.argmin(ok))}")
     n = len(u)
-    u_list = u.tolist()
-    xs = [0.0] * n
-    vs = [0.0] * n
-    fs = [0.0] * n
+    # packed float64 columns, 8 bytes a sample where a list of floats takes
+    # 32; a memoryview stores a float in half the time array item assignment takes
+    u_d = memoryview(u)
+    xs, vs, fs = (memoryview(array("d", [0.0]) * n) for _ in range(3))
     m = pp.m
     sigma, c_f, s_scale, z_floor, deadband = fp.sigma, fp.c_f, fp.s_scale, fp.z_floor, fp.deadband
     decay = math.exp(-dt / fp.beta)
@@ -236,17 +248,14 @@ def _integrate(
         vs[k] = v
         fs[k] = f_k
         if k < n - 1:
-            v += dt * (u_list[k] - f_k) / m
+            v += dt * (u_d[k] - f_k) / m
             # with u finite, a NaN v comes from an overflow (inf - inf in the
             # lag force), and it fails this comparison too
             if not abs(v) <= v_max:
                 raise SimulationDiverged((k + 1) * dt, v, v_max)
             x += dt * v
-    # the input floats are freed, and the grid built, only once the loop is
-    # done: on long runs this point is the peak RSS of the whole command
-    del u_list
     t = np.arange(n) * dt
-    return Trajectory(t, np.array(xs), np.array(vs), np.array(fs), np.asarray(u, dtype=float))
+    return Trajectory(t, np.frombuffer(xs), np.frombuffer(vs), np.frombuffer(fs), u)
 
 
 def simulate(

@@ -497,6 +497,25 @@ def test_bad_value_is_config_error(tmp_path, capsys, config_line, argv):
     assert not out.exists() and not (tmp_path / "out_measured.csv").exists()
 
 
+@pytest.mark.parametrize("t_end, prefix", [
+    # 2e15 samples: a 14 PiB time grid, which no process can map, so
+    # nothing is allocated
+    ("1e12", "out of memory: "),
+    # past sys.maxsize bytes a float64 column cannot even be addressed
+    ("1e17", "config error: "),
+    ("1e300", "config error: "),
+])
+def test_record_too_long_to_hold_is_one_error_line(tmp_path, capsys, t_end, prefix):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(SHORT_CFG + f"sim.t_end = {t_end}\n", encoding="utf-8")
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv")])
+    captured = capsys.readouterr()
+    assert rc == EXIT_CONFIG
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.fixture
 def short_run(cfg_file, tmp_path, capsys):
     """A simulated short run: (sim CSV, measured CSV)."""

@@ -2,6 +2,7 @@
 
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -252,3 +253,23 @@ def test_block_writer_matches_row_writer(tmp_path, n):
     write_columns(tmp_path / "block.csv", header, columns)
     _write_rows_reference(tmp_path / "row.csv", header, columns)
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
+
+
+def test_row_read_holds_each_cell_as_a_packed_double(tmp_path):
+    # a CRLF file is read row by row; its columns grow as packed float64
+    # buffers, about 8 bytes a cell, where a list of floats takes 32
+    n = 20000
+    cols = [np.arange(n) * 5e-4, np.sin(np.arange(n) * 1e-3), np.full(n, -0.5)]
+    p = tmp_path / "crlf.csv"
+    write_columns(p, MEASURED_HEADER, cols)
+    p.write_bytes(p.read_bytes().replace(b"\n", b"\r\n"))
+    with open(p, "rb") as fh:
+        assert csvio._read_plain(fh, MEASURED_HEADER) is None
+    tracemalloc.start()
+    try:
+        back = read_columns(p, MEASURED_HEADER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [c.tobytes() for c in back] == [c.tobytes() for c in cols]
+    assert peak <= 16 * 3 * n

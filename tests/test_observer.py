@@ -1,6 +1,7 @@
 """Observer tests: exact hold discretization, error decay, guards, metrics."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -245,6 +246,25 @@ def test_run_observer_empty_and_single():
     assert len(out) == 1 and out.t[0] == 0.0
     assert out.w2[0] == GAINS.l1 * 1e-5
     assert out.e_obs[0] == 0.0
+
+
+def test_run_observer_holds_columns_packed():
+    # w2, w3 and phi are written as packed float64 values, 8 bytes a sample
+    # each; with e_obs and its temporaries the run peaks near 40 bytes a
+    # sample, and lists of Python floats would take about 110. The record is
+    # shorter than the plant's in test_plant.py because tracemalloc slows
+    # this loop 18-fold.
+    n = 20_000
+    t = np.arange(n) * 5e-4
+    meas = Measured(t, 1e-3 * np.sin(5.0 * t), np.where(np.arange(n) % 2000 < 20, 1.0, 0.0))
+    tracemalloc.start()
+    try:
+        out = run_observer(meas, GAINS, M_KG, FRICTION)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == n and np.ptp(out.phi) > 0.0
+    assert peak <= 64 * n
 
 
 def test_replica_phi_spans_presliding_to_sliding():

@@ -1,6 +1,7 @@
 """Plant integration tests: grid, pulses, integrator wiring, measurement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,3 +222,19 @@ def test_lag_overflow_is_divergence():
     with pytest.raises(SimulationDiverged) as info:
         simulate(PLANT, fp, train, SimConfig(dt=5e-4, t_end=0.01))
     assert math.isnan(info.value.v)
+
+
+def test_forced_run_holds_columns_packed():
+    # x, v and f are written as packed float64 values, 8 bytes a sample
+    # each; with the time grid the run peaks near 42 bytes a sample, and
+    # lists of Python floats would take about 129
+    n = 100_000
+    u = np.where(np.arange(n) % 2000 < 20, 1.0, 0.0)
+    tracemalloc.start()
+    try:
+        traj = simulate_forced(PLANT, FRICTION, u, 5e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == n and np.abs(traj.v).max() > 0.01
+    assert peak <= 48 * n
