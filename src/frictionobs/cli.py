@@ -1,10 +1,11 @@
 """Command-line front end: simulate | design | observe | identify | compare.
 
 Exit codes are stable: 0 success, 1 configuration/argument error (a
-non-finite flag or config value included, and two outputs that name one
-file), an output that cannot be written or a record too long to hold in
-memory, 2 simulation divergence or observer estimates that overflow to inf
-or NaN, or an `identify` start point with no finite residual, 3
+non-finite flag or config value included, two outputs that name one
+file, and a `compare` output that names an input), an output that cannot
+be written or a record too long to hold in memory, 2 simulation
+divergence or observer estimates that overflow to inf or NaN, or an
+`identify` start point with no finite residual, 3
 gain-design conditions failed (gains are still printed), 4 CSV schema
 violation, grid/length mismatch, or a record for `identify` that does
 not start at t = 0, whose span (samples - 1) * dt overflows, or whose u is
@@ -38,6 +39,7 @@ from .csvio import (
     SIM_HEADER,
     CsvSchemaError,
     read_columns,
+    splice_rows,
     write_columns,
 )
 from .gains import design_gains, validate_robust
@@ -253,8 +255,13 @@ plt.tight_layout(); plt.show()
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    if args.plot_script and Path(args.plot_script).resolve() == Path(args.out).resolve():
-        raise ConfigError("--plot-script names the --out file")
+    # no output may name another file: the merged rows are copied from the
+    # inputs while --out is written
+    named = (("--sim", args.sim), ("--estimates", args.estimates), ("--out", args.out))
+    for out_flag, out in (("--out", args.out), ("--plot-script", args.plot_script)):
+        for flag, path in named:
+            if out and flag != out_flag and Path(out).resolve() == Path(path).resolve():
+                raise ConfigError(f"{out_flag} names the {flag} file")
     ts, xs, vs, fs, us = _read(args.sim, SIM_HEADER, "sim")
     te, w2, w3, phi, e_obs = _read(args.estimates, ESTIMATES_HEADER, "estimates")
     if len(ts) != len(te):
@@ -263,7 +270,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
         )
     if not same_grid(ts, te):
         raise CsvSchemaError("timestamp mismatch between sim and estimates")
-    header = ("t", "x", "v", "f", "u", "w2_tilde", "w3_tilde", "phi", "e_obs")
     lines = [f"rows = {len(ts)}", f"rms_e_obs = {_fmt(rms(e_obs))}",
              f"rms_velocity_error = {_fmt(rms(w2, vs))}", f"rms_force_error = {_fmt(rms(w3, fs))}"]
     if args.plot_script:
@@ -271,7 +277,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         Path(args.plot_script).write_text(PLOT_SCRIPT, encoding="utf-8")
         lines.append(f"wrote {args.plot_script}")
     try:
-        write_columns(Path(args.out), header, [ts, xs, vs, fs, us, w2, w3, phi, e_obs])
+        # plain inputs are spliced line by line; any other input is formatted anew
+        if not splice_rows(args.out, args.sim, SIM_HEADER, args.estimates, ESTIMATES_HEADER):
+            write_columns(Path(args.out), SIM_HEADER + ESTIMATES_HEADER[1:],
+                          [ts, xs, vs, fs, us, w2, w3, phi, e_obs])
     except OSError:
         if args.plot_script:
             Path(args.plot_script).unlink(missing_ok=True)

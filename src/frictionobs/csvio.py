@@ -1,21 +1,27 @@
 """CSV schemas shared by the command-line tools.
 
-Three fixed layouts, all UTF-8 with '.' decimals and float cells written
-with repr() (shortest round-trip form), so reading back what was written
-reproduces the floats bit for bit:
+Three fixed layouts, all UTF-8 with '.' decimals:
 
     measured-in   : t,x,u
     sim-out       : t,x,v,f,u
     estimates-out : t,w2_tilde,w3_tilde,phi,e_obs
 
-The writer formats and writes ``_ROWS`` rows at a time, so its memory is
-bounded by one block of strings whatever the record's length.
+``write_columns`` writes float cells with repr() (shortest round-trip
+form), so reading back what it wrote reproduces the floats bit for bit. It
+formats and writes ``_ROWS`` rows at a time, so its memory is bounded by
+one block of strings whatever the record's length.
 
-A file is read in bulk when it can be: a body of plain numeric text under
-the header exactly as ``write_columns`` writes it is parsed by one
-``np.loadtxt`` call. Any other file, and any body that call does not turn
-into one finite row per line, is read again row by row with the csv module,
-which accepts every finite number float() parses and names the first bad row.
+A file is plain when its header is exactly what ``write_columns`` writes
+and its body holds only the bytes of ``_PLAIN``. A plain file is read in
+bulk: its body is parsed by one ``np.loadtxt`` call. Any other file, and
+any body that call does not turn into one finite row per line, is read
+again row by row with the csv module, which accepts every finite number
+float() parses and names the first bad row.
+
+``splice_rows`` joins the rows of two plain files by copying their lines,
+``_ROWS`` at a time, so those cells keep the text they were written with:
+repr() text for a file ``write_columns`` wrote, and the cell as written
+(``1.50``, ``1e5``) otherwise, which reads back as the same float.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import csv
 import io
 import math
 from array import array
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -81,23 +88,18 @@ def read_columns(path: str | Path, header: tuple[str, ...]) -> list[np.ndarray]:
         raise CsvSchemaError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_plain(fh: io.BufferedReader, header: tuple[str, ...]) -> list[np.ndarray] | None:
-    """Parse a plain body with one np.loadtxt call, or return None.
+def _plain_rows(fh: io.BufferedReader, header: tuple[str, ...]) -> int | None:
+    """The number of lines of a plain file's body, or None when it is not plain.
 
-    fh is a binary file at its start. The result is what ``_read_rows``
-    returns, and None leaves the file to it: a header other than the one
-    ``write_columns`` writes, no rows, an empty first line, a byte outside
-    ``_PLAIN``, a possibly overlong cell, or a parse that is not one finite
-    row of the header's width per line. Cells of plain bytes mean the same
-    to loadtxt and float(): both round with the same strtod.
+    fh is a binary file at its start; it is read to its end. Plain is the
+    header exactly as ``write_columns`` writes it, then only ``_PLAIN``
+    bytes, with a ',' or a '\n' in every ``_BLOCK`` bytes of the body, so
+    that no cell can reach the csv module's field limit. A last line with
+    no '\n' counts.
     """
     if fh.readline() != (",".join(header) + "\n").encode():
         return None
-    # an empty body would make loadtxt warn that it found no data
-    if fh.peek(1)[:1] in (b"", b"\n"):
-        return None
-    body = fh.tell()
-    lines, last = 0, b""
+    lines, last = 0, b"\n"
     # _CHUNK is a multiple of _BLOCK, so the blocks tile the body
     for chunk in iter(lambda: fh.read(_CHUNK), b""):
         if chunk.translate(None, _PLAIN) or any(
@@ -107,8 +109,24 @@ def _read_plain(fh: io.BufferedReader, header: tuple[str, ...]) -> list[np.ndarr
             return None
         lines += chunk.count(b"\n")
         last = chunk[-1:]
-    lines += last != b"\n"
-    fh.seek(body)
+    return lines + (last != b"\n")
+
+
+def _read_plain(fh: io.BufferedReader, header: tuple[str, ...]) -> list[np.ndarray] | None:
+    """Parse a plain body with one np.loadtxt call, or return None.
+
+    fh is a binary file at its start. The result is what ``_read_rows``
+    returns, and None leaves the file to it: a file that is not plain
+    (``_plain_rows``), no rows, an empty first line, or a parse that is not
+    one finite row of the header's width per line. Cells of plain bytes
+    mean the same to loadtxt and float(): both round with the same strtod.
+    """
+    lines = _plain_rows(fh, header)
+    fh.seek(0)
+    fh.readline()
+    # an empty body would make loadtxt warn that it found no data
+    if not lines or fh.peek(1)[:1] == b"\n":
+        return None
     try:
         table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
     except ValueError:
@@ -117,6 +135,41 @@ def _read_plain(fh: io.BufferedReader, header: tuple[str, ...]) -> list[np.ndarr
     if table.shape != (lines, len(header)) or not np.isfinite(table).all():
         return None
     return list(table.T)
+
+
+def _lines(fh: io.BufferedReader) -> list[bytes]:
+    """The next ``_ROWS`` lines of fh, each ending in '\n'."""
+    lines = list(islice(fh, _ROWS))
+    if lines and not lines[-1].endswith(b"\n"):
+        lines[-1] += b"\n"
+    return lines
+
+
+def splice_rows(path: str | Path, left: str | Path, left_header: tuple[str, ...],
+                right: str | Path, right_header: tuple[str, ...]) -> bool:
+    """Write each line of left followed by right's line without its first cell.
+
+    left and right are files that ``read_columns`` has accepted under their
+    headers, with one row count. When both are plain (``_plain_rows``), path
+    gets the header ``left_header + right_header[1:]`` and the spliced
+    lines, ``_ROWS`` at a time, and the result is True. Otherwise nothing is
+    written and the result is False. For files that ``write_columns`` wrote
+    the output is byte for byte what ``write_columns`` writes from their
+    parsed columns. path must not name left or right.
+    """
+    with open(left, "rb") as a, open(right, "rb") as b:
+        if _plain_rows(a, left_header) is None or _plain_rows(b, right_header) is None:
+            return False
+        for fh in (a, b):
+            fh.seek(0)
+            fh.readline()
+        with open(path, "wb") as out:
+            out.write((",".join(left_header + right_header[1:]) + "\n").encode())
+            # a plain line is a row read_columns accepted, so it holds a ','
+            while block := _lines(a):
+                out.write(b"".join([s[:-1] + r[r.index(b","):]
+                                    for s, r in zip(block, _lines(b))]))
+    return True
 
 
 def _read_rows(path: Path, header: tuple[str, ...]) -> list[np.ndarray]:

@@ -215,12 +215,12 @@ class Measured:
 def _integrate(
     pp: PlantParams,
     fp: FrictionParams,
+    t: np.ndarray,
     u: np.ndarray,
     dt: float,
     v_max: float,
 ) -> Trajectory:
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+    """Run the plant from rest under u on the grid t = k*dt, dt finite and > 0."""
     ok = np.isfinite(u)
     if not ok.all():
         raise ValueError(f"input u is not finite at row {int(np.argmin(ok))}")
@@ -254,7 +254,6 @@ def _integrate(
             if not abs(v) <= v_max:
                 raise SimulationDiverged((k + 1) * dt, v, v_max)
             x += dt * v
-    t = np.arange(n) * dt
     return Trajectory(t, np.frombuffer(xs), np.frombuffer(vs), np.frombuffer(fs), u)
 
 
@@ -269,8 +268,8 @@ def simulate(
     Returns a Trajectory with exactly floor(t_end/dt)+1 samples at k*dt.
     Raises SimulationDiverged if |v| exceeds cfg.v_max or overflows to NaN.
     """
-    u = train.sample(np.arange(cfg.n_samples) * cfg.dt)
-    return _integrate(pp, fp, u, cfg.dt, cfg.v_max)
+    t = np.arange(cfg.n_samples) * cfg.dt
+    return _integrate(pp, fp, t, train.sample(t), cfg.dt, cfg.v_max)
 
 
 def simulate_forced(
@@ -282,9 +281,13 @@ def simulate_forced(
 ) -> Trajectory:
     """Run the plant from rest under an arbitrary per-sample input sequence.
 
-    u must be finite (ValueError otherwise); divergence is as in simulate.
+    u must be finite and dt finite and > 0 (ValueError otherwise);
+    divergence is as in simulate.
     """
-    return _integrate(pp, fp, np.asarray(u, dtype=float), dt, v_max)
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+    u = np.asarray(u, dtype=float)
+    return _integrate(pp, fp, np.arange(len(u)) * dt, u, dt, v_max)
 
 
 def measure(traj: Trajectory, cfg: SimConfig) -> Measured:

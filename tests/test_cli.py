@@ -423,6 +423,13 @@ def test_compare_merges(cfg_file, tmp_path, capsys):
     header = ("t", "x", "v", "f", "u", "w2_tilde", "w3_tilde", "phi", "e_obs")
     cols = read_columns(merged, header)
     assert len(cols) == 9 and len(cols[0]) == 801
+    # the rows are spliced from the inputs' lines, byte for byte what
+    # formatting the parsed columns anew writes
+    from frictionobs import write_columns
+
+    write_columns(tmp_path / "formatted.csv", header,
+                  read_columns(sim, SIM_HEADER) + read_columns(est, ESTIMATES_HEADER)[1:])
+    assert merged.read_bytes() == (tmp_path / "formatted.csv").read_bytes()
     assert "matplotlib" in script.read_text(encoding="utf-8")
 
 
@@ -622,6 +629,45 @@ def test_plot_script_naming_out_is_config_error(cfg_file, short_run, tmp_path, c
     assert captured.err == "config error: --plot-script names the --out file\n"
     assert captured.out == ""
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("out_flag", ["--out", "--plot-script"])
+@pytest.mark.parametrize("in_flag", ["--sim", "--estimates"])
+def test_output_naming_an_input_is_config_error(cfg_file, short_run, tmp_path, capsys,
+                                                monkeypatch, out_flag, in_flag):
+    # merged rows are copied from the inputs while the output is written, so
+    # an output that names an input would lose it
+    sim, measured = short_run
+    est = tmp_path / "est.csv"
+    main(["observe", "--config", str(cfg_file), "--measured", str(measured), "--out", str(est)])
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    inputs = {p: p.read_bytes() for p in (sim, est)}
+    before = sorted(tmp_path.rglob("*"))
+    # one file named by a relative and by an absolute path
+    target = {"--sim": "sim.csv", "--estimates": "est.csv"}[in_flag]
+    outs = {"--out": "merged.csv", "--plot-script": "plot.py", out_flag: target}
+    rc = main(["compare", "--sim", str(sim), "--estimates", str(est),
+               "--out", outs["--out"], "--plot-script", outs["--plot-script"]])
+    captured = capsys.readouterr()
+    assert rc == EXIT_CONFIG
+    assert captured.err == f"config error: {out_flag} names the {in_flag} file\n"
+    assert captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+    assert {p: p.read_bytes() for p in (sim, est)} == inputs
+
+
+def test_compare_formats_inputs_that_are_not_plain(cfg_file, short_run, tmp_path):
+    # a space-padded estimates CSV is read row by row, and its cells are
+    # written anew in repr() form, as when the file was written
+    sim, measured = short_run
+    est = tmp_path / "est.csv"
+    main(["observe", "--config", str(cfg_file), "--measured", str(measured), "--out", str(est)])
+    argv = ["compare", "--sim", str(sim), "--estimates", str(est), "--out"]
+    assert main(argv + [str(tmp_path / "plain.csv")]) == EXIT_OK
+    est.write_bytes(est.read_bytes().replace(b",", b", "))
+    assert main(argv + [str(tmp_path / "padded.csv")]) == EXIT_OK
+    assert (tmp_path / "padded.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 def test_non_utf8_input_rejected(cfg_file, tmp_path, capsys):

@@ -273,3 +273,85 @@ def test_row_read_holds_each_cell_as_a_packed_double(tmp_path):
         tracemalloc.stop()
     assert [c.tobytes() for c in back] == [c.tobytes() for c in cols]
     assert peak <= 16 * 3 * n
+
+
+MERGED_HEADER = SIM_HEADER + ESTIMATES_HEADER[1:]
+
+
+def _sim_and_estimates(tmp_path, n):
+    """A sim and an estimates CSV of n rows on one grid, as write_columns writes them."""
+    rng = np.random.default_rng(n)
+    t = np.arange(n) * 5e-4
+    sim, est = tmp_path / "sim.csv", tmp_path / "est.csv"
+    write_columns(sim, SIM_HEADER,
+                  [t, np.resize(np.array(EDGE_VALUES), n), *rng.standard_normal((3, n))])
+    write_columns(est, ESTIMATES_HEADER, [t, *(rng.standard_normal((4, n)) * 1e-3)])
+    return sim, est
+
+
+def _merged_by_write_columns(path, sim, est):
+    """compare's merge formatted anew from the parsed columns."""
+    write_columns(path, MERGED_HEADER,
+                  read_columns(sim, SIM_HEADER) + read_columns(est, ESTIMATES_HEADER)[1:])
+
+
+@pytest.mark.parametrize("n", [1, csvio._ROWS - 1, csvio._ROWS, csvio._ROWS + 1, 9000])
+def test_splice_matches_write_columns(tmp_path, n):
+    sim, est = _sim_and_estimates(tmp_path, n)
+    assert csvio.splice_rows(tmp_path / "spliced.csv", sim, SIM_HEADER, est, ESTIMATES_HEADER)
+    _merged_by_write_columns(tmp_path / "written.csv", sim, est)
+    assert (tmp_path / "spliced.csv").read_bytes() == (tmp_path / "written.csv").read_bytes()
+
+
+@pytest.mark.parametrize("strip", ["sim", "est", "both"])
+def test_splice_last_line_without_newline(tmp_path, strip):
+    sim, est = _sim_and_estimates(tmp_path, csvio._ROWS + 1)
+    _merged_by_write_columns(tmp_path / "written.csv", sim, est)
+    for p in {"sim": [sim], "est": [est], "both": [sim, est]}[strip]:
+        p.write_bytes(p.read_bytes().rstrip(b"\n"))
+    assert csvio.splice_rows(tmp_path / "spliced.csv", sim, SIM_HEADER, est, ESTIMATES_HEADER)
+    assert (tmp_path / "spliced.csv").read_bytes() == (tmp_path / "written.csv").read_bytes()
+
+
+@pytest.mark.parametrize("edit", [lambda b: b.replace(b"\n", b"\r\n"),
+                                  lambda b: b.replace(b",", b", ")])
+def test_splice_leaves_files_that_are_not_plain(tmp_path, edit):
+    # a CRLF or space-padded file is read row by row, and is not spliced
+    sim, est = _sim_and_estimates(tmp_path, 50)
+    est.write_bytes(edit(est.read_bytes()))
+    read_columns(est, ESTIMATES_HEADER)
+    out = tmp_path / "merged.csv"
+    assert not csvio.splice_rows(out, sim, SIM_HEADER, est, ESTIMATES_HEADER)
+    assert not out.exists()
+
+
+def test_splice_copies_plain_cells_as_written(tmp_path):
+    # 1.50 and 1e5 are not repr() text; they are copied, and read back as the same floats
+    sim, est = tmp_path / "sim.csv", tmp_path / "est.csv"
+    sim.write_bytes(b"t,x,v,f,u\n0.0,1.50,-0.0,1e5,2\n5e-4,.5,5.,10e4,-1e-3\n")
+    est.write_bytes(b"t,w2_tilde,w3_tilde,phi,e_obs\n0.000,1.50,00.1,+3,1e+5\n"
+                    b"0.00050,0.25,1e-400,7,8\n")
+    out = tmp_path / "merged.csv"
+    assert csvio.splice_rows(out, sim, SIM_HEADER, est, ESTIMATES_HEADER)
+    assert out.read_bytes() == (b"t,x,v,f,u,w2_tilde,w3_tilde,phi,e_obs\n"
+                                b"0.0,1.50,-0.0,1e5,2,1.50,00.1,+3,1e+5\n"
+                                b"5e-4,.5,5.,10e4,-1e-3,0.25,1e-400,7,8\n")
+    merged = read_columns(out, MERGED_HEADER)
+    parsed = read_columns(sim, SIM_HEADER) + read_columns(est, ESTIMATES_HEADER)[1:]
+    assert [c.tobytes() for c in merged] == [c.tobytes() for c in parsed]
+
+
+def test_splice_memory_is_bounded_by_a_block(tmp_path):
+    # the plainness scan holds two read chunks at most, and the splice one
+    # block of both inputs' lines and of the output, whatever the row count
+    n = 12 * csvio._ROWS
+    sim, est = _sim_and_estimates(tmp_path, n)
+    out = tmp_path / "merged.csv"
+    tracemalloc.start()
+    try:
+        assert csvio.splice_rows(out, sim, SIM_HEADER, est, ESTIMATES_HEADER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert peak <= 2 * csvio._CHUNK + 3 * csvio._ROWS * size / n < size
