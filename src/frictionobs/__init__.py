@@ -33,7 +33,6 @@ from .observer import (
     observer_update,
     rms,
     run_observer,
-    zoh_discretize,
 )
 from .plant import (
     GridError,
@@ -85,7 +84,6 @@ __all__ = [
     "observer_update",
     "rms",
     "run_observer",
-    "zoh_discretize",
     "ImpulseTrain",
     "Measured",
     "PlantParams",

@@ -15,20 +15,19 @@ and the estimates are recovered by the back-transform w~ = z~ + L x. For
 any frozen phi the estimation error obeys e' = M e, so the error poles are
 the roots of lam^2 + l1 lam + (phi - l2)/m.
 
-Each step discretizes the frozen-phi system exactly (zero-order hold on x
-and u) via a closed-form 2x2 matrix exponential. phi itself comes from an
-observer-internal replica of the presliding state, driven by the measured
-displacement increments with reversal detection on sign(w2~). The replica
-runs the same scalar hysteresis kernel as the plant (``friction.advance``
-and ``friction.stiffness``), its state held in local floats of the
-``run_observer`` loop. That loop reads x and u from the record's float64
-buffers and writes w2, w3 and phi as packed float64 values, 8 bytes a
-sample, which the returned Estimates' arrays share.
+Each step integrates the frozen-phi system exactly with x and u held, the
+2x2 matrix exponential written in closed form in real arithmetic (see
+``observer_update``). phi itself comes from an observer-internal replica of
+the presliding state, driven by the measured displacement increments with
+reversal detection on sign(w2~). The replica runs the same scalar hysteresis
+kernel as the plant (``friction.advance`` and ``friction.stiffness``), its
+state held in local floats of the ``run_observer`` loop. That loop reads x
+and u from the record's float64 buffers and writes w2, w3 and phi as packed
+float64 values, 8 bytes a sample, which the returned Estimates' arrays share.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from array import array
 from dataclasses import dataclass
@@ -55,65 +54,6 @@ def observer_matrix(g: ObserverGains, m: float, phi: float) -> Mat2:
     return ((-g.l1, -1.0 / m), (phi - g.l2, 0.0))
 
 
-# ---------------------------------------------------------------------------
-# exact zero-order-hold discretization of a 2x2 system
-# ---------------------------------------------------------------------------
-
-def _expint(r: complex, dt: float) -> complex:
-    # integral of e^{r s} over [0, dt]; series below |r dt| ~ 1e-6 to dodge
-    # the (e^z - 1)/r cancellation
-    z = r * dt
-    if abs(z) < 1e-6:
-        return dt * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
-    return (cmath.exp(z) - 1.0) / r
-
-
-def zoh_discretize(M: Mat2, dt: float) -> tuple[Mat2, Mat2]:
-    """Exact hold pair: Phi = exp(M dt) and J = integral of exp(M s) over [0, dt].
-
-    Closed form through the eigenvalues r = a +- mu of the 2x2 (Lagrange
-    interpolation on distinct eigenvalues, Cayley-Hamilton confluent form
-    when they nearly coincide). Complex intermediates; results are real.
-    """
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
-    (m00, m01), (m10, m11) = M
-    a = 0.5 * (m00 + m11)
-    det = m00 * m11 - m01 * m10
-    mu = cmath.sqrt(complex(a * a - det))
-    r1 = a + mu
-    r2 = a - mu
-    if abs((r1 - r2) * dt) > 1e-5:
-        den = r1 - r2
-        e1, e2 = cmath.exp(r1 * dt), cmath.exp(r2 * dt)
-        ei1, ei2 = _expint(r1, dt), _expint(r2, dt)
-        # f(M) = cm * M + ci * I with cm = (f1-f2)/(r1-r2), ci = (r1 f2 - r2 f1)/(r1-r2)
-        pm, pi = (e1 - e2) / den, (r1 * e2 - r2 * e1) / den
-        jm, ji = (ei1 - ei2) / den, (r1 * ei2 - r2 * ei1) / den
-    else:
-        # treat as a double eigenvalue r = a; then M = r I + N with N^2 = 0
-        r = a
-        er = cmath.exp(r * dt)
-        i0 = _expint(r, dt)
-        z = r * dt
-        if abs(z) < 1e-4:
-            # integral of s e^{r s}: dt^2 (1/2 + z/3 + z^2/8 + z^3/30 + ...)
-            i1 = dt * dt * (0.5 + z * (1.0 / 3.0 + z * (0.125 + z / 30.0)))
-        else:
-            i1 = (dt * er - i0) / r
-        pm, pi = er * dt, er * (1.0 - z)
-        jm, ji = i1, i0 - r * i1
-    phi_mat: Mat2 = (
-        ((pm * m00 + pi).real, (pm * m01).real),
-        ((pm * m10).real, (pm * m11 + pi).real),
-    )
-    j_mat: Mat2 = (
-        ((jm * m00 + ji).real, (jm * m01).real),
-        ((jm * m10).real, (jm * m11 + ji).real),
-    )
-    return phi_mat, j_mat
-
-
 def observer_update(
     z1: float,
     z2: float,
@@ -124,22 +64,43 @@ def observer_update(
     m: float,
     phi: float,
 ) -> tuple[float, float]:
-    """One frozen-phi observer step; returns (z1', z2').
+    """One frozen-phi observer step, exact for x and u held; returns (z1', z2').
 
-    Integrates z~' = M z~ + M L x + b_z u over dt with x and u held at the
-    given constants. The estimates are z~' + L x, back-transformed by the
-    caller at the x it emits them for (see ``run_observer``).
+    Integrates z~' = M z~ + M L x + b_z u over dt. In w~ = z~ + L x that is
+    w~' = M w~ + b_z u, so the step is z~' = Phi w~ + J b_z u - L x with
+
+        Phi = exp(M dt) = e ((c - a s) I + s M),
+        J b_z = M^-1 (Phi - I) b_z = (e s / m, 1 - e (c - a s)),
+
+    a = -l1/2, e = exp(a dt), q = a^2 - det M and (c, s) equal to
+    (cosh(mu dt), sinh(mu dt)/mu) for q = mu^2 > 0, (cos(w dt), sin(w dt)/w)
+    for q = -w^2 < 0 and (1, dt) for q = 0. The caller emits z~' + L x (see
+    ``run_observer``). Raises ValueError unless dt is finite and > 0 and
+    phi > l2, i.e. det M = (phi - l2)/m > 0.
     """
-    M = observer_matrix(g, m, phi)
-    ph, jj = zoh_discretize(M, dt)
-    (p00, p01), (p10, p11) = ph
-    (j00, j01), (j10, j11) = jj
-    (a00, a01), (a10, a11) = M
-    # forcing c = M L x + b_z u, held over the step
-    c1 = (a00 * g.l1 + a01 * g.l2) * x_held + u / m
-    c2 = (a10 * g.l1 + a11 * g.l2) * x_held
-    z1n = p00 * z1 + p01 * z2 + j00 * c1 + j01 * c2
-    z2n = p10 * z1 + p11 * z2 + j10 * c1 + j11 * c2
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+    l1, l2 = g.l1, g.l2
+    if not phi > l2:
+        raise ValueError(f"phi must exceed l2 = {l2!r}, got {phi!r}")
+    k = phi - l2
+    a = -0.5 * l1
+    q = a * a - k / m
+    if q > 0.0:
+        # e times exp(mu dt) and (c, s) times exp(-mu dt), so that no exponent is
+        # positive (l1 > 0, det > 0); cosh(mu dt) overflows from l1 dt ~ 1400
+        mu = math.sqrt(q)
+        y = math.expm1(-2.0 * mu * dt)
+        e, c, s = math.exp((a + mu) * dt), 1.0 + 0.5 * y, -0.5 * y / mu
+    elif q < 0.0:
+        w = math.sqrt(-q)
+        e, c, s = math.exp(a * dt), math.cos(w * dt), math.sin(w * dt) / w
+    else:
+        e, c, s = math.exp(a * dt), 1.0, dt
+    d, es = e * (c - a * s), e * s
+    w2, w3 = z1 + l1 * x_held, z2 + l2 * x_held
+    z1n = (d - es * l1) * w2 + es * (u - w3) / m - l1 * x_held
+    z2n = es * k * w2 + d * (w3 - u) + u - l2 * x_held
     return z1n, z2n
 
 

@@ -1,4 +1,4 @@
-"""Observer tests: exact hold discretization, error decay, guards, metrics."""
+"""Observer tests: exact hold step, error decay, guards, metrics."""
 
 import math
 import tracemalloc
@@ -27,7 +27,6 @@ from frictionobs import (
     run_observer,
     simulate,
     validate_robust,
-    zoh_discretize,
 )
 
 M_KG = 0.052
@@ -40,61 +39,54 @@ def test_observer_matrix_shift():
     assert observer_matrix(g, M_KG, 0.0) == ((-360.0, -1.0 / M_KG), (182.0, 0.0))
 
 
-def test_zoh_matches_expm_random():
-    rng = np.random.default_rng(19)
-    worst = 0.0
-    for _ in range(300):
-        A = rng.uniform(-400.0, 400.0, size=(2, 2))
-        dt = 10.0 ** rng.uniform(-5, -2)
-        ph, jj = zoh_discretize(((A[0, 0], A[0, 1]), (A[1, 0], A[1, 1])), dt)
-        ref_phi = expm(A * dt)
-        aug = np.zeros((4, 4))
-        aug[:2, :2] = A
-        aug[:2, 2:] = np.eye(2)
-        ref_j = expm(aug * dt)[:2, 2:]
-        scale = max(1.0, np.max(np.abs(ref_phi)))
-        worst = max(worst, np.max(np.abs(np.array(ph) - ref_phi)) / scale)
-        worst = max(worst, np.max(np.abs(np.array(jj) - ref_j)) / max(1.0, np.max(np.abs(ref_j))))
-    assert worst < 1e-8
-
-
-def test_zoh_confluent_branch():
-    # repeated eigenvalue: M = [[r, 1], [0, r]] exercises the Jordan path
-    r, dt = -120.0, 5e-4
-    ph, jj = zoh_discretize(((r, 1.0), (0.0, r)), dt)
-    A = np.array([[r, 1.0], [0.0, r]])
-    assert np.allclose(ph, expm(A * dt), rtol=0, atol=1e-12)
-    aug = np.zeros((4, 4))
-    aug[:2, :2] = A
-    aug[:2, 2:] = np.eye(2)
-    assert np.allclose(jj, expm(aug * dt)[:2, 2:], rtol=0, atol=1e-12)
-
-
-def test_zoh_identity_m_j_relation():
-    # M J = Phi - I holds for the exact hold pair
-    M = ((-360.0, -1.0 / M_KG), (182.0, 0.0))
-    ph, jj = zoh_discretize(M, 5e-4)
-    Mn, Pn, Jn = np.array(M), np.array(ph), np.array(jj)
-    assert np.allclose(Mn @ Jn, Pn - np.eye(2), rtol=0, atol=1e-12)
+def _update_cases():
+    """(z, x_held, u, dt, gains, m, phi) inputs for the hold step."""
+    rng = np.random.default_rng(7)
+    sob = FRICTION.sigma / FRICTION.beta
+    for phi in (sob, sob + 56.25, sob + 500.0, sob + FRICTION.kappa):
+        yield (rng.uniform(-1, 1, size=2), rng.uniform(-1e-3, 1e-3), rng.uniform(-2, 2),
+               5e-4, GAINS, M_KG, phi)
+    for _ in range(2000):
+        m = 10.0 ** rng.uniform(-2, 0)
+        g = ObserverGains(l1=10.0 ** rng.uniform(0, 3.5), l2=rng.uniform(-1e4, 1e4))
+        phi = g.l2 + 10.0 ** rng.uniform(-2, 4.5)
+        yield (rng.uniform(-1, 1, size=2), rng.uniform(-1e-3, 1e-3), rng.uniform(-2, 2),
+               10.0 ** rng.uniform(-6, -2), g, m, phi)
+    # a double eigenvalue: q = l1^2/4 - (phi - l2)/m is exactly 0 at phi = 1818,
+    # and a few ulps of phi either side make it the smallest q of either sign
+    g = ObserverGains(l1=400.0, l2=-182.0)
+    assert 0.25 * g.l1 * g.l1 - (1818.0 - g.l2) / 0.05 == 0.0
+    for direction in (-math.inf, math.inf):
+        phi = 1818.0
+        for _ in range(4):
+            yield np.array([0.3, -0.7]), 4e-4, 1.3, 5e-4, g, 0.05, phi
+            phi = math.nextafter(phi, direction)
+    # l1 dt = 1500: cosh(mu dt) alone would overflow
+    yield np.array([0.3, -0.7]), 4e-4, 1.3, 5e-4, ObserverGains(3e6, -182.0), 0.05, 1000.0
 
 
 def test_observer_update_matches_augmented_expm():
-    g = GAINS
-    dt = 5e-4
-    rng = np.random.default_rng(7)
-    for phi in (0.0, 56.25, 500.0, 7895.0):
-        M = np.array(observer_matrix(g, M_KG, phi))
-        z = rng.uniform(-1, 1, size=2)
-        x_held = rng.uniform(-1e-3, 1e-3)
-        u = rng.uniform(-2, 2)
-        c = M @ np.array([g.l1, g.l2]) * x_held + np.array([u / M_KG, 0.0])
+    for z, x_held, u, dt, g, m, phi in _update_cases():
+        M = np.array(observer_matrix(g, m, phi))
+        c = M @ np.array([g.l1, g.l2]) * x_held + np.array([u / m, 0.0])
         aug = np.zeros((3, 3))
         aug[:2, :2] = M
         aug[:2, 2] = c
         ref = expm(aug * dt) @ np.array([z[0], z[1], 1.0])
-        z1n, z2n = observer_update(z[0], z[1], x_held, u, dt, g, M_KG, phi)
-        assert z1n == pytest.approx(ref[0], rel=1e-9, abs=1e-12)
-        assert z2n == pytest.approx(ref[1], rel=1e-9, abs=1e-12)
+        got = observer_update(z[0], z[1], x_held, u, dt, g, m, phi)
+        for k in range(2):
+            assert abs(got[k] - ref[k]) <= 1e-12 * max(1.0, abs(ref[k])), (dt, g, m, phi)
+
+
+def test_observer_update_guards():
+    # the hold needs a finite step and det M = (phi - l2)/m > 0
+    with pytest.raises(ValueError, match="phi must exceed l2"):
+        observer_update(0.0, 0.0, 0.0, 0.0, 5e-4, GAINS, M_KG, GAINS.l2)
+    with pytest.raises(ValueError, match="phi must exceed l2"):
+        observer_update(0.0, 0.0, 0.0, 0.0, 5e-4, GAINS, M_KG, GAINS.l2 - 1.0)
+    for dt in (0.0, -5e-4, math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            observer_update(0.0, 0.0, 0.0, 0.0, dt, GAINS, M_KG, 1000.0)
 
 
 def test_frozen_phi_error_decay():

@@ -9,11 +9,12 @@ import frictionobs
 
 # removed with the state-object friction API, the pole helpers and ErrorMetrics;
 # the pipeline runs friction.level/advance/stiffness, numpy checks the poles;
-# FrictionParams now holds the deadband and derives kappa
+# FrictionParams now holds the deadband and derives kappa; observer_update holds
+# its own real-arithmetic step
 REMOVED = (
     "PreslidingState", "update_presliding", "coulomb_force", "coulomb_stiffness",
     "presliding_force", "f0_branch", "char_poly", "eigenvalues", "integrated_velocity",
-    "ErrorMetrics", "error_metrics", "ObserverSettings", "default_kappa",
+    "ErrorMetrics", "error_metrics", "ObserverSettings", "default_kappa", "zoh_discretize",
 )
 
 
@@ -37,6 +38,8 @@ STALE_TRACE_TARGETS = {
     ("cli", "error_metrics"),
     # the fitter's forward model is simulate_forced on the record's u
     ("ident", "simulate"),
+    # the hold step is written out in observer_update
+    ("observer", "zoh_discretize"),
 }
 
 
