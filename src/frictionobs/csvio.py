@@ -8,8 +8,15 @@ Three fixed layouts, all UTF-8 with '.' decimals:
 
 ``write_columns`` writes float cells with repr() (shortest round-trip
 form), so reading back what it wrote reproduces the floats bit for bit. It
-formats and writes ``_ROWS`` rows at a time, so its memory is bounded by
-one block of strings whatever the record's length.
+formats ``_ROWS`` rows at a time, so its memory is bounded by one block of
+strings per process whatever the record's length. The rows are split into
+one contiguous part of whole blocks per CPU this process may run on: the
+process writes the first part into the file itself, while a forked child
+formats each later part into an unnamed temporary file in the output's
+directory, which is then appended to the file by the kernel. The bytes are
+the same for any number of parts. With one CPU, one block, or no
+``os.fork``/``os.sched_getaffinity`` (macOS, Windows) there is one part
+and nothing forks.
 
 A file is plain when its header is exactly what ``write_columns`` writes
 and its body holds only the bytes of ``_PLAIN``. A plain file is read in
@@ -26,12 +33,16 @@ repr() text for a file ``write_columns`` wrote, and the cell as written
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
+import os
+import tempfile
 from array import array
 from itertools import islice
 from pathlib import Path
+from typing import Iterator, NoReturn
 
 import numpy as np
 
@@ -45,7 +56,6 @@ _PLAIN = b"0123456789.e+-,\n"
 # characters) covers at least one whole block of the body, so a block with
 # no ',' and no '\n' leaves the file to the csv reader
 _BLOCK = 1 << 16
-_CHUNK = 16 * _BLOCK
 _ROWS = 4096
 
 
@@ -58,18 +68,101 @@ class CsvSchemaError(ValueError):
 
 
 def write_columns(path: str | Path, header: tuple[str, ...], columns: list[np.ndarray]) -> None:
-    """Write equal-length columns under the given header."""
+    """Write equal-length columns under the given header.
+
+    A write that fails once the file is open, a worker's included
+    (OSError), removes the file.
+    """
     lengths = {len(c) for c in columns}
     if len(columns) != len(header) or (lengths and lengths != {len(columns[0])}):
         raise ValueError("columns must match the header and share one length")
     columns = [np.asarray(c, dtype=float) for c in columns]
     n = len(columns[0]) if columns else 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(0, n, _ROWS):
-            # tolist() yields Python floats, so each cell is repr of a float
-            cells = [map(repr, c[i:i + _ROWS].tolist()) for c in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    blocks = -(-n // _ROWS)
+    parts = max(1, min(_cpus(), blocks))
+    # part j is rows bounds[j] to bounds[j + 1]: whole blocks, the last one cut at n
+    bounds = [min(j * blocks // parts * _ROWS, n) for j in range(parts + 1)]
+    children = []  # (pid, temporary file, (lo, hi)) of each child not yet reaped
+    try:
+        with _output(path) as out, contextlib.ExitStack() as stack:
+            out.write((",".join(header) + "\n").encode())
+            # nothing of the file is left in a buffer for the children to inherit
+            out.flush()
+            for lo, hi in zip(bounds[1:], bounds[2:]):
+                tmp = stack.enter_context(tempfile.TemporaryFile(dir=Path(path).parent))
+                pid = os.fork()
+                if pid == 0:
+                    _work(tmp, columns, lo, hi)
+                children.append((pid, tmp, (lo, hi)))
+            _write_rows(out, columns, 0, bounds[1])
+            # the kernel appends the other parts after what has reached the file
+            out.flush()
+            while children:
+                pid, tmp, (lo, hi) = children[0]
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[0]
+                if code:
+                    raise OSError(f"{path}: the worker that formats rows {lo + 1} to {hi} "
+                                  f"ended with exit status {code}")
+                _append(out.fileno(), tmp.fileno())
+    finally:
+        # when this process's own write fails, its children are still reaped
+        for pid, _, _ in children:
+            os.waitpid(pid, 0)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on; 1 where it cannot fork or tell."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+@contextlib.contextmanager
+def _output(path: str | Path) -> Iterator[io.BufferedWriter]:
+    """path opened for writing bytes, and removed when the block or the close raises."""
+    fh = open(path, "wb")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
+
+
+def _block(columns: list[np.ndarray], lo: int) -> bytes:
+    """Rows lo to lo + _ROWS of the columns as CSV lines."""
+    # tolist() yields Python floats, so each cell is repr of a float
+    cells = [map(repr, c[lo:lo + _ROWS].tolist()) for c in columns]
+    return ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
+
+
+def _write_rows(fh: io.BufferedIOBase, columns: list[np.ndarray], lo: int, hi: int) -> None:
+    """Write rows lo to hi a block at a time; hi - lo is whole blocks unless hi is the end."""
+    for i in range(lo, hi, _ROWS):
+        fh.write(_block(columns, i))
+
+
+def _work(tmp: io.BufferedRandom, columns: list[np.ndarray], lo: int, hi: int) -> NoReturn:
+    """A forked child's whole run: rows lo to hi into tmp, then exit 0, or 1 on failure.
+
+    os._exit is its one way out, so it never returns into the parent's with
+    blocks, flushes none of the parent's buffers and prints no traceback.
+    """
+    code = 1
+    try:
+        _write_rows(tmp, columns, lo, hi)
+        tmp.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _append(out: int, src: int) -> None:
+    """Copy the whole file src to out's position, in the kernel."""
+    size, offset = os.fstat(src).st_size, 0
+    while offset < size:
+        offset += os.sendfile(out, src, offset, size - offset)
 
 
 def read_columns(path: str | Path, header: tuple[str, ...]) -> list[np.ndarray]:
@@ -100,15 +193,14 @@ def _plain_rows(fh: io.BufferedReader, header: tuple[str, ...]) -> int | None:
     if fh.readline() != (",".join(header) + "\n").encode():
         return None
     lines, last = 0, b"\n"
-    # _CHUNK is a multiple of _BLOCK, so the blocks tile the body
-    for chunk in iter(lambda: fh.read(_CHUNK), b""):
-        if chunk.translate(None, _PLAIN) or any(
-            chunk.find(b",", j, j + _BLOCK) < 0 and chunk.find(b"\n", j, j + _BLOCK) < 0
-            for j in range(0, len(chunk) - _BLOCK + 1, _BLOCK)
-        ):
+    # one block at a time, so that a scan holds two blocks and one block's
+    # scratch for translate at most
+    for block in iter(lambda: fh.read(_BLOCK), b""):
+        if block.translate(None, _PLAIN) or (
+                len(block) == _BLOCK and b"," not in block and b"\n" not in block):
             return None
-        lines += chunk.count(b"\n")
-        last = chunk[-1:]
+        lines += block.count(b"\n")
+        last = block[-1:]
     return lines + (last != b"\n")
 
 
@@ -163,7 +255,7 @@ def splice_rows(path: str | Path, left: str | Path, left_header: tuple[str, ...]
         for fh in (a, b):
             fh.seek(0)
             fh.readline()
-        with open(path, "wb") as out:
+        with _output(path) as out:
             out.write((",".join(left_header + right_header[1:]) + "\n").encode())
             # a plain line is a row read_columns accepted, so it holds a ','
             while block := _lines(a):

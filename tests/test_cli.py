@@ -1,12 +1,16 @@
 """Command-line interface tests driven through main(argv)."""
 
 import argparse
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import frictionobs
 from frictionobs import ESTIMATES_HEADER, MEASURED_HEADER, SIM_HEADER, read_columns
 from frictionobs.cli import (
     EXIT_CONFIG,
@@ -752,6 +756,48 @@ def test_later_seed_overflow_leaves_no_files(tmp_path, capsys):
     assert rc == EXIT_CONFIG and captured.out == ""
     assert captured.err.startswith("config error: sim.noise_std/sim.quant: ")
     assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+# a child interpreter that may write files of at most argv[1] bytes, with
+# SIGXFSZ ignored so that a longer write fails with EFBIG, runs the CLI on
+# the rest of argv
+UNDER_FILE_SIZE_LIMIT = """\
+import resource, signal, sys
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+limit = int(sys.argv.pop(1))
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+from frictionobs.cli import entry
+entry()
+"""
+
+
+@pytest.mark.parametrize("limit", [200_000, 400_000, 600_000])
+@pytest.mark.parametrize("command", ["simulate", "simulate_runs", "observe", "compare"])
+def test_failed_write_leaves_no_partial_file(tmp_path, command, limit):
+    # the default 5.6 s record has 3 blocks of rows: its sim CSV is 0.85 MB,
+    # 0.29 MB of it in the first block. Written in two parts, the first part
+    # fails at 200 kB, the worker's part at 400 kB, and, in simulate, the
+    # append of the worker's part at 600 kB; compare's splice fails at each
+    cfg = tmp_path / "default.cfg"
+    cfg.write_text("", encoding="utf-8")
+    s, e = str(tmp_path / "s.csv"), str(tmp_path / "e.csv")
+    simulate = ["simulate", "--config", str(cfg), "--out", s]
+    observe = ["observe", "--config", str(cfg), "--measured", str(tmp_path / "s_measured.csv"),
+               "--out", e]
+    compare = ["compare", "--sim", s, "--estimates", e, "--out", str(tmp_path / "m.csv")]
+    argv, inputs = {"simulate": (simulate, []), "simulate_runs": (simulate + ["--runs", "2"], []),
+                    "observe": (observe, [simulate]),
+                    "compare": (compare, [simulate, observe])}[command]
+    for prior in inputs:
+        assert main(prior) == EXIT_OK
+    before = sorted(tmp_path.iterdir())
+    path = [str(Path(frictionobs.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", UNDER_FILE_SIZE_LIMIT, str(limit), *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_CONFIG and proc.stdout == ""
+    assert proc.stderr.startswith("cannot write output: ") and proc.stderr.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_argparse_rejection_is_one_config_error_line(capsys):

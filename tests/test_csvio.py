@@ -1,6 +1,7 @@
 """CSV schema tests: bit-exact round-trips and row-level diagnostics."""
 
 import math
+import os
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -195,9 +196,9 @@ def test_bulk_read_matches_row_read(data):
 
 
 def test_bulk_read_matches_row_read_across_chunks():
-    # bodies longer than one read chunk, with the defect past its end
+    # bodies of many read blocks, with the defect past their end
     good = "".join(f"{k * 5e-4!r},{k * 1e-7!r},-0.5\n" for k in range(40000))
-    assert len(good) > csvio._CHUNK
+    assert len(good) > 16 * csvio._BLOCK
     for tail in ("", "\n", "1.0,2.0\n", "1.0,2.0,3.0\n\n", "1.0,nan,3.0\n",
                  "1.0,1\x1c,3.0\n", "1.0," + "0" * 131072 + "1,3.0\n",
                  "1.0," + "0" * 131071 + "1,3.0\n", "2.0,3.0,4.0"):
@@ -234,9 +235,11 @@ EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
                -1.7976931348623157e308, 1e16, 1e-5, 1e22, 0.1]
 
 
-@pytest.mark.parametrize("n", [0, 1, csvio._ROWS - 1, csvio._ROWS, csvio._ROWS + 1,
-                               2 * csvio._ROWS + 3])
-def test_block_writer_matches_row_writer(tmp_path, n):
+EDGE_HEADER = ("e", "r", "n", "t", "i", "l")
+
+
+def _edge_columns(n):
+    """EDGE_VALUES and random columns of n rows: float, strided, int64 and list."""
     rng = np.random.default_rng(n)
     edge = np.resize(np.array(EDGE_VALUES), n)
     # the strided columns of one table, as read_columns returns them
@@ -249,10 +252,67 @@ def test_block_writer_matches_row_writer(tmp_path, n):
     ]
     assert not columns[1].flags.c_contiguous or n < 2
     assert columns[4].dtype == np.int64 and isinstance(columns[5], list)
-    header = ("e", "r", "n", "t", "i", "l")
-    write_columns(tmp_path / "block.csv", header, columns)
-    _write_rows_reference(tmp_path / "row.csv", header, columns)
+    return columns
+
+
+def _assert_writes_like_rows(tmp_path, n):
+    columns = _edge_columns(n)
+    write_columns(tmp_path / "block.csv", EDGE_HEADER, columns)
+    _write_rows_reference(tmp_path / "row.csv", EDGE_HEADER, columns)
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
+
+
+def _assert_no_child():
+    # a child that was not reaped would be returned here, running or not
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("n", [0, 1, csvio._ROWS - 1, csvio._ROWS, csvio._ROWS + 1,
+                               2 * csvio._ROWS + 3])
+def test_block_writer_matches_row_writer(tmp_path, n):
+    _assert_writes_like_rows(tmp_path, n)
+
+
+def _set_cpus(monkeypatch, cpus):
+    """Make csvio see cpus CPUs; None: a platform with no os.sched_getaffinity."""
+    if cpus is None:
+        monkeypatch.delattr(csvio.os, "sched_getaffinity")
+    else:
+        monkeypatch.setattr(csvio.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, csvio._ROWS, csvio._ROWS + 1, 3 * csvio._ROWS + 7])
+def test_split_writer_matches_row_writer(tmp_path, monkeypatch, cpus, n):
+    # one part per CPU, in whole blocks: the bytes do not depend on the split
+    _set_cpus(monkeypatch, cpus)
+    _assert_writes_like_rows(tmp_path, n)
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("failing", ["worker", "parent"])
+def test_failed_part_removes_the_file_and_reaps_every_child(tmp_path, monkeypatch, failing):
+    # two blocks on two CPUs: this process formats rows from 0, a worker those from _ROWS
+    block = csvio._block
+
+    def broken(columns, lo):
+        if (lo > 0) == (failing == "worker"):
+            raise OSError(28, "No space left on device")
+        return block(columns, lo)
+
+    _set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(csvio, "_block", broken)
+    out = tmp_path / "w.csv"
+    with pytest.raises(OSError) as exc:
+        write_columns(out, EDGE_HEADER, _edge_columns(2 * csvio._ROWS))
+    if failing == "worker":
+        assert str(exc.value) == (f"{out}: the worker that formats rows {csvio._ROWS + 1} "
+                                  f"to {2 * csvio._ROWS} ended with exit status 1")
+    else:
+        assert exc.value.errno == 28
+    assert list(tmp_path.iterdir()) == []
+    _assert_no_child()
 
 
 def test_row_read_holds_each_cell_as_a_packed_double(tmp_path):
@@ -342,16 +402,22 @@ def test_splice_copies_plain_cells_as_written(tmp_path):
 
 
 def test_splice_memory_is_bounded_by_a_block(tmp_path):
-    # the plainness scan holds two read chunks at most, and the splice one
-    # block of both inputs' lines and of the output, whatever the row count
+    # the plainness scan holds two read blocks and one block of scratch at
+    # most, and the splice one block of both inputs' lines, of the spliced
+    # lines and of their join, whatever the row count
     n = 12 * csvio._ROWS
     sim, est = _sim_and_estimates(tmp_path, n)
     out = tmp_path / "merged.csv"
     tracemalloc.start()
     try:
+        with open(sim, "rb") as fh:
+            assert csvio._plain_rows(fh, SIM_HEADER) == n
+        scan = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
         assert csvio.splice_rows(out, sim, SIM_HEADER, est, ESTIMATES_HEADER)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     size = out.stat().st_size
-    assert peak <= 2 * csvio._CHUNK + 3 * csvio._ROWS * size / n < size
+    assert scan <= 3 * csvio._BLOCK
+    assert peak <= 4 * csvio._ROWS * size / n < size
