@@ -3,95 +3,45 @@
 The package covers the full loop: friction model, forward simulation,
 observer gain design, reduced-order estimation and parameter fitting,
 with CSV-based CLI entry points for batch work.
+
+Each public name is imported from its submodule on first access, so
+``import frictionobs`` loads no numpy. The CLI module (``frictionobs.cli``)
+sets numpy's BLAS thread count before numpy loads, which it could not do if
+this package imported numpy first.
 """
 
-from .config import Config, ConfigError, load_config, parse_config
-from .csvio import (
-    ESTIMATES_HEADER,
-    MEASURED_HEADER,
-    SIM_HEADER,
-    CsvSchemaError,
-    read_columns,
-    write_columns,
-)
-from .friction import (
-    DEFAULT_DEADBAND,
-    DEFAULT_Z_FLOOR,
-    FrictionParams,
-    advance,
-    deadband_sign,
-    level,
-    stiffness,
-)
-from .gains import ObserverGains, RobustReport, design_gains, validate_robust
-from .ident import FitProblem, FitResult, THETA_NAMES, fit, residual
-from .observer import (
-    Estimates,
-    ObserverDiverged,
-    e_obs_series,
-    observer_matrix,
-    observer_update,
-    rms,
-    run_observer,
-)
-from .plant import (
-    GridError,
-    ImpulseTrain,
-    Measured,
-    PlantParams,
-    SimConfig,
-    SimulationDiverged,
-    Trajectory,
-    measure,
-    simulate,
-    simulate_forced,
-)
+import importlib
+
+# the submodule that defines each public name
+_SUBMODULE = {
+    **dict.fromkeys(("Config", "ConfigError", "load_config", "parse_config"), "config"),
+    **dict.fromkeys(("ESTIMATES_HEADER", "MEASURED_HEADER", "SIM_HEADER", "CsvSchemaError",
+                     "read_columns", "write_columns"), "csvio"),
+    **dict.fromkeys(("DEFAULT_DEADBAND", "DEFAULT_Z_FLOOR", "FrictionParams", "advance",
+                     "deadband_sign", "level", "stiffness"), "friction"),
+    **dict.fromkeys(("ObserverGains", "RobustReport", "design_gains", "validate_robust"),
+                    "gains"),
+    **dict.fromkeys(("FitProblem", "FitResult", "THETA_NAMES", "fit", "residual"), "ident"),
+    **dict.fromkeys(("Estimates", "ObserverDiverged", "e_obs_series", "observer_matrix",
+                     "observer_update", "rms", "run_observer"), "observer"),
+    **dict.fromkeys(("GridError", "ImpulseTrain", "Measured", "PlantParams", "SimConfig",
+                     "SimulationDiverged", "Trajectory", "measure", "simulate",
+                     "simulate_forced"), "plant"),
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Config",
-    "ConfigError",
-    "load_config",
-    "parse_config",
-    "ESTIMATES_HEADER",
-    "MEASURED_HEADER",
-    "SIM_HEADER",
-    "CsvSchemaError",
-    "read_columns",
-    "write_columns",
-    "DEFAULT_DEADBAND",
-    "DEFAULT_Z_FLOOR",
-    "FrictionParams",
-    "advance",
-    "deadband_sign",
-    "level",
-    "stiffness",
-    "ObserverGains",
-    "RobustReport",
-    "design_gains",
-    "validate_robust",
-    "FitProblem",
-    "FitResult",
-    "THETA_NAMES",
-    "fit",
-    "residual",
-    "Estimates",
-    "GridError",
-    "ObserverDiverged",
-    "e_obs_series",
-    "observer_matrix",
-    "observer_update",
-    "rms",
-    "run_observer",
-    "ImpulseTrain",
-    "Measured",
-    "PlantParams",
-    "SimConfig",
-    "SimulationDiverged",
-    "Trajectory",
-    "measure",
-    "simulate",
-    "simulate_forced",
-    "__version__",
-]
+__all__ = [*_SUBMODULE, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    # later lookups find the name without calling this function
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SUBMODULE})

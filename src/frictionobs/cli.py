@@ -18,17 +18,29 @@ writes, and removes what it wrote when a later seed or write fails. The
 commands raise; `main` turns the exception into its exit code and one
 stderr line, an argument that argparse rejects included. Success paths
 print to stdout only.
+
+Importing this module sets ``OPENBLAS_NUM_THREADS`` to 1 unless the
+environment already sets it, before numpy loads, so a CLI process runs one
+OS thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import NoReturn
+
+# numpy's OpenBLAS starts one thread per CPU when it loads. The only BLAS calls
+# here are ident.fit's 3x3 normal equations (J^T J, J^T r and their solve),
+# which gain nothing from more threads, and a process with one thread forks
+# safely in csvio.write_columns. A value the user set still wins. This must
+# run before numpy loads, so before the package's own modules are imported.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -13,10 +13,12 @@ strings per process whatever the record's length. The rows are split into
 one contiguous part of whole blocks per CPU this process may run on: the
 process writes the first part into the file itself, while a forked child
 formats each later part into an unnamed temporary file in the output's
-directory, which is then appended to the file by the kernel. The bytes are
-the same for any number of parts. With one CPU, one block, or no
-``os.fork``/``os.sched_getaffinity`` (macOS, Windows) there is one part
-and nothing forks.
+directory, which is then appended to the file by the kernel. A worker that
+meets an OSError hands its errno to the parent as its exit status, and the
+parent raises that error. The bytes are the same for any number of parts.
+With one CPU, one block, no ``os.fork``/``os.sched_getaffinity`` (macOS,
+Windows), or a directory the temporary files cannot be made in, there is
+one part and nothing forks.
 
 A file is plain when its header is exactly what ``write_columns`` writes
 and its body holds only the bytes of ``_PLAIN``. A plain file is read in
@@ -57,6 +59,9 @@ _PLAIN = b"0123456789.e+-,\n"
 # no ',' and no '\n' leaves the file to the csv reader
 _BLOCK = 1 << 16
 _ROWS = 4096
+# a split write's worker exits with this status on a failure that is not an
+# OSError; an OSError's errno, which is below it, is the status otherwise
+_NOT_OS_ERROR = 255
 
 
 class CsvSchemaError(ValueError):
@@ -79,17 +84,23 @@ def write_columns(path: str | Path, header: tuple[str, ...], columns: list[np.nd
     columns = [np.asarray(c, dtype=float) for c in columns]
     n = len(columns[0]) if columns else 0
     blocks = -(-n // _ROWS)
-    parts = max(1, min(_cpus(), blocks))
-    # part j is rows bounds[j] to bounds[j + 1]: whole blocks, the last one cut at n
-    bounds = [min(j * blocks // parts * _ROWS, n) for j in range(parts + 1)]
     children = []  # (pid, temporary file, (lo, hi)) of each child not yet reaped
     try:
         with _output(path) as out, contextlib.ExitStack() as stack:
+            try:
+                # every part's file before the first fork: a directory this
+                # process cannot create files in leaves the write to one part
+                tmps = [stack.enter_context(tempfile.TemporaryFile(dir=Path(path).parent))
+                        for _ in range(min(_cpus(), blocks) - 1)]
+            except OSError:
+                tmps = []
+            parts = len(tmps) + 1
+            # part j is rows bounds[j] to bounds[j + 1]: whole blocks, the last one cut at n
+            bounds = [min(j * blocks // parts * _ROWS, n) for j in range(parts + 1)]
             out.write((",".join(header) + "\n").encode())
             # nothing of the file is left in a buffer for the children to inherit
             out.flush()
-            for lo, hi in zip(bounds[1:], bounds[2:]):
-                tmp = stack.enter_context(tempfile.TemporaryFile(dir=Path(path).parent))
+            for tmp, lo, hi in zip(tmps, bounds[1:], bounds[2:]):
                 pid = os.fork()
                 if pid == 0:
                     _work(tmp, columns, lo, hi)
@@ -101,6 +112,9 @@ def write_columns(path: str | Path, header: tuple[str, ...], columns: list[np.nd
                 pid, tmp, (lo, hi) = children[0]
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 del children[0]
+                if 0 < code < _NOT_OS_ERROR:
+                    # what the serial write raises on the same error
+                    raise OSError(code, os.strerror(code))
                 if code:
                     raise OSError(f"{path}: the worker that formats rows {lo + 1} to {hi} "
                                   f"ended with exit status {code}")
@@ -144,16 +158,21 @@ def _write_rows(fh: io.BufferedIOBase, columns: list[np.ndarray], lo: int, hi: i
 
 
 def _work(tmp: io.BufferedRandom, columns: list[np.ndarray], lo: int, hi: int) -> NoReturn:
-    """A forked child's whole run: rows lo to hi into tmp, then exit 0, or 1 on failure.
+    """A forked child's whole run: rows lo to hi into tmp, then exit 0.
 
-    os._exit is its one way out, so it never returns into the parent's with
-    blocks, flushes none of the parent's buffers and prints no traceback.
+    On an OSError the exit status is its errno, which the parent raises
+    again; any other failure exits with ``_NOT_OS_ERROR``. os._exit is its
+    one way out, so it never returns into the parent's with blocks, flushes
+    none of the parent's buffers and prints no traceback.
     """
-    code = 1
+    code = _NOT_OS_ERROR
     try:
         _write_rows(tmp, columns, lo, hi)
         tmp.flush()
         code = 0
+    except OSError as exc:
+        if 0 < (exc.errno or 0) < _NOT_OS_ERROR:
+            code = exc.errno
     finally:
         os._exit(code)
 

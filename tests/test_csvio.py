@@ -291,14 +291,15 @@ def test_split_writer_matches_row_writer(tmp_path, monkeypatch, cpus, n):
     _assert_no_child()
 
 
-@pytest.mark.parametrize("failing", ["worker", "parent"])
+@pytest.mark.parametrize("failing", ["worker", "parent", "worker_not_os"])
 def test_failed_part_removes_the_file_and_reaps_every_child(tmp_path, monkeypatch, failing):
     # two blocks on two CPUs: this process formats rows from 0, a worker those from _ROWS
     block = csvio._block
+    error = MemoryError() if failing == "worker_not_os" else OSError(28, "No space left on device")
 
     def broken(columns, lo):
-        if (lo > 0) == (failing == "worker"):
-            raise OSError(28, "No space left on device")
+        if (lo > 0) == (failing != "parent"):
+            raise error
         return block(columns, lo)
 
     _set_cpus(monkeypatch, 2)
@@ -306,12 +307,34 @@ def test_failed_part_removes_the_file_and_reaps_every_child(tmp_path, monkeypatc
     out = tmp_path / "w.csv"
     with pytest.raises(OSError) as exc:
         write_columns(out, EDGE_HEADER, _edge_columns(2 * csvio._ROWS))
-    if failing == "worker":
+    if failing == "worker_not_os":
         assert str(exc.value) == (f"{out}: the worker that formats rows {csvio._ROWS + 1} "
-                                  f"to {2 * csvio._ROWS} ended with exit status 1")
+                                  f"to {2 * csvio._ROWS} ended with exit status 255")
     else:
+        # a worker's errno reaches this process, which raises it as its own write would
         assert exc.value.errno == 28
+        assert str(exc.value) == f"[Errno 28] {os.strerror(28)}"
     assert list(tmp_path.iterdir()) == []
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("refused", [0, 1])
+def test_split_write_without_temporary_files_is_one_part(tmp_path, monkeypatch, refused):
+    # a file that may be written in a directory that may not: the parts' files
+    # cannot be made, here from the first or the second on, and nothing forks
+    made = tempfile.TemporaryFile
+    calls = []
+
+    def temporary_file(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > refused:
+            raise PermissionError(13, "Permission denied")
+        return made(*args, **kwargs)
+
+    _set_cpus(monkeypatch, 3)
+    monkeypatch.setattr(csvio.tempfile, "TemporaryFile", temporary_file)
+    _assert_writes_like_rows(tmp_path, 3 * csvio._ROWS + 7)
+    assert len(calls) == refused + 1
     _assert_no_child()
 
 

@@ -1,9 +1,14 @@
-"""The package's surface: what ``__all__`` promises, what it no longer holds, and
-the module attributes that the benchmark's layer tracer wraps."""
+"""The package's surface: what ``__all__`` promises, what it no longer holds, what
+importing it loads, and the module attributes that the benchmark's layer tracer wraps."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import frictionobs
 
@@ -25,6 +30,36 @@ def test_public_surface():
     assert len(set(frictionobs.__all__)) == len(frictionobs.__all__)
     assert not [name for name in REMOVED if hasattr(frictionobs, name)]
     assert not hasattr(frictionobs.FrictionParams, "beta_ok")
+
+
+def _in_fresh_interpreter(code, **env):
+    """stdout of a new interpreter that runs code, with no OPENBLAS_NUM_THREADS but env's.
+
+    This process has the variable once a test has imported frictionobs.cli,
+    so the child gets a copy of the environment without it.
+    """
+    child = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    path = [str(Path(frictionobs.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    child.update(env, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child, timeout=60, check=True)
+    return proc.stdout
+
+
+# numpy's OpenBLAS starts one thread per CPU, so with one CPU every count is 1
+@pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+                    reason="counts threads in /proc/self/task, on two CPUs or more")
+@pytest.mark.parametrize("env, threads", [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)],
+                         ids=["default", "user_set"])
+def test_cli_process_runs_one_thread_unless_told_otherwise(env, threads):
+    code = "import os, frictionobs.cli; print(len(os.listdir('/proc/self/task')))"
+    assert int(_in_fresh_interpreter(code, **env)) == threads
+
+
+def test_importing_the_package_loads_no_numpy():
+    # a library caller's own numpy, imported later, keeps its BLAS threads
+    code = "import sys, frictionobs; print('numpy' in sys.modules)"
+    assert _in_fresh_interpreter(code) == "False\n"
 
 
 # wrap targets in perfbench/layertrace.py that name functions gone from the
