@@ -17,8 +17,7 @@ _SUBMODULE = {
     **dict.fromkeys(("Config", "ConfigError", "load_config", "parse_config"), "config"),
     **dict.fromkeys(("ESTIMATES_HEADER", "MEASURED_HEADER", "SIM_HEADER", "CsvSchemaError",
                      "read_columns", "write_columns"), "csvio"),
-    **dict.fromkeys(("DEFAULT_DEADBAND", "DEFAULT_Z_FLOOR", "FrictionParams", "advance",
-                     "deadband_sign", "level", "stiffness"), "friction"),
+    **dict.fromkeys(("FrictionParams", "advance", "level", "stiffness"), "friction"),
     **dict.fromkeys(("ObserverGains", "RobustReport", "design_gains", "validate_robust"),
                     "gains"),
     **dict.fromkeys(("FitProblem", "FitResult", "THETA_NAMES", "fit", "residual"), "ident"),

@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -50,6 +49,7 @@ from .csvio import (
     MEASURED_HEADER,
     SIM_HEADER,
     CsvSchemaError,
+    _output,
     read_columns,
     splice_rows,
     write_columns,
@@ -141,7 +141,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             if i == 0:
                 write_columns(s_path, SIM_HEADER, [traj.t, traj.x, traj.v, traj.f, traj.u])
             else:
-                shutil.copyfile(paths[0][0], s_path)
+                # not csvio._append: os.sendfile copies between files on Linux only
+                with open(paths[0][0], "rb") as src, _output(s_path) as out:
+                    while chunk := src.read(1 << 16):
+                        out.write(chunk)
             written.append(s_path)
             write_columns(m_path, MEASURED_HEADER, [meas.t, meas.x, meas.u])
             written.append(m_path)
@@ -239,7 +242,8 @@ def cmd_identify(args: argparse.Namespace) -> int:
     lines.append(f"iterations = {result.iterations}")
     lines.append(f"converged = {str(result.converged).lower()}")
     lines.append(f"beta_insensitive = {str(result.beta_insensitive).lower()}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _output(args.out) as out:
+        out.write(("\n".join(lines) + "\n").encode())
     print("\n".join(lines + [f"wrote {args.out}"]))
     return EXIT_OK
 
@@ -286,7 +290,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
              f"rms_velocity_error = {_fmt(rms(w2, vs))}", f"rms_force_error = {_fmt(rms(w3, fs))}"]
     if args.plot_script:
         # the short script first: when it cannot be written, no merged CSV is left behind
-        Path(args.plot_script).write_text(PLOT_SCRIPT, encoding="utf-8")
+        with _output(args.plot_script) as out:
+            out.write(PLOT_SCRIPT.encode())
         lines.append(f"wrote {args.plot_script}")
     try:
         # plain inputs are spliced line by line; any other input is formatted anew

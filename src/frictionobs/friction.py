@@ -17,7 +17,8 @@ and the branch is the rescaled virgin curve
     f_p(z) = |dir - f_r| * f0(z) + f_r
 
 which runs from f_r at z = 0 to dir (i.e. +-1) at z = dir. Saturation at
-|z| >= 1 erases the branch memory, so the next reversal starts from +-1.
+|z| >= 1 erases the branch memory: it leaves the flat branch f_r == dir, of
+level f_r and stiffness 0 wherever z goes, and the next reversal starts from +-1.
 
 The branch slope diverges like -ln|z| as z -> 0, so stiffness queries clip
 |z| from below at z_floor. With |dir - f_r| <= 2 the clip alone bounds the
@@ -27,20 +28,16 @@ for the plant, the observer's replica and the fitter's forward model alike.
 
 The law is a scalar kernel on plain floats: ``advance`` (reversal, advance,
 saturation), ``level`` (clipped normalized Coulomb level) and ``stiffness``
-(dF_c/dx) take the branch state as (z, f_r, dir, sat) and return floats or
-tuples, so the plant loop and the observer's replica keep that state in
-local variables and allocate nothing per step.
+(dF_c/dx) take the branch state as (z, f_r, dir) and return floats or
+tuples; ``advance`` reads the velocity through the reversal deadband. The
+plant loop and the observer's replica keep that state in local variables
+and allocate nothing per step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-# Module defaults for the FrictionParams fields of the same names.
-DEFAULT_Z_FLOOR = 1e-4
-DEFAULT_DEADBAND = 1e-4  # reversal detection deadband on v [m/s]
-
 
 @dataclass(frozen=True)
 class FrictionParams:
@@ -66,8 +63,8 @@ class FrictionParams:
     sigma: float
     beta: float
     s_scale: float
-    z_floor: float = DEFAULT_Z_FLOOR
-    deadband: float = DEFAULT_DEADBAND
+    z_floor: float = 1e-4
+    deadband: float = 1e-4
 
     def __post_init__(self) -> None:
         for name in ("c_f", "sigma", "beta", "s_scale"):
@@ -85,15 +82,14 @@ class FrictionParams:
         return 2.0 * self.s_scale * self.c_f * (-math.log(self.z_floor))
 
 
-def level(z: float, f_r: float, dir: int, sat: bool, z_floor: float) -> float:
+def level(z: float, f_r: float, dir: int, z_floor: float) -> float:
     """Normalized Coulomb level of a branch state, clipped into [-1, 1].
 
-    Saturated states sit at dir. A state that never moved (dir == 0) sits at
-    f_r. Otherwise the branch is evaluated at z clipped away from zero.
+    A flat branch (f_r == dir, saturation included) and a state that never
+    moved (dir == 0) sit at f_r. Otherwise the branch is evaluated at z
+    clipped away from zero.
     """
-    if sat:
-        return float(dir)
-    if dir == 0:
+    if dir == 0 or f_r == dir:
         return f_r
     if z == 0.0:
         zc = dir * z_floor  # branch just spawned, evaluate on its own side
@@ -108,40 +104,36 @@ def advance(
     z: float,
     f_r: float,
     dir: int,
-    sat: bool,
     dx: float,
-    v_sign: int,
+    v: float,
+    deadband: float,
     s_scale: float,
     z_floor: float,
-) -> tuple[float, float, int, bool]:
-    """Advance a branch state by a displacement increment dx [m]; returns (z, f_r, dir, sat).
+) -> tuple[float, float, int]:
+    """Advance a branch state by a displacement increment dx [m]; returns (z, f_r, dir).
 
-    v_sign is the deadband-filtered velocity sign driving reversal
-    detection. A sign opposite to the stored branch direction (or the first
-    nonzero sign from rest) is a reversal: the current normalized level is
-    memorized as f_r, z restarts at zero, and the branch direction flips.
-    z then advances by s_scale * dx. Reaching z * dir >= 1 saturates the
-    branch and erases its memory (f_r <- dir).
+    The sign of v counts only when |v| > deadband. A sign opposite to the
+    stored branch direction (or the first sign from rest) is a reversal: the
+    current normalized level is memorized as f_r, z restarts at zero, and the
+    branch direction flips. z then advances by s_scale * dx. Reaching
+    z * dir >= 1 saturates the branch and erases its memory (f_r <- dir).
     """
+    v_sign = 1 if v > deadband else -1 if v < -deadband else 0
     if v_sign != 0 and v_sign != dir:
-        f_r = level(z, f_r, dir, sat, z_floor)
+        f_r = level(z, f_r, dir, z_floor)
         z = 0.0
         dir = v_sign
-        sat = False
     if dir != 0:
         z += s_scale * dx
         if z * dir >= 1.0:
-            z = float(dir)
-            sat = True
-            f_r = float(dir)
-    return z, f_r, dir, sat
+            z = f_r = float(dir)
+    return z, f_r, dir
 
 
 def stiffness(
     z: float,
     f_r: float,
     dir: int,
-    sat: bool,
     s_scale: float,
     c_f: float,
     z_floor: float,
@@ -149,18 +141,9 @@ def stiffness(
     """Displacement stiffness dF_c/dx [N/m] of a branch state, in [0, kappa].
 
     In presliding this is s_scale * c_f * |dir - f_r| * (-ln |z|) with |z|
-    clipped at z_floor; zero when saturated (force locked at +-c_f).
+    clipped at z_floor; zero on a flat branch (force locked at c_f * f_r).
     """
-    if sat:
+    if f_r == dir:
         return 0.0
     zc = min(max(abs(z), z_floor), 1.0)
     return s_scale * c_f * abs(dir - f_r) * max(0.0, -math.log(zc))
-
-
-def deadband_sign(v: float, deadband: float = DEFAULT_DEADBAND) -> int:
-    """Sign of v seen through the reversal deadband: 0 when |v| <= deadband."""
-    if v > deadband:
-        return 1
-    if v < -deadband:
-        return -1
-    return 0

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .friction import FrictionParams, advance, deadband_sign, stiffness
+from .friction import FrictionParams, advance, stiffness
 from .gains import ObserverGains
 from .plant import Measured
 
@@ -167,10 +167,9 @@ def run_observer(
     # replica of the presliding state: see friction.advance
     z = f_r = 0.0
     d = 0
-    sat = False
     x_prev = 0.0
     for k in range(n):
-        phi_k = stiffness(z, f_r, d, sat, s_scale, c_f, z_floor) + sob
+        phi_k = stiffness(z, f_r, d, s_scale, c_f, z_floor) + sob
         x_k = x[k]
         if k:
             dx = x_k - x_prev
@@ -184,8 +183,7 @@ def run_observer(
         w2_d[k] = w2_k
         w3_d[k] = z2 + l2 * x_k
         phi_d[k] = phi_k
-        z, f_r, d, sat = advance(z, f_r, d, sat, dx, deadband_sign(w2_k, deadband),
-                                 s_scale, z_floor)
+        z, f_r, d = advance(z, f_r, d, dx, w2_k, deadband, s_scale, z_floor)
     w2, w3, phi = np.frombuffer(w2_d), np.frombuffer(w3_d), np.frombuffer(phi_d)
     # an overflow here is reported by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):

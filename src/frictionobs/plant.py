@@ -5,7 +5,9 @@ state with the current velocity (the exact viscous-lag update and the
 scalar hysteresis kernel ``friction.advance``/``friction.level``, state kept
 in local floats), then updates the velocity with the resulting force and
 the position with the new velocity. The sample grid is exactly
-k * dt for k = 0 .. floor(t_end/dt).
+k * dt for k = 0 .. floor(t_end/dt). The integrator has one entry,
+``simulate_forced``, on any per-sample input; ``simulate`` hands it an
+impulse train sampled on the grid.
 
 Every per-sample column is held as packed float64 values, 8 bytes a sample:
 the loop reads u from the input array's buffer and writes x, v and f into
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .friction import FrictionParams, advance, deadband_sign, level
+from .friction import FrictionParams, advance, level
 
 
 class SimulationDiverged(RuntimeError):
@@ -212,51 +214,6 @@ class Measured:
         return float(self.t[1] - self.t[0]) if len(self.t) >= 2 else 0.0
 
 
-def _integrate(
-    pp: PlantParams,
-    fp: FrictionParams,
-    t: np.ndarray,
-    u: np.ndarray,
-    dt: float,
-    v_max: float,
-) -> Trajectory:
-    """Run the plant from rest under u on the grid t = k*dt, dt finite and > 0."""
-    ok = np.isfinite(u)
-    if not ok.all():
-        raise ValueError(f"input u is not finite at row {int(np.argmin(ok))}")
-    n = len(u)
-    # packed float64 columns, 8 bytes a sample where a list of floats takes
-    # 32; a memoryview stores a float in half the time array item assignment takes
-    u_d = memoryview(u)
-    xs, vs, fs = (memoryview(array("d", [0.0]) * n) for _ in range(3))
-    m = pp.m
-    sigma, c_f, s_scale, z_floor, deadband = fp.sigma, fp.c_f, fp.s_scale, fp.z_floor, fp.deadband
-    decay = math.exp(-dt / fp.beta)
-    x = v = f_v = 0.0
-    # hysteresis state: see friction.advance
-    z = f_r = 0.0
-    d = 0
-    sat = False
-    for k in range(n):
-        # viscous lag, exact with v held over the step
-        target = sigma * v
-        f_v = target + (f_v - target) * decay
-        z, f_r, d, sat = advance(z, f_r, d, sat, v * dt, deadband_sign(v, deadband),
-                                 s_scale, z_floor)
-        f_k = c_f * level(z, f_r, d, sat, z_floor) + f_v
-        xs[k] = x
-        vs[k] = v
-        fs[k] = f_k
-        if k < n - 1:
-            v += dt * (u_d[k] - f_k) / m
-            # with u finite, a NaN v comes from an overflow (inf - inf in the
-            # lag force), and it fails this comparison too
-            if not abs(v) <= v_max:
-                raise SimulationDiverged((k + 1) * dt, v, v_max)
-            x += dt * v
-    return Trajectory(t, np.frombuffer(xs), np.frombuffer(vs), np.frombuffer(fs), u)
-
-
 def simulate(
     pp: PlantParams,
     fp: FrictionParams,
@@ -268,8 +225,8 @@ def simulate(
     Returns a Trajectory with exactly floor(t_end/dt)+1 samples at k*dt.
     Raises SimulationDiverged if |v| exceeds cfg.v_max or overflows to NaN.
     """
-    t = np.arange(cfg.n_samples) * cfg.dt
-    return _integrate(pp, fp, t, train.sample(t), cfg.dt, cfg.v_max)
+    return simulate_forced(pp, fp, train.sample(np.arange(cfg.n_samples) * cfg.dt), cfg.dt,
+                           cfg.v_max)
 
 
 def simulate_forced(
@@ -279,15 +236,46 @@ def simulate_forced(
     dt: float,
     v_max: float = 1e3,
 ) -> Trajectory:
-    """Run the plant from rest under an arbitrary per-sample input sequence.
+    """Run the plant from rest under an arbitrary per-sample input sequence, on t = k*dt.
 
-    u must be finite and dt finite and > 0 (ValueError otherwise);
-    divergence is as in simulate.
+    u must be finite and dt finite and > 0 (ValueError otherwise). Raises
+    SimulationDiverged if |v| exceeds v_max or overflows to NaN.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     u = np.asarray(u, dtype=float)
-    return _integrate(pp, fp, np.arange(len(u)) * dt, u, dt, v_max)
+    if not np.isfinite(u).all():
+        raise ValueError(f"input u is not finite at row {int(np.argmin(np.isfinite(u)))}")
+    n = len(u)
+    t = np.arange(n) * dt
+    # packed float64 columns, 8 bytes a sample where a list of floats takes
+    # 32; a memoryview stores a float in half the time array item assignment takes
+    u_d = memoryview(u)
+    xs, vs, fs = (memoryview(array("d", [0.0]) * n) for _ in range(3))
+    m = pp.m
+    sigma, c_f, s_scale, z_floor, deadband = fp.sigma, fp.c_f, fp.s_scale, fp.z_floor, fp.deadband
+    decay = math.exp(-dt / fp.beta)
+    x = v = f_v = 0.0
+    # hysteresis state: see friction.advance
+    z = f_r = 0.0
+    d = 0
+    for k in range(n):
+        # viscous lag, exact with v held over the step
+        target = sigma * v
+        f_v = target + (f_v - target) * decay
+        z, f_r, d = advance(z, f_r, d, v * dt, v, deadband, s_scale, z_floor)
+        f_k = c_f * level(z, f_r, d, z_floor) + f_v
+        xs[k] = x
+        vs[k] = v
+        fs[k] = f_k
+        if k < n - 1:
+            v += dt * (u_d[k] - f_k) / m
+            # with u finite, a NaN v comes from an overflow (inf - inf in the
+            # lag force), and it fails this comparison too
+            if not abs(v) <= v_max:
+                raise SimulationDiverged((k + 1) * dt, v, v_max)
+            x += dt * v
+    return Trajectory(t, np.frombuffer(xs), np.frombuffer(vs), np.frombuffer(fs), u)
 
 
 def measure(traj: Trajectory, cfg: SimConfig) -> Measured:

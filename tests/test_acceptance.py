@@ -27,7 +27,6 @@ from frictionobs import (
     PlantParams,
     SimConfig,
     advance,
-    deadband_sign,
     design_gains,
     fit,
     level,
@@ -135,7 +134,7 @@ def test_criterion_4_presliding_map(capsys):
 
     def f0(z):
         # the virgin branch (f_r = 0) as the kernel evaluates it
-        return level(z, 0.0, 1 if z > 0 else -1, False, p.z_floor)
+        return level(z, 0.0, 1 if z > 0 else -1, p.z_floor)
 
     endpoints = f0(1.0) == 1.0 and f0(-1.0) == -1.0
 
@@ -149,13 +148,13 @@ def test_criterion_4_presliding_map(capsys):
     slope_ok = worst_rel <= 1e-6
 
     closure = all(
-        level(1.0, f_r, 1, False, p.z_floor) * C_F == C_F
-        and level(-1.0, f_r, -1, False, p.z_floor) * C_F == -C_F
+        level(1.0, f_r, 1, p.z_floor) * C_F == C_F
+        and level(-1.0, f_r, -1, p.z_floor) * C_F == -C_F
         for f_r in (-1.0, -0.5, 0.0, 0.2143, 0.77, 1.0)
     )
 
     rng = np.random.default_rng(99)
-    state = (0.0, 0.0, 0, False)  # (z, f_r, dir, sat) at rest
+    state = (0.0, 0.0, 0)  # (z, f_r, dir) at rest
     bound_ok = True
     peak = 0.0
     saturations = 0
@@ -166,10 +165,10 @@ def test_criterion_4_presliding_map(capsys):
         direction = 1 if stretch % 3 != 2 else -1
         for k in range(128):
             step = direction * dz * float(rng.integers(0, 41))
-            vs = deadband_sign(step / 5e-4)
-            was_sat = state[3]
-            state = advance(*state, step, vs, p.s_scale, p.z_floor)
-            saturations += int(state[3] and not was_sat)
+            was_flat = state[1] == state[2] != 0
+            state = advance(*state, step, step / 5e-4, p.deadband, p.s_scale, p.z_floor)
+            # saturation is a step onto the flat branch f_r == dir
+            saturations += int(state[1] == state[2] != 0 and not was_flat)
             fc = C_F * level(*state, p.z_floor)
             peak = max(peak, abs(fc))
             if abs(fc) > C_F:

@@ -1,7 +1,10 @@
 """Command-line interface tests driven through main(argv)."""
 
 import argparse
+import builtins
 import errno
+import io
+import itertools
 import os
 import re
 import subprocess
@@ -772,23 +775,32 @@ entry()
 """
 
 
-@pytest.mark.parametrize("limit", [200_000, 400_000, 600_000])
-@pytest.mark.parametrize("command", ["simulate", "simulate_runs", "observe", "compare"])
+@pytest.mark.parametrize("command, limit", [
+    *itertools.product(["simulate", "simulate_runs", "observe", "compare"],
+                       [200_000, 400_000, 600_000]),
+    ("identify", 100), ("compare_plot", 500),
+])
 def test_failed_write_leaves_no_partial_file(tmp_path, command, limit):
     # the default 5.6 s record has 3 blocks of rows: its sim CSV is 0.85 MB,
     # 0.29 MB of it in the first block. Written in two parts, the first part
     # fails at 200 kB, the worker's part at 400 kB, and, in simulate, the
-    # append of the worker's part at 600 kB; compare's splice fails at each
+    # append of the worker's part at 600 kB; compare's splice fails at each.
+    # The identify report (about 270 B) and the plot script (about 900 B)
+    # fail part way at 100 and 500 B
     cfg = tmp_path / "default.cfg"
     cfg.write_text("", encoding="utf-8")
     s, e = str(tmp_path / "s.csv"), str(tmp_path / "e.csv")
+    measured = str(tmp_path / "s_measured.csv")
     simulate = ["simulate", "--config", str(cfg), "--out", s]
-    observe = ["observe", "--config", str(cfg), "--measured", str(tmp_path / "s_measured.csv"),
-               "--out", e]
+    observe = ["observe", "--config", str(cfg), "--measured", measured, "--out", e]
+    identify = ["identify", "--config", str(cfg), "--measured", measured,
+                "--out", str(tmp_path / "fit.txt")]
     compare = ["compare", "--sim", s, "--estimates", e, "--out", str(tmp_path / "m.csv")]
     argv, inputs = {"simulate": (simulate, []), "simulate_runs": (simulate + ["--runs", "2"], []),
-                    "observe": (observe, [simulate]),
-                    "compare": (compare, [simulate, observe])}[command]
+                    "observe": (observe, [simulate]), "identify": (identify, [simulate]),
+                    "compare": (compare, [simulate, observe]),
+                    "compare_plot": (compare + ["--plot-script", str(tmp_path / "plot.py")],
+                                     [simulate, observe])}[command]
     for prior in inputs:
         assert main(prior) == EXIT_OK
     before = sorted(tmp_path.iterdir())
@@ -800,6 +812,42 @@ def test_failed_write_leaves_no_partial_file(tmp_path, command, limit):
     # every part meets EFBIG, and the error reads the same whether this
     # process or a worker met it
     assert proc.stderr == f"cannot write output: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+class _DiskFull(io.FileIO):
+    """A file on a disk that fills up once the file holds 4096 bytes.
+
+    It hides its descriptor, so every byte goes through write(): no copy in
+    the kernel can go around the full disk.
+    """
+
+    def write(self, b):
+        room = 4096 - self.tell()
+        if room <= 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(memoryview(b)[:room])
+
+    def fileno(self):
+        raise io.UnsupportedOperation("fileno")
+
+
+def test_failed_runs_copy_leaves_no_partial_file(cfg_file, tmp_path, capsys, monkeypatch):
+    # every run after the first copies the first run's truth CSV; the disk
+    # fills part way through that copy, which a file-size limit cannot show
+    # since the copy is no larger than the file it copies
+    def opener(path, mode="r", *args, **kwargs):
+        if Path(path).name == "s_run001.csv":
+            return io.BufferedWriter(_DiskFull(path, "w"))
+        return io.open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", opener)
+    before = sorted(tmp_path.iterdir())
+    rc = main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "s.csv"),
+               "--runs", "2"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_CONFIG and captured.out == ""
+    assert captured.err == f"cannot write output: [Errno 28] {os.strerror(errno.ENOSPC)}\n"
     assert sorted(tmp_path.iterdir()) == before
 
 

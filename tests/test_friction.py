@@ -1,7 +1,7 @@
 """Friction model unit tests: virgin curve, branch algebra, lag, reversals.
 
 The hysteresis law is checked through the kernel the plant and the
-observer run: ``advance`` folds a branch state (z, f_r, dir, sat) over
+observer run: ``advance`` folds a branch state (z, f_r, dir) over
 displacement increments, ``level`` is its normalized Coulomb level and
 ``stiffness`` its slope.
 """
@@ -17,19 +17,26 @@ from frictionobs import (
     FrictionParams,
     PlantParams,
     advance,
-    deadband_sign,
     level,
     simulate_forced,
     stiffness,
 )
 
 P = FrictionParams(c_f=0.2143, sigma=2.0, beta=0.002, s_scale=2000.0)
-REST = (0.0, 0.0, 0, False)  # (z, f_r, dir, sat) before any motion
+REST = (0.0, 0.0, 0)  # (z, f_r, dir) before any motion
 
 
 def step(state, dx, v_sign):
-    """The branch state after one displacement increment, as the plant loop takes it."""
-    return advance(*state, dx, v_sign, P.s_scale, P.z_floor)
+    """The branch state after one displacement increment, as the plant loop takes it.
+
+    v_sign is the velocity's sign, read through a deadband of 0.
+    """
+    return advance(*state, dx, v_sign, 0.0, P.s_scale, P.z_floor)
+
+
+def flat(state):
+    """True on a flat branch (f_r == dir != 0), which saturation leaves."""
+    return state[1] == state[2] != 0
 
 
 def force(state):
@@ -39,7 +46,7 @@ def force(state):
 
 def virgin(z):
     """The virgin branch f0(z) as the kernel evaluates it: f_r = 0, dir = sign(z)."""
-    return level(z, 0.0, 1 if z > 0 else -1, False, P.z_floor)
+    return level(z, 0.0, 1 if z > 0 else -1, P.z_floor)
 
 
 def test_default_kappa_frozen_value():
@@ -96,62 +103,73 @@ def test_f0_odd_and_monotone():
 def test_branch_closure_exact():
     # every branch ends exactly at its direction
     for f_r in (-1.0, -0.6, -0.2143, 0.0, 0.37, 1.0):
-        assert level(1.0, f_r, 1, False, P.z_floor) == 1.0
-        assert level(-1.0, f_r, -1, False, P.z_floor) == -1.0
+        assert level(1.0, f_r, 1, P.z_floor) == 1.0
+        assert level(-1.0, f_r, -1, P.z_floor) == -1.0
 
 
 def test_virgin_branch_is_f0():
     for z in (0.05, 0.3, 0.9):
-        assert level(z, 0.0, 1, False, P.z_floor) == z * (1.0 - math.log(z))
+        assert level(z, 0.0, 1, P.z_floor) == z * (1.0 - math.log(z))
 
 
 def test_stiffness_slope_and_cap():
     # virgin branch slope is s*c_f*(-ln z); the clip at the floor attains kappa
     args = (P.s_scale, P.c_f, P.z_floor)
     expect = P.s_scale * P.c_f * 1.0 * (-math.log(0.1))
-    assert stiffness(0.1, 0.0, 1, False, *args) == pytest.approx(expect, rel=1e-15)
-    assert stiffness(1e-7, -1.0, 1, False, *args) == P.kappa  # |dir - f_r| = 2
-    assert stiffness(1.0, 0.0, 1, False, *args) == 0.0
-    assert stiffness(1.0, 1.0, 1, True, *args) == 0.0
+    assert stiffness(0.1, 0.0, 1, *args) == pytest.approx(expect, rel=1e-15)
+    assert stiffness(1e-7, -1.0, 1, *args) == P.kappa  # |dir - f_r| = 2
+    assert stiffness(1.0, 0.0, 1, *args) == 0.0
+    # a flat branch is stiff nowhere, also where z has crept back inside (-1, 1)
+    assert stiffness(1.0, 1.0, 1, *args) == 0.0
+    assert stiffness(0.5, 1.0, 1, *args) == 0.0
 
 
 def test_coulomb_force_saturated_follows_v_sign():
     # a push through |z| = 1 locks the force at c_f * sign(v) for as long as v keeps its sign
     state = step(REST, 2.0 / P.s_scale, 1)
-    assert state[3] and force(state) == P.c_f
+    assert flat(state) and force(state) == P.c_f
     state = step(state, 1e-6, 1)
-    assert state[3] and force(state) == P.c_f
+    assert flat(state) and force(state) == P.c_f
     state = step(state, -4.0 / P.s_scale, -1)
-    assert state[3] and force(state) == -P.c_f
+    assert flat(state) and force(state) == -P.c_f
     state = step(state, -1e-6, -1)
-    assert state[3] and force(state) == -P.c_f
+    assert flat(state) and force(state) == -P.c_f
 
 
-def test_deadband_sign():
-    assert deadband_sign(2e-4) == 1
-    assert deadband_sign(-2e-4) == -1
-    assert deadband_sign(5e-5) == 0
-    assert deadband_sign(0.5, deadband=1.0) == 0
+def test_advance_reads_v_through_the_deadband():
+    def direction(state, v, deadband=P.deadband):
+        return advance(*state, 0.0, v, deadband, P.s_scale, P.z_floor)[2]
+
+    assert direction(REST, 2e-4) == 1
+    assert direction(REST, -2e-4) == -1
+    assert direction(REST, 5e-5) == 0
+    assert direction(REST, P.deadband) == 0  # the edge is inside
+    assert direction(REST, 0.5, deadband=1.0) == 0
+    assert direction(REST, math.nan) == 0
+    # a velocity inside the deadband does not reverse a moving branch
+    moving = step(REST, 1e-5, 1)
+    assert direction(moving, -5e-5) == 1
+    assert direction(moving, -2e-4) == -1
+    assert direction(moving, -1e-300, deadband=0.0) == -1
 
 
 def test_reversal_memorizes_level_and_resets_z():
     dz = 0.4 / P.s_scale
     state = step(REST, dz, 1)
     lvl = force(state) / P.c_f
-    z, f_r, d, sat = step(state, -1e-6, -1)
+    z, f_r, d = step(state, -1e-6, -1)
     assert d == -1
     assert f_r == pytest.approx(lvl, rel=1e-15)
-    assert not sat
     # z restarted then advanced by s_scale*dx
     assert z == pytest.approx(P.s_scale * -1e-6, rel=1e-12)
 
 
 def test_saturation_erases_memory():
-    z, f_r, d, sat = state = step(REST, 2.0 / P.s_scale, 1)
-    assert sat and z == 1.0 and f_r == 1.0
+    z, f_r, d = state = step(REST, 2.0 / P.s_scale, 1)
+    assert z == 1.0 and f_r == 1.0 and d == 1
     # next reversal starts from the erased level +1, not the pre-saturation branch
-    z, f_r, d, sat = step(state, -1e-6, -1)
-    assert f_r == 1.0 and d == -1 and not sat
+    z, f_r, d = step(state, -1e-6, -1)
+    assert f_r == 1.0 and d == -1
 
 
 # displacement increments up to 0.3 in z, each with a velocity sign of its own
@@ -163,7 +181,8 @@ _WALK = np.random.default_rng(3).uniform(-1.5e-4, 1.5e-4, size=10_000)
 
 @settings(max_examples=200, deadline=None)
 @given(PATHS)
-@example([(float(dx), deadband_sign(dx / 1e-3)) for dx in _WALK])
+# the walk at dt = 1 ms, its velocity's sign read through the default deadband
+@example([(dx, (dx > 1e-7) - (dx < -1e-7)) for dx in _WALK.tolist()])
 def test_force_bounded_on_random_walk(path):
     # |F_c| <= c_f on every state a path folds through, the saturated ones included
     state = REST
@@ -182,11 +201,11 @@ def test_saturation_closes_branch_after_any_path(path, direction, push):
         state = step(state, dx, v_sign)
     # a path may leave z on either side of zero; the push covers that too
     state = step(state, direction * (push + abs(state[0])) / P.s_scale, direction)
-    z, f_r, d, sat = state
-    assert sat and z * d >= 1.0
+    z, f_r, d = state
+    assert flat(state) and z * d >= 1.0
     assert level(*state, P.z_floor) == direction
-    z, f_r, d, sat = step(state, -direction * 1e-6, -direction)
-    assert f_r == direction and d == -direction and not sat
+    z, f_r, d = step(state, -direction * 1e-6, -direction)
+    assert f_r == direction and d == -direction
 
 
 def _held_velocity_run(fp, v, dt, n):
@@ -226,7 +245,7 @@ def test_constant_velocity_fixed_points():
 def test_full_reversal_traverses_to_opposite_bound():
     # from the saturated +C_f level, -1/s of travel closes the branch at -C_f
     state = step(REST, 2.0 / P.s_scale, 1)
-    assert state[3] and state[1] == 1.0
+    assert flat(state) and state[1] == 1.0
     state = step(state, -1.0 / P.s_scale, -1)
     assert state[0] == -1.0
     assert force(state) == -P.c_f

@@ -6,12 +6,16 @@ over the kernel (``advance``, ``level``, ``stiffness``), ``observer_update``
 and the exact viscous-lag update, with the branch state kept in one tuple.
 Random impulse trains cover presliding only, gross sliding with saturation,
 and reversals from rest.
+
+The kernel itself is folded against a copy of its earlier four-value form,
+whose branch state (z, f_r, dir, sat) carried saturation as a flag of its
+own and whose reversal sign came from a separate deadband step.
 """
 
 import math
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from frictionobs import (
@@ -20,7 +24,6 @@ from frictionobs import (
     PlantParams,
     SimConfig,
     advance,
-    deadband_sign,
     design_gains,
     level,
     measure,
@@ -33,7 +36,7 @@ from frictionobs import (
 
 M_KG = 0.052
 C_F = 0.2143
-REST = (0.0, 0.0, 0, False)  # branch state (z, f_r, dir, sat) before any motion
+REST = (0.0, 0.0, 0)  # branch state (z, f_r, dir) before any motion
 
 
 def reference_plant(m, fp, u, dt):
@@ -45,8 +48,7 @@ def reference_plant(m, fp, u, dt):
     for k in range(n):
         target = fp.sigma * v
         f_v = target + (f_v - target) * math.exp(-dt / fp.beta)
-        sign = deadband_sign(v, fp.deadband)
-        state = advance(*state, v * dt, sign, fp.s_scale, fp.z_floor)
+        state = advance(*state, v * dt, v, fp.deadband, fp.s_scale, fp.z_floor)
         f = fp.c_f * level(*state, fp.z_floor) + f_v
         xs[k], vs[k], fs[k] = x, v, f
         if k < n - 1:
@@ -72,7 +74,7 @@ def reference_observer(x, u, dt, g, m, fp):
             )
         w2 = z1 + g.l1 * x[k]
         w3 = z2 + g.l2 * x[k]
-        state = advance(*state, dx, deadband_sign(w2, fp.deadband), fp.s_scale, fp.z_floor)
+        state = advance(*state, dx, w2, fp.deadband, fp.s_scale, fp.z_floor)
         w2s[k], w3s[k], phis[k] = w2, w3, phi
     return w2s, w3s, phis
 
@@ -153,3 +155,96 @@ def test_observer_matches_reference_fold(case, lam_fast, lam_slow):
     assert _bits(est.w2) == _bits(w2)
     assert _bits(est.w3) == _bits(w3)
     assert _bits(est.phi) == _bits(phi)
+
+
+# -- the kernel against its four-value form ----------------------------------
+
+def _sign_v1(v, deadband):
+    if v > deadband:
+        return 1
+    if v < -deadband:
+        return -1
+    return 0
+
+
+def _level_v1(z, f_r, dir, sat, z_floor):
+    if sat:
+        return float(dir)
+    if dir == 0:
+        return f_r
+    if z == 0.0:
+        zc = dir * z_floor
+    else:
+        zc = math.copysign(min(max(abs(z), z_floor), 1.0), z)
+    fp = abs(dir - f_r) * (zc * (1.0 - math.log(abs(zc)))) + f_r
+    return min(1.0, max(-1.0, fp))
+
+
+def _advance_v1(z, f_r, dir, sat, dx, v_sign, s_scale, z_floor):
+    if v_sign != 0 and v_sign != dir:
+        f_r = _level_v1(z, f_r, dir, sat, z_floor)
+        z = 0.0
+        dir = v_sign
+        sat = False
+    if dir != 0:
+        z += s_scale * dx
+        if z * dir >= 1.0:
+            z = float(dir)
+            sat = True
+            f_r = float(dir)
+    return z, f_r, dir, sat
+
+
+def _stiffness_v1(z, f_r, dir, sat, s_scale, c_f, z_floor):
+    if sat:
+        return 0.0
+    zc = min(max(abs(z), z_floor), 1.0)
+    return s_scale * c_f * abs(dir - f_r) * max(0.0, -math.log(zc))
+
+
+S_SCALE = 2000.0
+
+
+@st.composite
+def kernel_paths(draw):
+    """(deadband, z_floor, [(dx, v), ...]) from rest, dx in steps of up to 1.5 in z."""
+    deadband = draw(st.sampled_from([0.0, 1e-4, 1e-3]) | st.floats(0.0, 1e-3))
+    z_floor = draw(st.sampled_from([1e-300, 1e-100, 1e-4, 0.5]) | st.floats(1e-300, 0.5))
+    # velocities on, inside and beyond the deadband's edges, of either sign
+    v = st.sampled_from([0.0, -0.0, deadband, -deadband, 0.5 * deadband, -0.5 * deadband,
+                         1.0, -1.0]) | st.floats(-1.0, 1.0)
+    dz = st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-1.5, 1.5)
+    path = draw(st.lists(st.tuples(dz.map(lambda d: d / S_SCALE), v), max_size=60))
+    return deadband, z_floor, path
+
+
+D = 1.0 / S_SCALE  # the dx that moves z by 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_paths())
+# creep inside the deadband after a saturation pulls z back inside (-1, 1)
+# while the four-value form keeps its flag set
+@example((1e-4, 1e-4, [(2 * D, 1.0), (-0.5 * D, 5e-5), (-0.3 * D, -5e-5), (1e-6, 1.0),
+                       (-0.2 * D, -1.0)]))
+# a reversal right after a reversal, with and without travel in between
+@example((1e-4, 1e-4, [(0.3 * D, 1.0), (0.0, -1.0), (0.0, 1.0), (-0.2 * D, -1.0),
+                       (1e-9, 1.0), (0.1 * D, -1.0)]))
+# deadband 0: any nonzero velocity has a sign, a zero of either sign has none
+@example((0.0, 1e-4, [(1e-6, 1e-300), (0.0, 0.0), (-1e-6, -1e-300), (0.0, -0.0),
+                      (2 * D, 5e-324)]))
+# z_floor 1e-300: a reversal from a branch's foot memorizes -1.0 exactly, so
+# the next reversal leaves f_r == dir without saturating
+@example((0.0, 1e-300, [(-2 * D, -1.0), (0.0, 1.0), (0.0, -1.0), (0.4 * D, -1.0),
+                        (0.0, 1.0), (0.7 * D, 1.0)]))
+def test_kernel_matches_its_four_value_form(case):
+    deadband, z_floor, path = case
+    state, ref = REST, REST + (False,)
+    for dx, v in path:
+        state = advance(*state, dx, v, deadband, S_SCALE, z_floor)
+        ref = _advance_v1(*ref, dx, _sign_v1(v, deadband), S_SCALE, z_floor)
+        # repr tells every float apart, -0.0 from 0.0 included
+        assert repr(state) == repr(ref[:3])
+        assert repr(level(*state, z_floor)) == repr(_level_v1(*ref, z_floor))
+        assert (repr(stiffness(*state, S_SCALE, C_F, z_floor))
+                == repr(_stiffness_v1(*ref, S_SCALE, C_F, z_floor)))

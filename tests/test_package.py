@@ -15,11 +15,12 @@ import frictionobs
 # removed with the state-object friction API, the pole helpers and ErrorMetrics;
 # the pipeline runs friction.level/advance/stiffness, numpy checks the poles;
 # FrictionParams now holds the deadband and derives kappa; observer_update holds
-# its own real-arithmetic step
+# its own real-arithmetic step; friction.advance reads v through the deadband
 REMOVED = (
     "PreslidingState", "update_presliding", "coulomb_force", "coulomb_stiffness",
     "presliding_force", "f0_branch", "char_poly", "eigenvalues", "integrated_velocity",
     "ErrorMetrics", "error_metrics", "ObserverSettings", "default_kappa", "zoh_discretize",
+    "deadband_sign", "DEFAULT_DEADBAND", "DEFAULT_Z_FLOOR",
 )
 
 
@@ -30,6 +31,35 @@ def test_public_surface():
     assert len(set(frictionobs.__all__)) == len(frictionobs.__all__)
     assert not [name for name in REMOVED if hasattr(frictionobs, name)]
     assert not hasattr(frictionobs.FrictionParams, "beta_ok")
+
+
+SOURCES = sorted((Path(frictionobs.__file__).parent).glob("*.py"))
+
+
+def _unused_imports(tree):
+    """Names a module's import statements bind but its code never reads."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _unused_imports(tree) == []
+
+
+def test_unused_import_guard_sees_a_leftover_import():
+    tree = ast.parse("from __future__ import annotations\nimport os, shutil\n"
+                     "from .friction import advance, level as lv\nos.getcwd()\nadvance()\n")
+    assert _unused_imports(tree) == [(2, "shutil"), (3, "lv")]
 
 
 def _in_fresh_interpreter(code, **env):
