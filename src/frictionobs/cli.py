@@ -1,23 +1,25 @@
 """Command-line front end: simulate | design | observe | identify | compare.
 
 Exit codes are stable: 0 success, 1 configuration/argument error (a
-non-finite flag or config value included, two outputs that name one
-file, and a `compare` output that names an input), an output that cannot
-be written or a record too long to hold in memory, 2 simulation
-divergence or observer estimates that overflow to inf or NaN, or an
-`identify` start point with no finite residual, 3
+non-finite flag or config value included, and an output that names an input
+or another output), an output that cannot be written or a record too long to
+hold in memory, 2 simulation divergence or observer estimates that overflow
+to inf or NaN, or an `identify` start point with no finite residual, 3
 gain-design conditions failed (gains are still printed), 4 CSV schema
-violation, grid/length mismatch, or a record for `identify` that does
-not start at t = 0, whose span (samples - 1) * dt overflows, or whose u is
-zero in every row or too small for x to respond to the fitted parameters.
+violation, grid/length mismatch, or a record for `identify` that does not
+start at t = 0, whose span (samples - 1) * dt overflows, or whose u is zero
+in every row or too small for x to respond to the fitted parameters.
 `identify` calls fit(problem), which starts from the config's friction law.
-Each command reads and checks its inputs, and runs its simulation,
-observer or fit, before it opens its first output, so a rejected input
-leaves no output behind; `simulate --runs` measures each seed between its
-writes, and removes what it wrote when a later seed or write fails. The
-commands raise; `main` turns the exception into its exit code and one
-stderr line, an argument that argparse rejects included. Success paths
-print to stdout only.
+Each command checks its file names before it opens a file. `observe`,
+`identify` and `compare` read and check their inputs, and compute their
+results, before they open their first output, so a rejected input leaves no
+output behind; `simulate` writes its truth CSV, then measures each seed
+before it writes that seed's files, and removes every file it wrote when a
+measurement or a write fails. Of two failures, `observe` reports the
+observer's before the model's, and `simulate` a rejected measurement before
+an unwritable truth CSV. The commands raise; `main` turns the exception into
+its exit code and one stderr line, an argument that argparse rejects
+included. Success paths print to stdout only.
 
 Importing this module sets ``OPENBLAS_NUM_THREADS`` to 1 unless the
 environment already sets it, before numpy loads, so a CLI process runs one
@@ -115,42 +117,66 @@ def _run_path(path: Path, i: int) -> Path:
     return path.with_name(f"{path.stem}_run{i:03d}{path.suffix or '.csv'}")
 
 
+def _check_files(args: argparse.Namespace, outputs: list[tuple[str, str | Path | None]]) -> None:
+    """Reject an output, a (flag, path) pair, that names an input of args or an earlier output."""
+    inputs = [(f, getattr(args, f[2:], None)) for f in ("--config", "--measured", "--truth",
+                                                          "--sim", "--estimates")]
+    seen: dict[object, str] = {}
+    for i, (flag, p) in enumerate(inputs + outputs):
+        if p:
+            # a file that exists is known by its inode, which a hard link shares;
+            # os.path.exists is False, not an error, where a directory cannot be searched
+            path = Path(p).resolve()
+            key = (path.stat().st_dev, path.stat().st_ino) if os.path.exists(path) else path
+            if i >= len(inputs) and key in seen:
+                raise ConfigError(f"{flag} names the {seen[key]} file")
+            seen.setdefault(key, flag)
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    if args.runs < 1:
-        raise ConfigError("--runs must be >= 1")
     out = Path(args.out)
     measured_out = (Path(args.measured_out) if args.measured_out
                     else out.with_name(out.stem + "_measured" + (out.suffix or ".csv")))
     paths = [(out, measured_out)]
-    if args.runs > 1:
+    if args.runs != 1:
         paths = [(_run_path(out, i), _run_path(measured_out, i)) for i in range(args.runs)]
-    if len({p.resolve() for pair in paths for p in pair}) < 2 * len(paths):
-        raise ConfigError("--measured-out names the --out file")
+    _check_files(args, [f for s, m in paths for f in (("--out", s), ("--measured-out", m))])
+    cfg = load_config(args.config)
+    if args.runs < 1:
+        raise ConfigError("--runs must be >= 1")
     traj = simulate(cfg.plant, cfg.friction, cfg.scenario, cfg.sim)
-    lines, written = [], []
+    unwritten = None
+    try:
+        write_columns(paths[0][0], SIM_HEADER, [traj.t, traj.x, traj.v, traj.f, traj.u])
+    except OSError as exc:
+        unwritten = exc  # raised once seed 0 is measured: measure's rejection comes first
+    # v and f are freed before measure loads numpy.random
+    t, x, u = traj.t, traj.x, traj.u
+    del traj
+    lines, written = [], [] if unwritten else [paths[0][0]]
     try:
         # the seed only reaches the measurement noise, so every run shares one truth
         for i, (s_path, m_path) in enumerate(paths):
             seed = cfg.sim.seed + i
             try:
-                meas = measure(traj, replace(cfg.sim, seed=seed))
+                meas = measure(t, x, u, replace(cfg.sim, seed=seed))
             except ValueError as exc:
                 # finite settings can still overflow x: a huge noise_std, a tiny quant
                 raise ConfigError(f"sim.noise_std/sim.quant: {exc}") from None
-            if i == 0:
-                write_columns(s_path, SIM_HEADER, [traj.t, traj.x, traj.v, traj.f, traj.u])
-            else:
+            if unwritten:
+                raise unwritten
+            if i:
                 # not csvio._append: os.sendfile copies between files on Linux only
                 with open(paths[0][0], "rb") as src, _output(s_path) as out:
                     while chunk := src.read(1 << 16):
                         out.write(chunk)
-            written.append(s_path)
+                written.append(s_path)
             write_columns(m_path, MEASURED_HEADER, [meas.t, meas.x, meas.u])
             written.append(m_path)
+            del meas  # before the next seed's noise is drawn
             lines.append(f"seed {seed}: wrote {s_path} and {m_path}")
     except Exception:
-        # a later seed's failure must not leave the earlier runs' files behind
+        # a rejected config or a later seed's failure must not leave files behind
         for path in written:
             path.unlink(missing_ok=True)
         raise
@@ -177,30 +203,37 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 
 def cmd_observe(args: argparse.Namespace) -> int:
+    _check_files(args, [("--out", args.out)])
     cfg = load_config(args.config)
     meas = _read_measured(args.measured)
     n = len(meas)
+    diverged = None
     if args.truth:
         truth = _read(args.truth, SIM_HEADER, "truth")
-        # copies of the two columns used, so the 5-column table is freed
-        # before the observer and the model run
-        ts, vs = truth[0].copy(), truth[2].copy()
-        del truth
-        if not same_grid(meas.t, ts):
+        if not same_grid(meas.t, truth[0]):
             raise CsvSchemaError("truth CSV rejected: grid does not match the measured sequence")
         if n < 2:
             raise CsvSchemaError("truth CSV rejected: --truth needs at least 2 samples")
+        vs = truth[2].copy()
+        del truth
+        # the model runs from rest at row 0, row for row, like the observer; it
+        # runs first, so that only its RMS is held while the observer runs
+        try:
+            e_model = rms(meas.x, simulate_forced(cfg.plant, cfg.friction, meas.u, meas.dt,
+                                                  cfg.sim.v_max).x)
+        except SimulationDiverged as exc:
+            diverged = exc  # the observer's own failures are reported first
     try:
         est = run_observer(meas, cfg.gains, cfg.plant.m, cfg.friction)
     except ValueError as exc:
         # Measured checked the record, so what is left is the gain condition
         raise ConfigError(str(exc)) from None
+    if diverged:
+        raise diverged
     lines = [f"rms_e_obs = {_fmt(rms(est.e_obs))}"] if n else []
     if args.truth:
-        model = simulate_forced(cfg.plant, cfg.friction, meas.u, meas.dt, cfg.sim.v_max)
         lines.append(f"rms_velocity_error = {_fmt(rms(est.w2, vs))}")
-        # the model runs from rest at row 0, row for row, like the observer
-        lines.append(f"rms_e_model = {_fmt(rms(meas.x, model.x))}")
+        lines.append(f"rms_e_model = {_fmt(e_model)}")
     lines.append(f"wrote {args.out}" if n else f"no samples; wrote {args.out}")
     write_columns(Path(args.out), ESTIMATES_HEADER, [est.t, est.w2, est.w3, est.phi, est.e_obs])
     print("\n".join(lines))
@@ -215,6 +248,7 @@ def _first_pulse(u, dt: float) -> tuple[float, float]:
 
 
 def cmd_identify(args: argparse.Namespace) -> int:
+    _check_files(args, [("--out", args.out)])
     cfg = load_config(args.config)
     meas = _read_measured(args.measured)
     theta0 = [getattr(cfg.friction, name) for name in THETA_NAMES]
@@ -271,13 +305,7 @@ plt.tight_layout(); plt.show()
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    # no output may name another file: the merged rows are copied from the
-    # inputs while --out is written
-    named = (("--sim", args.sim), ("--estimates", args.estimates), ("--out", args.out))
-    for out_flag, out in (("--out", args.out), ("--plot-script", args.plot_script)):
-        for flag, path in named:
-            if out and flag != out_flag and Path(out).resolve() == Path(path).resolve():
-                raise ConfigError(f"{out_flag} names the {flag} file")
+    _check_files(args, [("--out", args.out), ("--plot-script", args.plot_script)])
     ts, xs, vs, fs, us = _read(args.sim, SIM_HEADER, "sim")
     te, w2, w3, phi, e_obs = _read(args.estimates, ESTIMATES_HEADER, "estimates")
     if len(ts) != len(te):
@@ -288,16 +316,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise CsvSchemaError("timestamp mismatch between sim and estimates")
     lines = [f"rows = {len(ts)}", f"rms_e_obs = {_fmt(rms(e_obs))}",
              f"rms_velocity_error = {_fmt(rms(w2, vs))}", f"rms_force_error = {_fmt(rms(w3, fs))}"]
+    # both tables are freed before the merged rows are written
+    del ts, xs, vs, fs, us, te, w2, w3, phi, e_obs
     if args.plot_script:
         # the short script first: when it cannot be written, no merged CSV is left behind
         with _output(args.plot_script) as out:
             out.write(PLOT_SCRIPT.encode())
         lines.append(f"wrote {args.plot_script}")
     try:
-        # plain inputs are spliced line by line; any other input is formatted anew
+        # plain inputs are spliced line by line; any other is read again and formatted anew
         if not splice_rows(args.out, args.sim, SIM_HEADER, args.estimates, ESTIMATES_HEADER):
             write_columns(Path(args.out), SIM_HEADER + ESTIMATES_HEADER[1:],
-                          [ts, xs, vs, fs, us, w2, w3, phi, e_obs])
+                          _read(args.sim, SIM_HEADER, "sim")
+                          + _read(args.estimates, ESTIMATES_HEADER, "estimates")[1:])
     except OSError:
         if args.plot_script:
             Path(args.plot_script).unlink(missing_ok=True)

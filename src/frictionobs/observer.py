@@ -210,7 +210,8 @@ def rms(a: np.ndarray, b: np.ndarray | float = 0.0) -> float:
     # inf - inf from non-finite inputs is NaN, as the plain formula gives
     with np.errstate(over="ignore", invalid="ignore"):
         d = a - b
-        ms = np.mean(d * d)
+        d *= d
+        ms = np.mean(d)
     if ms == math.inf and np.isfinite(a).all() and np.isfinite(b).all():
         s = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
         d = a / s - b / s

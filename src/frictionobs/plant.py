@@ -25,6 +25,8 @@ import numpy as np
 
 from .friction import FrictionParams, advance, level
 
+_GRID_CHUNK = 1 << 14  # steps of t that grid_break checks at a time
+
 
 class SimulationDiverged(RuntimeError):
     """Velocity exceeded the divergence bound, or overflowed to NaN; carries the time."""
@@ -142,9 +144,12 @@ def grid_break(t: np.ndarray) -> int | None:
     dt = float(t[1] - t[0])
     if not 0.0 < dt < math.inf:
         return 1
-    # written so that a NaN step fails the comparison
-    off = ~(np.abs(np.diff(t) - dt) <= max(1e-12, 1e-6 * dt))
-    return int(np.argmax(off)) + 1 if off.any() else None
+    # a chunk at a time, so the scratch is bounded; a NaN step fails the comparison
+    for lo in range(0, len(t) - 1, _GRID_CHUNK):
+        off = ~(np.abs(np.diff(t[lo:lo + _GRID_CHUNK + 1]) - dt) <= max(1e-12, 1e-6 * dt))
+        if off.any():
+            return lo + int(np.argmax(off)) + 1
+    return None
 
 
 def same_grid(a: np.ndarray, b: np.ndarray) -> bool:
@@ -156,8 +161,10 @@ def same_grid(a: np.ndarray, b: np.ndarray) -> bool:
         return False
     if len(a) == 0:
         return True
-    tol = max(1e-9, 1e-9 * float(np.max(np.abs(a))))
-    return bool(np.all(np.abs(a - b) <= tol))
+    # one temporary, d; np.max passes a NaN on, which fails the comparison
+    tol = max(1e-9, 1e-9 * max(float(np.max(a)), -float(np.min(a))))
+    d = np.subtract(a, b, dtype=float)
+    return bool(np.max(np.abs(d, out=d)) <= tol)
 
 
 @dataclass(frozen=True)
@@ -247,7 +254,8 @@ def simulate_forced(
     if not np.isfinite(u).all():
         raise ValueError(f"input u is not finite at row {int(np.argmin(np.isfinite(u)))}")
     n = len(u)
-    t = np.arange(n) * dt
+    t = np.arange(n, dtype=float)
+    t *= dt
     # packed float64 columns, 8 bytes a sample where a list of floats takes
     # 32; a memoryview stores a float in half the time array item assignment takes
     u_d = memoryview(u)
@@ -278,23 +286,24 @@ def simulate_forced(
     return Trajectory(t, np.frombuffer(xs), np.frombuffer(vs), np.frombuffer(fs), u)
 
 
-def measure(traj: Trajectory, cfg: SimConfig) -> Measured:
-    """Displacement measurement: x + Gaussian noise, floor-quantized to a grid.
+def measure(t: np.ndarray, x: np.ndarray, u: np.ndarray, cfg: SimConfig) -> Measured:
+    """Displacement measurement of a run's columns: x + Gaussian noise, floor-quantized to a grid.
 
     Quantization maps x to floor(x/quant)*quant (toward minus infinity);
     quant = 0 disables it. The noise stream is drawn from
     numpy.random.default_rng(cfg.seed), so a fixed seed reproduces the
     sequence bit-identically. An x that overflows to inf or NaN raises
-    ValueError naming the row. The result shares t and u with traj, and x too
-    when neither noise nor quantization applies.
+    ValueError naming the row. The result shares t and u with the arguments,
+    and x too when neither noise nor quantization applies.
     """
-    x = traj.x
     # finite settings can still overflow x (a huge noise_std, a subnormal
     # quant); Measured then rejects the non-finite x
     with np.errstate(over="ignore"):
         if cfg.noise_std > 0:
-            rng = np.random.default_rng(cfg.seed)
-            x = x + rng.normal(0.0, cfg.noise_std, size=len(x))
+            noise = np.random.default_rng(cfg.seed).normal(0.0, cfg.noise_std, size=len(x))
+            x = np.add(noise, x, out=noise)  # n + x is x + n to the bit
         if cfg.quant > 0:
-            x = np.floor(x / cfg.quant) * cfg.quant
-    return Measured(traj.t, x, traj.u)
+            # in place in the noise column; the caller's x is never written
+            x = np.divide(x, cfg.quant, out=x if cfg.noise_std > 0 else None)
+            x = np.multiply(np.floor(x, out=x), cfg.quant, out=x)
+    return Measured(t, x, u)

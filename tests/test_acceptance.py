@@ -256,7 +256,7 @@ def test_criterion_6_end_to_end(capsys):
     assert validate_robust(g, M_KG, sob_nom, E2E_NOMINAL.kappa).passed
 
     traj = simulate(plant, E2E_TRUTH, ImpulseTrain(E2E_PULSES), E2E_SIM)
-    meas = measure(traj, E2E_SIM)
+    meas = measure(traj.t, traj.x, traj.u, E2E_SIM)
     est = run_observer(meas, g, M_KG, E2E_NOMINAL)
     model = simulate_forced(plant, E2E_NOMINAL, meas.u, E2E_SIM.dt, E2E_SIM.v_max)
     rms_obs, rms_model = rms(est.e_obs), rms(meas.x - model.x)

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,31 @@ def test_observe_bad_gains_is_config_error(tmp_path, capsys):
     rc = main(["identify", "--config", str(bad), "--measured", measured,
                "--out", str(tmp_path / "fit.txt")])
     assert rc == EXIT_OK
+
+
+def test_observe_bad_gains_come_before_a_diverging_model(cfg_file, short_run, tmp_path,
+                                                        capsys):
+    # the model diverges at once under this v_max, but the gain condition is
+    # what is reported, whichever of the two runs first
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SHORT_CFG.replace("observer.poles = -350, -10\n", "")
+                   + "observer.l1 = -5\nsim.v_max = 1e-9\n", encoding="utf-8")
+    out = tmp_path / "e.csv"
+    rc = main(["observe", "--config", str(bad), "--measured", str(short_run[1]),
+               "--out", str(out), "--truth", str(short_run[0])])
+    captured = capsys.readouterr()
+    assert rc == EXIT_CONFIG
+    assert captured.err == ("config error: gains (l1=-5.0, l2=-182.0) violate l1 > 0, "
+                            "l2 < sigma/beta = 1000.0\n")
+    assert captured.out == "" and not out.exists()
+    # with gains that hold, the model's divergence is what is reported
+    bad.write_text(SHORT_CFG + "sim.v_max = 1e-9\n", encoding="utf-8")
+    rc = main(["observe", "--config", str(bad), "--measured", str(short_run[1]),
+               "--out", str(out), "--truth", str(short_run[0])])
+    captured = capsys.readouterr()
+    assert rc == EXIT_DIVERGED
+    assert captured.err.startswith("simulation diverged: ") and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
 
 
 def test_observe_truth_single_sample(cfg_file, tmp_path, capsys):
@@ -639,30 +665,62 @@ def test_plot_script_naming_out_is_config_error(cfg_file, short_run, tmp_path, c
     assert sorted(tmp_path.rglob("*")) == before
 
 
-@pytest.mark.parametrize("out_flag", ["--out", "--plot-script"])
-@pytest.mark.parametrize("in_flag", ["--sim", "--estimates"])
+# (command, input flag, output flag); compare's cases keep their first ids
+_NAMING = [("compare", i, o) for i in ("--estimates", "--sim") for o in ("--out", "--plot-script")]
+_NAMING += [("observe", "--config", "--out"), ("observe", "--measured", "--out"),
+            ("observe", "--truth", "--out"), ("identify", "--config", "--out"),
+            ("identify", "--measured", "--out"), ("simulate", "--config", "--out"),
+            ("simulate", "--config", "--measured-out")]
+
+
+@pytest.mark.parametrize("command, in_flag, out_flag", [
+    pytest.param(c, i, o, id=f"{i}-{o}" if c == "compare" else f"{c}:{i}-{o}")
+    for c, i, o in _NAMING])
 def test_output_naming_an_input_is_config_error(cfg_file, short_run, tmp_path, capsys,
-                                                monkeypatch, out_flag, in_flag):
-    # merged rows are copied from the inputs while the output is written, so
-    # an output that names an input would lose it
+                                                monkeypatch, command, in_flag, out_flag):
+    # every command reads an input while it writes, or after it has written,
+    # an output, so an output that names an input would lose it
     sim, measured = short_run
     est = tmp_path / "est.csv"
     main(["observe", "--config", str(cfg_file), "--measured", str(measured), "--out", str(est)])
     capsys.readouterr()
     monkeypatch.chdir(tmp_path)
-    inputs = {p: p.read_bytes() for p in (sim, est)}
+    files = {"--config": cfg_file, "--measured": measured, "--truth": sim, "--sim": sim,
+             "--estimates": est}
+    inputs = {p: p.read_bytes() for p in files.values()}
     before = sorted(tmp_path.rglob("*"))
+    argv = {
+        "compare": ["--sim", str(sim), "--estimates", str(est), "--out", "merged.csv",
+                    "--plot-script", "plot.py"],
+        "observe": ["--config", str(cfg_file), "--measured", str(measured), "--truth", str(sim),
+                    "--out", "e.csv"],
+        "identify": ["--config", str(cfg_file), "--measured", str(measured), "--out", "fit.txt"],
+        "simulate": ["--config", str(cfg_file), "--out", "s.csv", "--measured-out", "m.csv"],
+    }[command]
     # one file named by a relative and by an absolute path
-    target = {"--sim": "sim.csv", "--estimates": "est.csv"}[in_flag]
-    outs = {"--out": "merged.csv", "--plot-script": "plot.py", out_flag: target}
-    rc = main(["compare", "--sim", str(sim), "--estimates", str(est),
-               "--out", outs["--out"], "--plot-script", outs["--plot-script"]])
+    argv[argv.index(out_flag) + 1] = files[in_flag].name
+    rc = main([command, *argv])
     captured = capsys.readouterr()
     assert rc == EXIT_CONFIG
     assert captured.err == f"config error: {out_flag} names the {in_flag} file\n"
     assert captured.out == ""
     assert sorted(tmp_path.rglob("*")) == before
-    assert {p: p.read_bytes() for p in (sim, est)} == inputs
+    assert {p: p.read_bytes() for p in files.values()} == inputs
+
+
+@pytest.mark.skipif(not hasattr(os, "link"), reason="no hard links")
+def test_output_hard_linked_to_an_input_is_config_error(cfg_file, short_run, tmp_path, capsys):
+    # a hard link is the input file under another name, which no path resolves away
+    measured = short_run[1]
+    link = tmp_path / "link.csv"
+    os.link(measured, link)
+    data = measured.read_bytes()
+    rc = main(["observe", "--config", str(cfg_file), "--measured", str(measured),
+               "--out", str(link)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_CONFIG
+    assert captured.err == "config error: --out names the --measured file\n"
+    assert captured.out == "" and measured.read_bytes() == data
 
 
 def test_compare_formats_inputs_that_are_not_plain(cfg_file, short_run, tmp_path):
@@ -747,6 +805,11 @@ def test_simulate_subnormal_quant_is_one_config_error(tmp_path, capsys):
     assert captured.err.startswith("config error: sim.noise_std/sim.quant: ")
     assert captured.err.count("\n") == 1
     assert not out.exists()
+    # the truth CSV is written before the noise is drawn, but a config that
+    # measure rejects is still reported before an output that cannot be written
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "no" / "s.csv")])
+    assert rc == EXIT_CONFIG and capsys.readouterr().err == captured.err
+    assert sorted(tmp_path.iterdir()) == [cfg]
 
 
 def test_later_seed_overflow_leaves_no_files(tmp_path, capsys):
@@ -760,6 +823,38 @@ def test_later_seed_overflow_leaves_no_files(tmp_path, capsys):
     assert rc == EXIT_CONFIG and captured.out == ""
     assert captured.err.startswith("config error: sim.noise_std/sim.quant: ")
     assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+def _traced_peak(argv):
+    """main(argv)'s exit code and its peak traced memory in bytes."""
+    tracemalloc.start()
+    try:
+        return main(argv), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_and_observe_peak_bytes_a_sample(tmp_path, capsys):
+    # each column is freed once it has been read for the last time. On this
+    # 20,001-sample record simulate peaks at 114.3 bytes a sample (122.3 when
+    # the noisy x was drawn before the truth CSV was written) and observe
+    # --truth at 142.7 (182.8 with the truth's t, the model's columns and the
+    # estimates all held); one 4096-row block of formatted cells is about 70
+    # of each
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SHORT_CFG.replace("sim.t_end = 0.4", "sim.t_end = 10.0"), encoding="utf-8")
+    n = 20001
+    # numpy.random is imported on first use; its import is no cost of a sample
+    np.random.default_rng
+    sim = tmp_path / "sim.csv"
+    rc, peak = _traced_peak(["simulate", "--config", str(cfg), "--out", str(sim)])
+    assert rc == EXIT_OK and len(read_columns(sim, SIM_HEADER)[0]) == n
+    assert peak <= 118 * n
+    rc, peak = _traced_peak(["observe", "--config", str(cfg), "--measured",
+                             str(tmp_path / "sim_measured.csv"), "--out",
+                             str(tmp_path / "e.csv"), "--truth", str(sim)])
+    assert rc == EXIT_OK and "rms_e_model = " in capsys.readouterr().out
+    assert peak <= 160 * n
 
 
 # a child interpreter that may write files of at most argv[1] bytes, with

@@ -138,7 +138,7 @@ def test_residual_noise_floor():
     # at the generating parameters only measurement noise remains
     traj = simulate(PLANT, LAW, TRAIN, SimConfig(dt=1e-3, t_end=0.12))
     cfg = SimConfig(dt=1e-3, t_end=0.12, noise_std=1e-6, seed=9)
-    prob = problem_on(traj.t, measure(traj, cfg).x)
+    prob = problem_on(traj.t, measure(traj.t, traj.x, traj.u, cfg).x)
     assert 5e-7 < residual(TRUTH, prob) < 2e-6
 
 

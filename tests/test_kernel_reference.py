@@ -149,7 +149,8 @@ def test_plant_matches_reference_loop(case):
 def test_observer_matches_reference_fold(case, lam_fast, lam_slow):
     fp, train, cfg = case
     g = design_gains((lam_fast, lam_slow), M_KG, fp.sigma / fp.beta)
-    meas = measure(simulate(PlantParams(M_KG), fp, train, cfg), cfg)
+    traj = simulate(PlantParams(M_KG), fp, train, cfg)
+    meas = measure(traj.t, traj.x, traj.u, cfg)
     est = run_observer(meas, g, M_KG, fp)
     w2, w3, phi = reference_observer(meas.x.tolist(), meas.u.tolist(), cfg.dt, g, M_KG, fp)
     assert _bits(est.w2) == _bits(w2)

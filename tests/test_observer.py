@@ -263,7 +263,7 @@ def test_replica_phi_spans_presliding_to_sliding():
     plant = PlantParams(m=M_KG)
     cfg = SimConfig(dt=5e-4, t_end=0.6)
     traj = simulate(plant, FRICTION, ImpulseTrain(((0.05, 0.01, 1.6),)), cfg)
-    meas = measure(traj, cfg)
+    meas = measure(traj.t, traj.x, traj.u, cfg)
     out = run_observer(meas, GAINS, M_KG, FRICTION)
     sob = FRICTION.sigma / FRICTION.beta
     phis = out.phi
@@ -276,7 +276,7 @@ def test_estimates_track_truth_after_transient():
     plant = PlantParams(m=M_KG)
     cfg = SimConfig(dt=5e-4, t_end=0.6)
     traj = simulate(plant, FRICTION, ImpulseTrain(((0.05, 0.01, 1.6),)), cfg)
-    meas = measure(traj, cfg)  # noise-free
+    meas = measure(traj.t, traj.x, traj.u, cfg)  # noise-free
     w2 = run_observer(meas, GAINS, M_KG, FRICTION).w2
     peak = np.max(np.abs(traj.v))
     settled = traj.t > 0.05 + 0.5  # 5/|lam_slow| after the pulse
@@ -295,7 +295,7 @@ def test_observer_beats_central_difference_velocity():
     g = design_gains((-400.0, -150.0), M_KG, truth.sigma / truth.beta)
     cfg = SimConfig(dt=5e-4, t_end=1.0, noise_std=2e-6, seed=5)
     traj = simulate(plant, truth, ImpulseTrain(((0.05, 0.01, 0.6),)), cfg)
-    meas = measure(traj, cfg)
+    meas = measure(traj.t, traj.x, traj.u, cfg)
     w2 = run_observer(meas, g, M_KG, truth).w2
     fd = np.gradient(meas.x, cfg.dt)
     inner = slice(1, -1)  # central differences exist only at interior points

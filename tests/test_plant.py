@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from frictionobs import plant
 from frictionobs import (
     FrictionParams,
     GridError,
@@ -141,7 +142,7 @@ def test_impulse_stop_time_matches_momentum_balance():
 
 def test_measure_identity_when_noise_and_quant_off():
     traj = simulate(PLANT, FRICTION, ImpulseTrain(((0.01, 0.01, 1.0),)), SimConfig(dt=1e-3, t_end=0.1))
-    m = measure(traj, SimConfig(dt=1e-3, t_end=0.1, noise_std=0.0, quant=0.0))
+    m = measure(traj.t, traj.x, traj.u, SimConfig(dt=1e-3, t_end=0.1, noise_std=0.0, quant=0.0))
     assert np.array_equal(m.x, traj.x)
 
 
@@ -176,7 +177,7 @@ def test_measured_dt():
 def test_measure_quantization_reference_value():
     t = np.array([0.0, 1e-3, 2e-3])
     traj = Trajectory(t, np.array([0.0, 2.34e-6, -0.4e-6]), np.zeros(3), np.zeros(3), np.zeros(3))
-    m = measure(traj, SimConfig(dt=1e-3, t_end=2e-3, quant=1e-6))
+    m = measure(traj.t, traj.x, traj.u, SimConfig(dt=1e-3, t_end=2e-3, quant=1e-6))
     assert m.x[1] == 2e-6
     assert m.x[2] == -1e-6  # floor quantization rounds toward minus infinity
 
@@ -184,17 +185,17 @@ def test_measure_quantization_reference_value():
 def test_measure_noise_determinism():
     traj = simulate(PLANT, FRICTION, ImpulseTrain(((0.01, 0.01, 1.0),)), SimConfig(dt=1e-3, t_end=0.2))
     cfg = SimConfig(dt=1e-3, t_end=0.2, noise_std=1e-6, seed=42)
-    m1 = measure(traj, cfg)
-    m2 = measure(traj, cfg)
+    m1 = measure(traj.t, traj.x, traj.u, cfg)
+    m2 = measure(traj.t, traj.x, traj.u, cfg)
     assert np.array_equal(m1.x, m2.x)
-    m3 = measure(traj, SimConfig(dt=1e-3, t_end=0.2, noise_std=1e-6, seed=43))
+    m3 = measure(traj.t, traj.x, traj.u, SimConfig(dt=1e-3, t_end=0.2, noise_std=1e-6, seed=43))
     assert not np.array_equal(m1.x, m3.x)
 
 
 def test_measure_quantization_floors():
     traj = simulate(PLANT, FRICTION, ImpulseTrain(((0.01, 0.01, 1.0),)), SimConfig(dt=1e-3, t_end=0.2))
     q = 1e-6
-    m = measure(traj, SimConfig(dt=1e-3, t_end=0.2, quant=q))
+    m = measure(traj.t, traj.x, traj.u, SimConfig(dt=1e-3, t_end=0.2, quant=q))
     assert np.all(m.x <= traj.x + 1e-18)
     assert np.all(traj.x - m.x < q * (1 + 1e-9))
     steps = np.round(m.x / q)
@@ -238,3 +239,58 @@ def test_forced_run_holds_columns_packed():
         tracemalloc.stop()
     assert len(traj) == n and np.abs(traj.v).max() > 0.01
     assert peak <= 48 * n
+
+
+def _grid_break_whole(t):
+    """grid_break as one whole-array pass: the reference for the chunked check."""
+    if len(t) and not math.isfinite(t[0]):
+        return 0
+    if len(t) < 2:
+        return None
+    dt = float(t[1] - t[0])
+    if not 0.0 < dt < math.inf:
+        return 1
+    off = ~(np.abs(np.diff(t) - dt) <= max(1e-12, 1e-6 * dt))
+    return int(np.argmax(off)) + 1 if off.any() else None
+
+
+def _same_grid_whole(a, b):
+    """same_grid with whole-array temporaries: the reference for the one-temporary check."""
+    if len(a) != len(b):
+        return False
+    if len(a) == 0:
+        return True
+    tol = max(1e-9, 1e-9 * float(np.max(np.abs(a))))
+    return bool(np.all(np.abs(a - b) <= tol))
+
+
+@pytest.mark.parametrize("extra", [-2, -1, 0, 1, 2, plant._GRID_CHUNK + 1])
+def test_grid_checks_match_whole_array_formulas(extra):
+    c = plant._GRID_CHUNK
+    n = c + extra
+    base = np.arange(n) * 5e-4
+    # rows around the first chunk edge (row c is the last step of chunk 0),
+    # the last row, and one row of the second chunk edge where there is one
+    rows = sorted({r for r in (1, 2, c - 1, c, c + 1, n - 1, 2 * c, 2 * c + 1) if 0 <= r < n})
+    cases = [base, base + 3.0, np.arange(n) * 1e-3 - 7.0]
+    for r in rows:
+        for change in (1e-9, -2e-4, 5e-4, math.nan, math.inf):
+            t = base.copy()
+            t[r] += change
+            cases.append(t)
+        t = base.copy()
+        t[r:] += 1e-6
+        cases.append(t)
+    for t in cases:
+        assert plant.grid_break(t) == _grid_break_whole(t)
+        # inf - inf is NaN, which both formulas reject, with numpy's warning
+        with np.errstate(invalid="ignore"):
+            for b in (base, base + 2e-9, base * (1 + 1e-12), t[::-1]):
+                assert plant.same_grid(t, b) == _same_grid_whole(t, b)
+                assert plant.same_grid(b, t) == _same_grid_whole(b, t)
+    # a break one row before the chunk edge, at it, one row after it, and in the last row
+    for r in (c - 1, c, c + 1, n - 1):
+        if r < n:
+            t = base.copy()
+            t[r] += 1e-3
+            assert plant.grid_break(t) == r
