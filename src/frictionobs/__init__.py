@@ -1,8 +1,8 @@
 """Friction observation toolkit for a 1-DOF mass under presliding friction.
 
-The package covers the full loop: friction model, forward simulation,
-observer gain design, reduced-order estimation and parameter fitting,
-with CSV-based CLI entry points for batch work.
+The package covers the full loop: the friction model (``friction``), forward
+simulation (``plant``), observer gain design and estimation (``observer``),
+parameter fitting (``ident``) and a CSV-based CLI (``csvio``, ``config``, ``cli``).
 
 Each public name is imported from its submodule on first access, so
 ``import frictionobs`` loads no numpy. The CLI module (``frictionobs.cli``)
@@ -18,11 +18,10 @@ _SUBMODULE = {
     **dict.fromkeys(("ESTIMATES_HEADER", "MEASURED_HEADER", "SIM_HEADER", "CsvSchemaError",
                      "read_columns", "write_columns"), "csvio"),
     **dict.fromkeys(("FrictionParams", "advance", "level", "stiffness"), "friction"),
-    **dict.fromkeys(("ObserverGains", "RobustReport", "design_gains", "validate_robust"),
-                    "gains"),
     **dict.fromkeys(("FitProblem", "FitResult", "THETA_NAMES", "fit", "residual"), "ident"),
-    **dict.fromkeys(("Estimates", "ObserverDiverged", "e_obs_series", "observer_matrix",
-                     "observer_update", "rms", "run_observer"), "observer"),
+    **dict.fromkeys(("Estimates", "ObserverDiverged", "ObserverGains", "RobustReport",
+                     "design_gains", "e_obs_series", "observer_matrix", "observer_update",
+                     "rms", "run_observer", "validate_robust"), "observer"),
     **dict.fromkeys(("GridError", "ImpulseTrain", "Measured", "PlantParams", "SimConfig",
                      "SimulationDiverged", "Trajectory", "measure", "simulate",
                      "simulate_forced"), "plant"),

@@ -56,9 +56,8 @@ from .csvio import (
     splice_rows,
     write_columns,
 )
-from .gains import design_gains, validate_robust
 from .ident import THETA_NAMES, FitProblem, fit
-from .observer import ObserverDiverged, rms, run_observer
+from .observer import ObserverDiverged, design_gains, rms, run_observer, validate_robust
 from .plant import (GridError, Measured, SimulationDiverged, measure, same_grid, simulate,
                     simulate_forced)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .friction import FrictionParams
-from .gains import ObserverGains, design_gains
+from .observer import ObserverGains, design_gains
 from .plant import ImpulseTrain, PlantParams, SimConfig
 
 

@@ -6,14 +6,26 @@ estimated part z = (v, f). In regular form the estimated block evolves as
     z' = a22 z + b_z u,      x' = a12 z,
     a22 = [[0, -1/m], [phi, 0]],   b_z = (1/m, 0),   a12 = (1, 0),
 
-where phi = dF_c/dx + sigma/beta lumps the presliding stiffness and the
-viscous-lag coupling. With correction gain L = (l1, l2) the observer is
+where phi = dF_c/dx + sigma/beta lumps the presliding stiffness dF_c/dx (0
+in gross sliding, up to kappa in presliding) and the viscous-lag coupling
+sob = sigma/beta, so phi ranges over [sob, sob + kappa]. With correction
+gain L = (l1, l2) the observer is
 
     z~' = M z~ + M L x + b_z u,    M = a22 - L a12,
 
 and the estimates are recovered by the back-transform w~ = z~ + L x. For
 any frozen phi the estimation error obeys e' = M e, so the error poles are
-the roots of lam^2 + l1 lam + (phi - l2)/m.
+the roots of
+
+    lam^2 + l1 lam + (phi - l2)/m = 0.
+
+``design_gains`` places them at a chosen real pair (lam1, lam2) for phi = sob:
+
+    l1 = -(lam1 + lam2),   l2 = sob - m lam1 lam2.
+
+``validate_robust`` checks them over phi in [sob, sob + kappa]: (a) l1 > 0;
+(b) l1 > 2 sqrt((sob + kappa - l2)/m), so the poles stay real up to
+phi = sob + kappa; (c) l2 < sob, so the pole product (phi - l2)/m stays > 0.
 
 Each step integrates the frozen-phi system exactly with x and u held, the
 2x2 matrix exponential written in closed form in real arithmetic (see
@@ -35,10 +47,98 @@ from dataclasses import dataclass
 import numpy as np
 
 from .friction import FrictionParams, advance, stiffness
-from .gains import ObserverGains
 from .plant import Measured
 
 Mat2 = tuple[tuple[float, float], tuple[float, float]]
+
+
+@dataclass(frozen=True)
+class ObserverGains:
+    """Correction gains: l1 [1/s] on the velocity state, l2 [N/m] on the force state."""
+
+    l1: float
+    l2: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.l1) and math.isfinite(self.l2)):
+            raise ValueError("gains must be finite")
+
+
+@dataclass(frozen=True)
+class RobustReport:
+    """Outcome of validate_robust over phi in [sob, sob + kappa].
+
+    worst_discriminant is the characteristic discriminant at phi = sob + kappa
+    (it decreases monotonically in phi); lam1_range / lam2_range are the
+    real-part intervals of the two poles over phi in [sob, sob + kappa].
+    """
+
+    cond_a: bool
+    cond_b: bool
+    cond_stab: bool
+    worst_discriminant: float
+    lam1_range: tuple[float, float]
+    lam2_range: tuple[float, float]
+
+    @property
+    def passed(self) -> bool:
+        return self.cond_a and self.cond_b and self.cond_stab
+
+
+def design_gains(poles: tuple[float, float], m: float, sob: float = 0.0) -> ObserverGains:
+    """Gains placing the phi = sob poles at the requested real pair.
+
+    Both poles must be real, finite and strictly negative.
+    """
+    lam1, lam2 = poles
+    for lam in (lam1, lam2):
+        if isinstance(lam, complex):
+            raise ValueError("poles must be real")
+        if not (math.isfinite(lam) and lam < 0):
+            raise ValueError(f"poles must be finite and < 0, got {lam!r}")
+    if m <= 0:
+        raise ValueError(f"m must be > 0, got {m!r}")
+    l1 = -(lam1 + lam2)
+    l2 = sob - m * (lam1 * lam2)
+    return ObserverGains(l1, l2)
+
+
+def validate_robust(g: ObserverGains, m: float, sob: float, kappa: float) -> RobustReport:
+    """Check the realness/stability conditions over phi in [sob, sob + kappa].
+
+    cond_a: l1 > 0; cond_b: l1 > 2*sqrt((kappa + sob - l2)/m) (vacuous when
+    the argument is negative); cond_stab: l2 < sob. m, sob and kappa must
+    be finite, m > 0, sob >= 0 and kappa >= 0; otherwise ValueError. The
+    discriminant falls monotonically in phi, so the pole ranges come from
+    the endpoints phi = sob and phi = sob + kappa, with real part -l1/2
+    where the pair is complex.
+    """
+    if not (math.isfinite(m) and m > 0):
+        raise ValueError(f"m must be finite and > 0, got {m!r}")
+    for name, val in (("sob", sob), ("kappa", kappa)):
+        if not (math.isfinite(val) and val >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {val!r}")
+    cond_a = g.l1 > 0.0
+    arg = (kappa + sob - g.l2) / m
+    cond_b = True if arg < 0.0 else g.l1 > 2.0 * math.sqrt(arg)
+    cond_stab = g.l2 < sob
+
+    def real_parts(dfc_dx: float) -> tuple[float, float, float]:
+        # (discriminant, Re lam1, Re lam2) at phi = sob + dfc_dx, the stiffness dfc_dx
+        disc = g.l1 * g.l1 + (4.0 / m) * (g.l2 - dfc_dx - sob)
+        r = math.sqrt(disc) if disc >= 0.0 else 0.0
+        return disc, (-g.l1 - r) / 2.0, (-g.l1 + r) / 2.0
+
+    _, lo1, hi2 = real_parts(0.0)
+    worst, hi1, lo2 = real_parts(kappa)
+    return RobustReport(
+        cond_a=cond_a,
+        cond_b=cond_b,
+        cond_stab=cond_stab,
+        worst_discriminant=worst,
+        lam1_range=(lo1, hi1),
+        lam2_range=(lo2, hi2),
+    )
 
 
 class ObserverDiverged(RuntimeError):

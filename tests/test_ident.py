@@ -21,10 +21,16 @@ from frictionobs import (
 )
 
 PLANT = PlantParams(m=0.052)
-TRUTH = (2.0, 0.002, 2000.0)
-C_F = 0.2143
-BOUNDS = ((0.5, 8.0), (5e-4, 8e-3), (500.0, 8000.0))
-LAW = FrictionParams(c_f=C_F, sigma=TRUTH[0], beta=TRUTH[1], s_scale=TRUTH[2])
+LAW = FrictionParams(c_f=0.2143, sigma=2.0, beta=0.002, s_scale=2000.0)
+
+
+def per_name(f=lambda v: v, **override):
+    """f of LAW's value of each name in THETA_NAMES, in order; a keyword replaces its entry."""
+    return tuple(override[n] if n in override else f(getattr(LAW, n)) for n in THETA_NAMES)
+
+
+TRUTH = per_name()
+BOUNDS = per_name(lambda v: (v / 4, v * 4))  # 4x box: scaling by 4 is exact
 
 
 TRAIN = ImpulseTrain(((0.01, 0.005, 1.0),))
@@ -57,7 +63,7 @@ def test_residual_runs_the_problem_deadband():
 
 def test_residual_positive_off_truth():
     prob = make_problem()
-    off = (2.4, 0.002, 2000.0)
+    off = per_name(sigma=2.4)
     assert residual(off, prob) > 1e-7
 
 
@@ -66,9 +72,9 @@ def test_residual_validation():
     with pytest.raises(ValueError):
         residual((1.0, 2.0), prob)
     with pytest.raises(ValueError):
-        residual((float("nan"), 0.002, 2000.0), prob)
+        residual(per_name(sigma=float("nan")), prob)
     with pytest.raises(ValueError):
-        residual((100.0, 0.002, 2000.0), prob)  # outside bounds
+        residual(per_name(sigma=100.0), prob)  # outside bounds
 
 
 def test_problem_validation():
@@ -95,7 +101,7 @@ def test_problem_validation():
         problem_on(np.array([0.0, d, d + d * (1 - 1e-7)]), np.zeros(3))
     with pytest.raises(ValueError):
         problem_on(t, x, bounds=BOUNDS[:2])
-    bad_bounds = (BOUNDS[0], (0.008, 0.0005)) + BOUNDS[2:]
+    bad_bounds = per_name(lambda v: (v / 4, v * 4), beta=(0.008, 0.0005))
     with pytest.raises(ValueError):
         problem_on(t, x, bounds=bad_bounds)
 
@@ -106,7 +112,7 @@ def test_theta_names_order():
 
 def test_fit_deterministic_and_improves():
     prob = make_problem()
-    theta0 = (2.3, 0.0024, 1700.0)
+    theta0 = per_name(sigma=2.3, beta=0.0024, s_scale=1700.0)
     start = replace(prob, friction=replace(LAW, **dict(zip(THETA_NAMES, theta0))))
     r1 = fit(start)
     r2 = fit(start)
@@ -125,8 +131,8 @@ def test_residual_finite_at_bound_corners():
     corners = [
         tuple(lo for lo, hi in BOUNDS),
         tuple(hi for lo, hi in BOUNDS),
-        (0.5, 8e-3, 8000.0),
-        (8.0, 5e-4, 500.0),
+        per_name(sigma=0.5, beta=8e-3, s_scale=8000.0),
+        per_name(sigma=8.0, beta=5e-4, s_scale=500.0),
     ]
     for theta in corners:
         r = residual(theta, prob)

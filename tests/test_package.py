@@ -92,6 +92,37 @@ def test_importing_the_package_loads_no_numpy():
     assert _in_fresh_interpreter(code) == "False\n"
 
 
+@pytest.fixture(scope="module")
+def records(tmp_path_factory):
+    """A noisy config (the first default pulse starts at 0.3 s), its CSVs and estimates."""
+    from frictionobs.cli import main
+
+    d = tmp_path_factory.mktemp("records")
+    (d / "run.cfg").write_text("sim.t_end = 0.4\n")
+    (d / "quiet.cfg").write_text("sim.t_end = 0.4\nsim.noise_std = 0\n")
+    assert main(["simulate", "--config", str(d / "run.cfg"), "--out", str(d / "sim.csv")]) == 0
+    assert main(["observe", "--config", str(d / "run.cfg"), "--measured",
+                 str(d / "sim_measured.csv"), "--out", str(d / "est.csv")]) == 0
+    return d
+
+
+# importing numpy.random adds about 6 MB of RSS; simulate needs it only to draw noise
+@pytest.mark.parametrize("argv, loaded", [
+    ("simulate --config {d}/run.cfg --out {d}/noisy.csv", True),
+    ("simulate --config {d}/quiet.cfg --out {d}/quiet.csv", False),
+    ("design --poles=-350,-10", False),
+    ("observe --config {d}/run.cfg --measured {d}/sim_measured.csv --out {d}/est2.csv"
+     " --truth {d}/sim.csv", False),
+    ("compare --sim {d}/sim.csv --estimates {d}/est.csv --out {d}/merged.csv", False),
+    ("identify --config {d}/run.cfg --measured {d}/sim_measured.csv --out {d}/fit.txt", False),
+], ids=["simulate_noisy", "simulate_quiet", "design", "observe", "compare", "identify"])
+def test_only_a_noisy_simulate_loads_numpy_random(records, argv, loaded):
+    code = ("import sys\nfrom frictionobs.cli import main\n"
+            f"print(main({[a.format(d=records) for a in argv.split()]!r}),"
+            " 'numpy.random' in sys.modules)")
+    assert _in_fresh_interpreter(code).splitlines()[-1] == f"0 {loaded}"
+
+
 # wrap targets in perfbench/layertrace.py that name functions gone from the
 # package; each of their metrics reads 0 until the tracer is pointed at the
 # kernel, and this list must shrink as that happens
