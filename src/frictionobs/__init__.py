@@ -18,7 +18,7 @@ _SUBMODULE = {
     **dict.fromkeys(("ESTIMATES_HEADER", "MEASURED_HEADER", "SIM_HEADER", "CsvSchemaError",
                      "read_columns", "write_columns"), "csvio"),
     **dict.fromkeys(("FrictionParams", "advance", "level", "stiffness"), "friction"),
-    **dict.fromkeys(("FitProblem", "FitResult", "THETA_NAMES", "fit", "residual"), "ident"),
+    **dict.fromkeys(("FitProblem", "FitResult", "THETA_NAMES", "fit"), "ident"),
     **dict.fromkeys(("Estimates", "ObserverDiverged", "ObserverGains", "RobustReport",
                      "design_gains", "e_obs_series", "observer_matrix", "observer_update",
                      "rms", "run_observer", "validate_robust"), "observer"),

@@ -269,12 +269,13 @@ def cmd_identify(args: argparse.Namespace) -> int:
     # the excitation is read, not fitted: FitProblem has checked that u is nonzero somewhere
     amplitude, width = _first_pulse(meas.u, meas.dt)
     lines = [f"{name} = {_fmt(v)}" for name, v in zip(THETA_NAMES, result.theta)]
-    lines.append(f"amplitude = {_fmt(amplitude)}")
-    lines.append(f"width = {_fmt(width)}")
-    lines.append(f"rms_residual = {_fmt(result.rms_residual)}")
-    lines.append(f"iterations = {result.iterations}")
-    lines.append(f"converged = {str(result.converged).lower()}")
-    lines.append(f"beta_insensitive = {str(result.beta_insensitive).lower()}")
+    lines += [f"amplitude = {_fmt(amplitude)}", f"width = {_fmt(width)}",
+              f"rms_residual = {_fmt(result.rms_residual)}", f"iterations = {result.iterations}",
+              f"converged = {str(result.converged).lower()}"]
+    lines += [f"{name}_rel_se = {_fmt(se)}" for name, se in zip(THETA_NAMES, result.rel_se)]
+    # the pair of largest |correlation|; the first in THETA_NAMES order wins a tie
+    a, b, c = max(result.corr, key=lambda pair: abs(pair[2]))
+    lines += [f"max_corr = {_fmt(c)}", f"max_corr_pair = {a},{b}"]
     with _output(args.out) as out:
         out.write(("\n".join(lines) + "\n").encode())
     print("\n".join(lines + [f"wrote {args.out}"]))

@@ -4,16 +4,21 @@ Fits theta = (sigma, beta, s_scale), the fields of the friction law named in
 THETA_NAMES, by minimizing the RMS displacement residual between a measured
 record and a forward run of the plant under the record's own input u, on its
 grid; the mass and the rest of the friction law (c_f, z_floor, deadband) are
-known. fit(problem) starts from the values of problem.friction. The optimizer is a deterministic
-Levenberg-Marquardt loop in log theta, clipped to the box bounds, with a
-forward-difference Jacobian; it stops when an accepted step lowers the RMS by
-a relative 1e-8 or less, or after MAX_ITERATIONS trial steps.
+known. fit(problem) starts from the values of problem.friction, and runs a
+deterministic Levenberg-Marquardt loop in log theta, clipped to the box, with a
+forward-difference Jacobian. It stops at a start whose RMS is 0 (converged) or
+not finite (0 iterations), at an accepted step that lowers the RMS by a
+relative 1e-8 or less, at a damped step that no longer moves theta once
+clipped, or after MAX_ITERATIONS trial steps. FitResult's spread reuses the
+loop's last Jacobian when the loop ended on a step it did not take; otherwise
+the Jacobian at the returned theta costs p = len(THETA_NAMES) plant runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -67,19 +72,24 @@ class FitProblem:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Best parameters found, their residual and convergence bookkeeping.
+    """Best parameters found, their residual, spread and convergence bookkeeping.
 
-    iterations counts trial steps, accepted or not. beta_insensitive flags a
-    residual that moves by less than 1% when beta is swept across its whole
-    bound range at the fitted point, i.e. the record does not constrain the
-    lag constant.
+    iterations counts trial steps, accepted or not. With J = dx/d(log theta) at
+    theta, C = (J^T J)^-1 and s^2 = samples * rms_residual^2 / (samples - p),
+    rel_se[i] = s sqrt(C_ii) is theta[i]'s relative standard error (SE), and
+    corr holds (name_i, name_j, C_ij / sqrt(C_ii C_jj)) for each pair i < j, in
+    THETA_NAMES order. The SE is local and linearised: it can understate the
+    error near the Coulomb level (one 0.18 N pulse: sigma 1.8% off, SE 0.12%).
+    Never NaN: a zero residual gives SE 0; samples <= p, SE inf; J^T J singular
+    to working precision, or no finite start, SE inf and correlation 0.
     """
 
     theta: tuple[float, ...]
     rms_residual: float
     iterations: int
     converged: bool
-    beta_insensitive: bool
+    rel_se: tuple[float, ...]
+    corr: tuple[tuple[str, str, float], ...]
 
 
 def _forward_x(theta: Sequence[float], problem: FitProblem) -> np.ndarray | None:
@@ -91,27 +101,6 @@ def _forward_x(theta: Sequence[float], problem: FitProblem) -> np.ndarray | None
     except (SimulationDiverged, OverflowError):
         return None
     return x if np.all(np.isfinite(x)) else None
-
-
-def _rms(x: np.ndarray | None, problem: FitProblem) -> float:
-    return math.inf if x is None else rms(x, problem.record.x)
-
-
-def residual(theta: Sequence[float], problem: FitProblem) -> float:
-    """RMS displacement error of a forward run at theta.
-
-    The run takes exactly the record's samples at record.dt, driven by the
-    record's u. Diverging or non-finite simulations score +inf, never NaN.
-    theta must lie inside the bounds.
-    """
-    theta = [float(v) for v in theta]
-    if len(theta) != len(THETA_NAMES):
-        raise ValueError(f"theta must have {len(THETA_NAMES)} entries")
-    for name, v, (lo, hi) in zip(THETA_NAMES, theta, problem.bounds):
-        # a NaN fails the comparison too
-        if not (lo <= v <= hi):
-            raise ValueError(f"{name} = {v!r} outside bounds [{lo}, {hi}]")
-    return _rms(_forward_x(theta, problem), problem)
 
 
 def _jacobian(theta: np.ndarray, x: np.ndarray, problem: FitProblem,
@@ -131,6 +120,28 @@ def _jacobian(theta: np.ndarray, x: np.ndarray, problem: FitProblem,
     return jac
 
 
+def _spread(jac: np.ndarray, cost: float) -> tuple[tuple, tuple]:
+    """FitResult's (rel_se, corr) from the Jacobian at theta and the RMS residual there."""
+    n, p = jac.shape
+    rel_se, corr = np.full(p, math.inf), np.eye(p)  # unless C can be formed
+    with np.errstate(all="ignore"):
+        jtj = jac.T @ jac
+        try:
+            # C = (J^T J)^-1, one 1-D solve per column as in the LM step
+            cov = np.array([np.linalg.solve(jtj, e) for e in np.eye(p)])
+        except np.linalg.LinAlgError:
+            cov = jtj * np.nan
+        # C_ii (J^T J)_ii reaches 1/eps where column i of J is a combination of the others
+        vif = np.diag(cov) * np.diag(jtj)
+        if np.all(np.isfinite(cov)) and np.all((vif > 0) & (vif < 1 / np.finfo(float).eps)):
+            sd = np.sqrt(np.diag(cov))
+            # s^2 = RSS / (n - p) with RSS = n cost^2; n <= p leaves no degree of freedom
+            rel_se = (cost * math.sqrt(n / (n - p)) if n > p else math.inf) * sd
+            corr = np.clip(cov / sd[:, None] / sd, -1.0, 1.0)
+    return tuple(map(float, rel_se)), tuple((a, b, float(corr[i, j])) for (i, a), (j, b)
+                                            in combinations(enumerate(THETA_NAMES), 2))
+
+
 def fit(problem: FitProblem) -> FitResult:
     """Minimize the residual from problem.friction, clipped into the box; deterministic.
 
@@ -142,7 +153,7 @@ def fit(problem: FitProblem) -> FitResult:
     theta = np.clip([float(getattr(problem.friction, name)) for name in THETA_NAMES], lo, hi)
 
     x = _forward_x(theta, problem)
-    cost = _rms(x, problem)
+    cost = math.inf if x is None else rms(x, problem.record.x)
     iterations = 0
     converged = cost == 0.0
     jtj = None  # a new Jacobian is due
@@ -173,7 +184,7 @@ def fit(problem: FitProblem) -> FitResult:
             converged = True
             break
         x_trial = _forward_x(trial, problem)
-        cost_trial = _rms(x_trial, problem)
+        cost_trial = math.inf if x_trial is None else rms(x_trial, problem.record.x)
         if not cost_trial <= cost:
             lam *= 10.0
             continue
@@ -181,20 +192,7 @@ def fit(problem: FitProblem) -> FitResult:
         theta, x, cost, jtj = trial, x_trial, cost_trial, None
         lam /= 10.0
 
-    # beta sensitivity probe across its whole bound range at the solution
-    probe = theta.copy()
-    i = THETA_NAMES.index("beta")
-    worst_change = 0.0
-    for b in problem.bounds[i]:
-        probe[i] = b
-        r_b = residual(probe, problem)
-        worst_change = max(worst_change, abs(r_b - cost) / max(cost, 1e-300))
-    beta_insensitive = worst_change < 0.01
-
-    return FitResult(
-        theta=tuple(float(v) for v in theta),
-        rms_residual=float(cost),
-        iterations=iterations,
-        converged=bool(converged),
-        beta_insensitive=beta_insensitive,
-    )
+    if jtj is None:  # no Jacobian at this theta yet; with no finite run, x responds to nothing
+        jac = np.zeros((1, len(theta))) if x is None else _jacobian(theta, x, problem, hi)
+    return FitResult(tuple(map(float, theta)), float(cost), iterations, bool(converged),
+                     *_spread(jac, cost))

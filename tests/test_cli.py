@@ -278,13 +278,51 @@ def test_identify_runs_and_reports(tmp_path, capsys):
                "--measured", str(tmp_path / "sim_measured.csv"), "--out", str(report)])
     assert rc == EXIT_OK
     txt = report.read_text(encoding="utf-8")
-    for key in ("sigma = ", "beta = ", "s_scale = ", "amplitude = ", "width = ",
-                "rms_residual = ", "iterations = ", "converged = ", "beta_insensitive = "):
-        assert key in txt
-    # started at the truth, the fit must stay in its basin
+    # one key = value line each, and every value one token
     vals = dict(line.split(" = ") for line in txt.strip().splitlines())
+    assert list(vals) == ["sigma", "beta", "s_scale", "amplitude", "width", "rms_residual",
+                          "iterations", "converged", "sigma_rel_se", "beta_rel_se",
+                          "s_scale_rel_se", "max_corr", "max_corr_pair"]
+    assert all(v and len(v.split()) == 1 for v in vals.values())
+    # started at the truth, the fit must stay in its basin
     assert abs(float(vals["sigma"]) - 2.0) / 2.0 < 0.10
     assert float(vals["rms_residual"]) < 1e-6
+
+
+# records that pin the parameters down poorly or perfectly: each prints a
+# defined spread, never nan. The noise-level record (0.001 N, 10 ms, 2e-6 m
+# noise) is fitted from sigma x1.3, beta and s_scale x0.75.
+NOISE_LEVEL_START = "friction.sigma = 2.6\nfriction.beta = 0.0015\nfriction.s_scale = 1500.0\n"
+INF = float("inf")
+
+
+@pytest.mark.parametrize("record, start, rel_se, max_corr", [
+    # 3 samples, n = p: no C and no degree of freedom
+    ("sim.dt = 1e-3\nsim.t_end = 0.002\nscenario.pulses = 0,0.005,1.0\n", "", [INF] * 3, 0.0),
+    # 4 samples: J^T J singular to working precision
+    ("sim.dt = 1e-3\nsim.t_end = 0.003\nscenario.pulses = 0,0.005,1.0\n", "", [INF] * 3, 0.0),
+    # a noise-free record fitted from the truth: zero residual, C from J alone
+    ("sim.t_end = 0.3\nsim.noise_std = 0\nscenario.pulses = 0.01,0.005,0.18\n", "",
+     [0.0] * 3, pytest.approx(-0.968, abs=1e-3)),
+    ("sim.t_end = 0.3\nscenario.pulses = 0.01,0.01,0.001\n", NOISE_LEVEL_START,
+     pytest.approx([8.378, 159.08, 0.7028], rel=1e-3), pytest.approx(-0.9958, abs=1e-4)),
+], ids=["three_samples", "four_samples", "zero_residual", "noise_level"])
+def test_identify_spread_on_degenerate_records(tmp_path, capsys, record, start, rel_se,
+                                               max_corr):
+    (tmp_path / "r.cfg").write_text(record, encoding="utf-8")
+    (tmp_path / "f.cfg").write_text(record + start, encoding="utf-8")
+    assert main(["simulate", "--config", str(tmp_path / "r.cfg"),
+                 "--out", str(tmp_path / "sim.csv")]) == EXIT_OK
+    capsys.readouterr()
+    rc = main(["identify", "--config", str(tmp_path / "f.cfg"), "--bounds-factor", "4",
+               "--measured", str(tmp_path / "sim_measured.csv"),
+               "--out", str(tmp_path / "fit.txt")])
+    out, err = capsys.readouterr()
+    assert rc == EXIT_OK and err == ""
+    assert "nan" not in out
+    vals = dict(line.split(" = ") for line in out.splitlines() if " = " in line)
+    assert [float(vals[f"{name}_rel_se"]) for name in ("sigma", "beta", "s_scale")] == rel_se
+    assert float(vals["max_corr"]) == max_corr
 
 
 def test_identify_fits_with_the_config_deadband(tmp_path, capsys):

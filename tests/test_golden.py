@@ -37,7 +37,7 @@ def test_default_config_outputs_byte_identical(tmp_path, capsys):
     assert got == GOLDEN
 
 
-IDENTIFY_REPORT = "a26b11a7a19558a230f75856e7d97b245df14c7192b9a4ba8940868b64914290"
+IDENTIFY_REPORT = "730f0ca1501b303d5574a1db67f42711936693ce14bb808a2ab790a6776b3364"
 
 
 def test_identify_report_byte_identical(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Identification tests: residual semantics, problem validation, short fits."""
+"""Identification tests: the forward model, problem validation, short fits and their spread."""
 
 from dataclasses import replace
 
@@ -16,8 +16,9 @@ from frictionobs import (
     THETA_NAMES,
     fit,
     measure,
-    residual,
+    rms,
     simulate,
+    simulate_forced,
 )
 
 PLANT = PlantParams(m=0.052)
@@ -47,6 +48,13 @@ def problem_on(t, x, law=LAW, bounds=BOUNDS, u=None):
     return FitProblem(record=Measured(t, x, u), plant=PLANT, friction=law, bounds=bounds)
 
 
+def residual(theta, prob):
+    """RMS of x from a forward run at theta on the record's u, against the record's x."""
+    rec = prob.record
+    law = replace(prob.friction, **dict(zip(THETA_NAMES, theta)))
+    return rms(simulate_forced(prob.plant, law, rec.u, rec.dt).x, rec.x)
+
+
 def test_residual_zero_at_truth():
     prob = make_problem()
     assert residual(TRUTH, prob) < 1e-15
@@ -65,16 +73,6 @@ def test_residual_positive_off_truth():
     prob = make_problem()
     off = per_name(sigma=2.4)
     assert residual(off, prob) > 1e-7
-
-
-def test_residual_validation():
-    prob = make_problem()
-    with pytest.raises(ValueError):
-        residual((1.0, 2.0), prob)
-    with pytest.raises(ValueError):
-        residual(per_name(sigma=float("nan")), prob)
-    with pytest.raises(ValueError):
-        residual(per_name(sigma=100.0), prob)  # outside bounds
 
 
 def test_problem_validation():
@@ -120,7 +118,13 @@ def test_fit_deterministic_and_improves():
     assert r1.rms_residual == r2.rms_residual
     assert r1.iterations == r2.iterations
     assert r1.rms_residual < residual(theta0, prob)
-    assert isinstance(r1.beta_insensitive, bool)
+    assert r1.rel_se == r2.rel_se and r1.corr == r2.corr
+    # the record is noise-free: the fit leaves a residual, and SEs, at rounding level
+    assert len(r1.rel_se) == len(THETA_NAMES)
+    assert all(0.0 <= se < 1e-12 for se in r1.rel_se)
+    assert [pair[:2] for pair in r1.corr] == [("sigma", "beta"), ("sigma", "s_scale"),
+                                              ("beta", "s_scale")]
+    assert all(-1.0 <= c <= 1.0 for _, _, c in r1.corr)
     for v, (lo, hi) in zip(r1.theta, BOUNDS):
         assert lo <= v <= hi
 
@@ -190,3 +194,19 @@ def test_problem_needs_one_rectangular_pulse(u, match):
     with pytest.raises(ValueError, match=match):
         problem_on(t, np.zeros(6), u=np.array(u))
 
+
+def test_rel_se_understates_the_error_near_the_coulomb_level():
+    # one 0.18 N pulse, just under c_f: the linearised SE is local, and the
+    # fit lands about 15 SE away from the truth in sigma
+    cfg = SimConfig(dt=5e-4, t_end=0.3, noise_std=5e-7, seed=7)
+    traj = simulate(PLANT, LAW, ImpulseTrain(((0.01, 0.005, 0.18),)), cfg)
+    start = per_name(sigma=2.6, beta=0.0015, s_scale=1500.0)
+    prob = problem_on(traj.t, measure(traj.t, traj.x, traj.u, cfg).x, u=traj.u,
+                      law=replace(LAW, **dict(zip(THETA_NAMES, start))),
+                      bounds=tuple((v / 4, v * 4) for v in start))
+    res = fit(prob)
+    assert res.converged and res.iterations == 44
+    sigma_err = abs(res.theta[0] / LAW.sigma - 1.0)
+    assert sigma_err == pytest.approx(0.0181, abs=1e-4)
+    assert res.rel_se[0] == pytest.approx(0.00122, abs=1e-5)
+    assert sigma_err > 10 * res.rel_se[0]

@@ -20,7 +20,7 @@ REMOVED = (
     "PreslidingState", "update_presliding", "coulomb_force", "coulomb_stiffness",
     "presliding_force", "f0_branch", "char_poly", "eigenvalues", "integrated_velocity",
     "ErrorMetrics", "error_metrics", "ObserverSettings", "default_kappa", "zoh_discretize",
-    "deadband_sign", "DEFAULT_DEADBAND", "DEFAULT_Z_FLOOR",
+    "deadband_sign", "DEFAULT_DEADBAND", "DEFAULT_Z_FLOOR", "residual",
 )
 
 
@@ -136,6 +136,8 @@ STALE_TRACE_TARGETS = {
     ("ident", "simulate"),
     # the hold step is written out in observer_update
     ("observer", "zoh_discretize"),
+    # the fit's spread comes from its own Jacobian; no box probe calls a residual
+    ("ident", "residual"),
 }
 
 
