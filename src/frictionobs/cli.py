@@ -7,19 +7,26 @@ hold in memory, 2 simulation divergence or observer estimates that overflow
 to inf or NaN, or an `identify` start point with no finite residual, 3
 gain-design conditions failed (gains are still printed), 4 CSV schema
 violation, grid/length mismatch, or a record for `identify` that does not
-start at t = 0, whose span (samples - 1) * dt overflows, or whose u is zero
-in every row or too small for x to respond to the fitted parameters.
+start at t = 0, whose span (samples - 1) * dt overflows, whose u is zero in
+every row, that is too short (x responds to the fitted parameters only from
+two samples after u's first nonzero row k, so it needs k + 3 samples), or
+whose u is too small for x to respond to them.
 `identify` calls fit(problem), which starts from the config's friction law.
 Each command checks its file names before it opens a file. `observe`,
 `identify` and `compare` read and check their inputs, and compute their
 results, before they open their first output, so a rejected input leaves no
 output behind; `simulate` writes its truth CSV, then measures each seed
 before it writes that seed's files, and removes every file it wrote when a
-measurement or a write fails. Of two failures, `observe` reports the
-observer's before the model's, and `simulate` a rejected measurement before
-an unwritable truth CSV. The commands raise; `main` turns the exception into
-its exit code and one stderr line, an argument that argparse rejects
-included. Success paths print to stdout only.
+measurement or a write fails. With two CPUs, `observe --truth` reads the
+truth and runs the open-loop model in a forked child while it runs the
+observer, and `compare` reads `--sim` and splices the merged rows into a
+temporary file in a child while it reads `--estimates` (csvio._in_parallel);
+a child that dies before it hands back its result exits 1. Of two failures,
+`observe` reports a rejected truth, then the observer's, then the model's;
+`compare` a rejected `--sim` before rejected estimates; and `simulate` a
+rejected measurement before an unwritable truth CSV. The commands raise;
+`main` turns the exception into its exit code and one stderr line, an
+argument that argparse rejects included. Success paths print to stdout only.
 
 Importing this module sets ``OPENBLAS_NUM_THREADS`` to 1 unless the
 environment already sets it, before numpy loads, so a CLI process runs one
@@ -29,12 +36,14 @@ OS thread.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 # numpy's OpenBLAS starts one thread per CPU when it loads. The only BLAS calls
 # here are ident.fit's 3x3 normal equations (J^T J, J^T r and their solve),
@@ -43,23 +52,31 @@ from typing import NoReturn
 # run before numpy loads, so before the package's own modules are imported.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
-from .config import ConfigError, load_config, parse_poles
+# csvio, the largest module imported here, is compiled before numpy loads.
+# Without a bytecode cache (PYTHONDONTWRITEBYTECODE) the compiler's scratch
+# memory for a module compiled after numpy stays resident: on CPython 3.11,
+# importing csvio after numpy peaked at 29.2 MB under wait4, against 28.8 MB
+# before it.
 from .csvio import (
     ESTIMATES_HEADER,
     MEASURED_HEADER,
     SIM_HEADER,
     CsvSchemaError,
+    _append,
+    _in_parallel,
     _output,
+    _reading,
     read_columns,
     splice_rows,
     write_columns,
 )
+from .config import ConfigError, load_config, parse_poles
 from .ident import THETA_NAMES, FitProblem, fit
 from .observer import ObserverDiverged, design_gains, rms, run_observer, validate_robust
 from .plant import (GridError, Measured, SimulationDiverged, measure, same_grid, simulate,
                     simulate_forced)
+
+import numpy as np
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -77,6 +94,8 @@ _FAILURES = {
     ObserverDiverged: (EXIT_DIVERGED, "observer diverged: "),
     CsvSchemaError: (EXIT_SCHEMA, ""),
     MemoryError: (EXIT_CONFIG, "out of memory: "),
+    # a forked half of observe --truth or compare that died: ahead of OSError in its MRO
+    ChildProcessError: (EXIT_CONFIG, "process failed: "),
 }
 
 
@@ -91,12 +110,19 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _read(path: str, header: tuple[str, ...], role: str) -> list:
-    """read_columns, with the file's role named in a rejection."""
+@contextlib.contextmanager
+def _rejected(role: str) -> Iterator[None]:
+    """A CsvSchemaError raised in the block, with the file's role named in it."""
     try:
-        return read_columns(path, header)
+        yield
     except CsvSchemaError as exc:
         raise CsvSchemaError(f"{role} CSV rejected: {exc}", exc.row) from None
+
+
+def _read(path: str, header: tuple[str, ...], role: str) -> list:
+    """read_columns, with the file's role named in a rejection."""
+    with _rejected(role):
+        return read_columns(path, header)
 
 
 def _read_measured(path: str) -> Measured:
@@ -206,29 +232,39 @@ def cmd_observe(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     meas = _read_measured(args.measured)
     n = len(meas)
-    diverged = None
-    if args.truth:
-        truth = _read(args.truth, SIM_HEADER, "truth")
-        if not same_grid(meas.t, truth[0]):
-            raise CsvSchemaError("truth CSV rejected: grid does not match the measured sequence")
-        if n < 2:
-            raise CsvSchemaError("truth CSV rejected: --truth needs at least 2 samples")
-        vs = truth[2].copy()
-        del truth
-        # the model runs from rest at row 0, row for row, like the observer; it
-        # runs first, so that only its RMS is held while the observer runs
+
+    def observe():
         try:
-            e_model = rms(meas.x, simulate_forced(cfg.plant, cfg.friction, meas.u, meas.dt,
-                                                  cfg.sim.v_max).x)
-        except SimulationDiverged as exc:
-            diverged = exc  # the observer's own failures are reported first
-    try:
-        est = run_observer(meas, cfg.gains, cfg.plant.m, cfg.friction)
-    except ValueError as exc:
-        # Measured checked the record, so what is left is the gain condition
-        raise ConfigError(str(exc)) from None
-    if diverged:
-        raise diverged
+            return run_observer(meas, cfg.gains, cfg.plant.m, cfg.friction)
+        except ValueError as exc:
+            # Measured checked the record, so what is left is the gain condition
+            raise ConfigError(str(exc)) from None
+
+    if not args.truth:
+        est = observe()
+    else:
+        with _rejected("truth"), _reading(Path(args.truth)):
+            pass  # a truth that cannot be opened costs no observer pass
+
+        def model():
+            truth = _read(args.truth, SIM_HEADER, "truth")
+            if not same_grid(meas.t, truth[0]):
+                raise CsvSchemaError("truth CSV rejected: grid does not match the measured sequence")
+            if n < 2:
+                raise CsvSchemaError("truth CSV rejected: --truth needs at least 2 samples")
+            vs = truth[2].copy()
+            del truth
+            # the model runs from rest at row 0, row for row, like the observer
+            try:
+                return vs, rms(meas.x, simulate_forced(cfg.plant, cfg.friction, meas.u, meas.dt,
+                                                       cfg.sim.v_max).x)
+            except SimulationDiverged as exc:
+                return vs, exc  # the observer's own failures are reported first
+
+        # the truth's rejections come before the observer's failures
+        (vs, e_model), est = _in_parallel(model, observe)
+        if isinstance(e_model, SimulationDiverged):
+            raise e_model
     lines = [f"rms_e_obs = {_fmt(rms(est.e_obs))}"] if n else []
     if args.truth:
         lines.append(f"rms_velocity_error = {_fmt(rms(est.w2, vs))}")
@@ -306,33 +342,60 @@ plt.tight_layout(); plt.show()
 
 def cmd_compare(args: argparse.Namespace) -> int:
     _check_files(args, [("--out", args.out), ("--plot-script", args.plot_script)])
-    ts, xs, vs, fs, us = _read(args.sim, SIM_HEADER, "sim")
-    te, w2, w3, phi, e_obs = _read(args.estimates, ESTIMATES_HEADER, "estimates")
-    if len(ts) != len(te):
-        raise CsvSchemaError(
-            f"row count mismatch: sim has {len(ts)} rows, estimates has {len(te)}"
-        )
-    if not same_grid(ts, te):
-        raise CsvSchemaError("timestamp mismatch between sim and estimates")
-    lines = [f"rows = {len(ts)}", f"rms_e_obs = {_fmt(rms(e_obs))}",
-             f"rms_velocity_error = {_fmt(rms(w2, vs))}", f"rms_force_error = {_fmt(rms(w3, fs))}"]
-    # both tables are freed before the merged rows are written
-    del ts, xs, vs, fs, us, te, w2, w3, phi, e_obs
-    if args.plot_script:
-        # the short script first: when it cannot be written, no merged CSV is left behind
-        with _output(args.plot_script) as out:
-            out.write(PLOT_SCRIPT.encode())
-        lines.append(f"wrote {args.plot_script}")
-    try:
-        # plain inputs are spliced line by line; any other is read again and formatted anew
-        if not splice_rows(args.out, args.sim, SIM_HEADER, args.estimates, ESTIMATES_HEADER):
-            write_columns(Path(args.out), SIM_HEADER + ESTIMATES_HEADER[1:],
-                          _read(args.sim, SIM_HEADER, "sim")
-                          + _read(args.estimates, ESTIMATES_HEADER, "estimates")[1:])
-    except OSError:
+    with contextlib.ExitStack() as stack:
+        try:
+            # the merged rows are spliced into this unnamed file while the estimates are read
+            merged = stack.enter_context(tempfile.TemporaryFile(dir=Path(args.out).parent))
+        except OSError:
+            merged = None  # then they are spliced into --out once both inputs are checked
+
+        def sim():
+            ts, _, vs, fs, _ = _read(args.sim, SIM_HEADER, "sim")
+            # columns of their own, which free the parsed table and cross the pipe uncopied
+            ts, vs, fs = (np.ascontiguousarray(c) for c in (ts, vs, fs))
+            try:
+                # plain inputs are spliced line by line; any other is formatted anew below
+                spliced = merged is not None and splice_rows(
+                    merged, args.sim, SIM_HEADER, args.estimates, ESTIMATES_HEADER)
+            except (OSError, ValueError) as exc:
+                # raised below once both inputs have passed their checks, which an
+                # estimates line the splice cannot split (ValueError) does not
+                spliced = exc
+            return ts, vs, fs, spliced
+
+        (ts, vs, fs, spliced), (te, w2, w3, _, e_obs) = _in_parallel(
+            sim, lambda: _read(args.estimates, ESTIMATES_HEADER, "estimates"))
+        if len(ts) != len(te):
+            raise CsvSchemaError(
+                f"row count mismatch: sim has {len(ts)} rows, estimates has {len(te)}"
+            )
+        if not same_grid(ts, te):
+            raise CsvSchemaError("timestamp mismatch between sim and estimates")
+        lines = [f"rows = {len(ts)}", f"rms_e_obs = {_fmt(rms(e_obs))}",
+                 f"rms_velocity_error = {_fmt(rms(w2, vs))}",
+                 f"rms_force_error = {_fmt(rms(w3, fs))}"]
+        del ts, vs, fs, te, w2, w3, e_obs
         if args.plot_script:
-            Path(args.plot_script).unlink(missing_ok=True)
-        raise
+            # the short script first: when it cannot be written, no merged CSV is left behind
+            with _output(args.plot_script) as out:
+                out.write(PLOT_SCRIPT.encode())
+            lines.append(f"wrote {args.plot_script}")
+        try:
+            if isinstance(spliced, Exception):
+                raise spliced
+            if spliced:
+                with _output(args.out) as out:
+                    _append(out.fileno(), merged.fileno())
+            # with no temporary file, plain inputs are spliced into --out itself
+            elif not (merged is None and splice_rows(args.out, args.sim, SIM_HEADER,
+                                                     args.estimates, ESTIMATES_HEADER)):
+                write_columns(Path(args.out), SIM_HEADER + ESTIMATES_HEADER[1:],
+                              _read(args.sim, SIM_HEADER, "sim")
+                              + _read(args.estimates, ESTIMATES_HEADER, "estimates")[1:])
+        except OSError:
+            if args.plot_script:
+                Path(args.plot_script).unlink(missing_ok=True)
+            raise
     lines.append(f"wrote {args.out}")
     print("\n".join(lines))
     return EXIT_OK

@@ -31,6 +31,12 @@ float() parses and names the first bad row.
 ``_ROWS`` at a time, so those cells keep the text they were written with:
 repr() text for a file ``write_columns`` wrote, and the cell as written
 (``1.50``, ``1e5``) otherwise, which reads back as the same float.
+
+``_in_parallel`` runs two independent halves of a command at once where
+``write_columns`` would split: one half in a forked child, which hands back
+its result or its failure through a pipe, the other in this process. With
+one CPU, no ``os.fork``, or a fork that fails, it calls the first half and
+then the second.
 """
 
 from __future__ import annotations
@@ -40,11 +46,12 @@ import csv
 import io
 import math
 import os
+import pickle
 import tempfile
 from array import array
 from itertools import islice
 from pathlib import Path
-from typing import Iterator, NoReturn
+from typing import Callable, Iterator, NoReturn
 
 import numpy as np
 
@@ -132,6 +139,102 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _in_parallel(child: Callable[[], object], parent: Callable[[], object]) -> tuple:
+    """(child(), parent()), with child() run in a forked process while this one runs parent().
+
+    A failure of child() is raised in place of one of parent(), whichever
+    ends first. With one CPU (``_cpus``), or where the fork fails, child()
+    runs first in this process, and parent() only when child() returns.
+    The child hands its result or its failure back through a pipe, pickled
+    by ``_Pickler`` so that an exception keeps its type and attributes, and
+    always leaves by os._exit. A contiguous array crosses as one block of
+    bytes that the array received here is built on, so it is held once. A
+    child that cannot hand anything back (it was killed, or its result does
+    not pickle) raises ChildProcessError.
+    """
+    if _cpus() < 2:
+        return child(), parent()
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return child(), parent()
+    if pid == 0:
+        os.close(r)
+        _hand_back(w, child)
+    os.close(w)
+    with open(r, "rb") as pipe:
+        try:
+            mine = parent()
+        finally:
+            # read to the end before the reap: the child blocks on a full pipe
+            try:
+                head, sizes = pickle.load(pipe)
+                buffers = [bytearray(n) for n in sizes]
+                for b in buffers:
+                    pipe.readinto(b)
+            except (EOFError, pickle.UnpicklingError):
+                pass  # a child that died part way: its exit status tells
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                raise ChildProcessError("a forked process " + (
+                    f"was killed by signal {-code}" if code < 0 else f"ended with exit status {code}")
+                    + " before it handed back its result")
+            done, theirs = pickle.loads(head, buffers=buffers)
+            if not done:
+                raise theirs
+    return theirs, mine
+
+
+def _hand_back(w: int, fn: Callable[[], object]) -> NoReturn:
+    """A forked child's whole run: fn's result, or its failure, pickled into the pipe w.
+
+    The pickle goes first, with the sizes of the out-of-band buffers that follow it.
+    """
+    code = 1
+    try:
+        try:
+            payload = (True, fn())
+        except BaseException as exc:
+            payload = (False, exc)
+        head, buffers = io.BytesIO(), []
+        _Pickler(head, 5, buffer_callback=buffers.append).dump(payload)
+        raw = [b.raw() for b in buffers]
+        with open(w, "wb") as pipe:
+            pickle.dump((head.getvalue(), [m.nbytes for m in raw]), pipe)
+            for m in raw:
+                pipe.write(m)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _exception(cls: type, new_args: tuple, args: tuple, state: dict) -> BaseException:
+    """An exception rebuilt without its __init__, whose signature need not match its args."""
+    exc = cls.__new__(cls, *new_args)
+    exc.args = args
+    exc.__dict__.update(state)
+    return exc
+
+
+class _Pickler(pickle.Pickler):
+    """A pickler that keeps an exception's type and attributes.
+
+    The default reduction calls the class with the exception's args, which
+    fails where __init__ takes other arguments than it stores in args
+    (``plant.SimulationDiverged``).
+    """
+
+    def reducer_override(self, obj):
+        if isinstance(obj, BaseException):
+            # OSError.__new__ sets errno, strerror and filename from what its
+            # reduction lists, which are more than its args
+            return _exception, (type(obj), obj.__reduce__()[1], obj.args, vars(obj))
+        return NotImplemented
+
+
 @contextlib.contextmanager
 def _output(path: str | Path) -> Iterator[io.BufferedWriter]:
     """path opened for writing bytes, and removed when the block or the close raises."""
@@ -189,13 +292,20 @@ def read_columns(path: str | Path, header: tuple[str, ...]) -> list[np.ndarray]:
 
     Raises CsvSchemaError naming the offending row on a bad header, a row
     of the wrong width, a cell that is not a finite number, or a cell longer
-    than the csv module's field limit.
+    than the csv module's field limit, and on a file that cannot be read.
     """
     path = Path(path)
+    with _reading(path) as fh:
+        columns = _read_plain(fh, header)
+        return columns if columns is not None else _read_rows(path, header)
+
+
+@contextlib.contextmanager
+def _reading(path: Path) -> Iterator[io.BufferedReader]:
+    """path opened for reading bytes; an OSError, the open's included, raises CsvSchemaError."""
     try:
         with open(path, "rb") as fh:
-            columns = _read_plain(fh, header)
-        return columns if columns is not None else _read_rows(path, header)
+            yield fh
     except OSError as exc:
         raise CsvSchemaError(f"cannot read {path}: {exc}") from exc
 
@@ -256,8 +366,9 @@ def _lines(fh: io.BufferedReader) -> list[bytes]:
     return lines
 
 
-def splice_rows(path: str | Path, left: str | Path, left_header: tuple[str, ...],
-                right: str | Path, right_header: tuple[str, ...]) -> bool:
+def splice_rows(path: str | Path | io.BufferedIOBase, left: str | Path,
+                left_header: tuple[str, ...], right: str | Path,
+                right_header: tuple[str, ...]) -> bool:
     """Write each line of left followed by right's line without its first cell.
 
     left and right are files that ``read_columns`` has accepted under their
@@ -266,7 +377,8 @@ def splice_rows(path: str | Path, left: str | Path, left_header: tuple[str, ...]
     lines, ``_ROWS`` at a time, and the result is True. Otherwise nothing is
     written and the result is False. For files that ``write_columns`` wrote
     the output is byte for byte what ``write_columns`` writes from their
-    parsed columns. path must not name left or right.
+    parsed columns. path must not name left or right; it may also be a
+    binary file open for writing, which is flushed and left open.
     """
     with open(left, "rb") as a, open(right, "rb") as b:
         if _plain_rows(a, left_header) is None or _plain_rows(b, right_header) is None:
@@ -274,12 +386,14 @@ def splice_rows(path: str | Path, left: str | Path, left_header: tuple[str, ...]
         for fh in (a, b):
             fh.seek(0)
             fh.readline()
-        with _output(path) as out:
+        with contextlib.ExitStack() as stack:
+            out = path if hasattr(path, "write") else stack.enter_context(_output(path))
             out.write((",".join(left_header + right_header[1:]) + "\n").encode())
             # a plain line is a row read_columns accepted, so it holds a ','
             while block := _lines(a):
                 out.write(b"".join([s[:-1] + r[r.index(b","):]
                                     for s, r in zip(block, _lines(b))]))
+            out.flush()
     return True
 
 

@@ -91,13 +91,17 @@ def level(z: float, f_r: float, dir: int, z_floor: float) -> float:
     """
     if dir == 0 or f_r == dir:
         return f_r
-    if z == 0.0:
-        zc = dir * z_floor  # branch just spawned, evaluate on its own side
-    else:
-        zc = math.copysign(min(max(abs(z), z_floor), 1.0), z)
+    # |z| clipped into [z_floor, 1], on z's side of zero; a branch that just
+    # spawned (z == 0) is evaluated on its own side. Comparisons stand in for
+    # abs/min/max/copysign, which cost a builtin call each on every step: each
+    # conditional keeps the operand the builtin keeps, NaN and -0.0 included
+    side = 1.0 if z > 0.0 or z == 0.0 and dir > 0 else -1.0
+    a = side * z
+    a = z_floor if a < z_floor else 1.0 if a > 1.0 else a
     # the rescaled virgin branch, |dir - f_r| * f0(z) + f_r
-    fp = abs(dir - f_r) * (zc * (1.0 - math.log(abs(zc)))) + f_r
-    return min(1.0, max(-1.0, fp))
+    fp = (dir - f_r if dir > f_r else f_r - dir) * (side * a * (1.0 - math.log(a))) + f_r
+    # clipped into [-1, 1]; a NaN level reads -1, as min(1, max(-1, fp)) gives
+    return (fp if fp < 1.0 else 1.0) if fp > -1.0 else -1.0
 
 
 def advance(
@@ -145,5 +149,8 @@ def stiffness(
     """
     if f_r == dir:
         return 0.0
-    zc = min(max(abs(z), z_floor), 1.0)
-    return s_scale * c_f * abs(dir - f_r) * max(0.0, -math.log(zc))
+    # written without builtin calls, as in level
+    a = z if z > 0.0 else -z
+    a = z_floor if a < z_floor else 1.0 if a > 1.0 else a
+    g = -math.log(a)
+    return s_scale * c_f * (dir - f_r if dir > f_r else f_r - dir) * (g if g > 0.0 else 0.0)

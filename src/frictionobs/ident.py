@@ -39,8 +39,9 @@ class FitProblem:
     """Measured record plus the knowns and the search box.
 
     record: the measured displacement, at least 2 samples from t = 0, with
-    (samples - 1) * dt finite, and a u that is nonzero in some row (ValueError
-    otherwise); the forward runs are driven by that u. plant: the known mass.
+    (samples - 1) * dt finite, and a u that is nonzero in some row k, with
+    samples >= k + 3 (ValueError otherwise); the forward runs are driven by
+    that u. plant: the known mass.
     friction: the nominal friction law; the fit starts from its THETA_NAMES
     fields, replaces them and keeps the rest.
     bounds: per-parameter (lo, hi) in THETA_NAMES order, finite and positive.
@@ -68,6 +69,13 @@ class FitProblem:
         if not np.any(self.record.u):
             # x would not depend on theta at all
             raise ValueError("u is zero in every row: nothing excites the plant")
+        # the plant is at rest, with no friction, until u's first nonzero row k
+        # moves it: x[k + 1] is dt^2 u[k] / m, and x responds to theta from x[k + 2]
+        k = int(np.flatnonzero(self.record.u)[0])
+        if len(t) < k + 3:
+            raise ValueError(
+                f"the record is too short: x responds to theta only from two samples after "
+                f"u's first nonzero row ({k}), so it needs at least {k + 3} samples, not {len(t)}")
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import io
 import itertools
 import os
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -26,6 +27,7 @@ from frictionobs.cli import (
     build_parser,
     main,
 )
+from test_csvio import _assert_no_child, _set_cpus
 
 SHORT_CFG = """\
 plant.m = 0.052
@@ -431,6 +433,23 @@ def test_identify_rejects_an_input_too_small_to_move_the_plant(tmp_path, capsys,
     assert rc == EXIT_SCHEMA
     assert captured.err == ("measured CSV rejected: x does not respond to theta: "
                             "u is too small to move the plant\n")
+    assert captured.out == "" and not report.exists()
+
+
+@pytest.mark.parametrize("u", [[1.6, 0.0], [0.0, 1.6], [0.0, 0.0, 1.6, 0.0]])
+def test_identify_rejects_a_record_that_ends_before_x_responds(tmp_path, capsys, cfg_file, u):
+    # x responds to theta only from two samples after u's first nonzero row
+    m = tmp_path / "m.csv"
+    _record(m, u, x=[0.0] * (len(u) - 1) + [1e-6])
+    report = tmp_path / "r.txt"
+    rc = main(["identify", "--config", str(cfg_file), "--measured", str(m), "--out", str(report)])
+    captured = capsys.readouterr()
+    k = u.index(1.6)
+    assert rc == EXIT_SCHEMA
+    assert captured.err == (
+        "measured CSV rejected: the record is too short: x responds to theta only from two "
+        f"samples after u's first nonzero row ({k}), so it needs at least {k + 3} samples, "
+        f"not {len(u)}\n")
     assert captured.out == "" and not report.exists()
 
 
@@ -1040,3 +1059,100 @@ def test_compare_overflowing_difference_stays_finite(tmp_path, capsys):
     printed = _printed(captured.out)
     assert printed["rms_velocity_error"] == pytest.approx(1.25 ** 0.5 * 1e308, rel=1e-15)
     assert printed["rms_force_error"] == 0.0
+
+
+# -- observe --truth and compare in two processes ---------------------------------------
+
+
+def _observe_and_compare(cfg_file, sim, measured, tmp_path, capsys, tag):
+    """stdout and output bytes of observe --truth, then compare on its estimates."""
+    est, merged = tmp_path / f"est_{tag}.csv", tmp_path / f"merged_{tag}.csv"
+    assert main(["observe", "--config", str(cfg_file), "--measured", str(measured),
+                 "--out", str(est), "--truth", str(sim)]) == EXIT_OK
+    assert main(["compare", "--sim", str(sim), "--estimates", str(est),
+                 "--out", str(merged)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    _assert_no_child()
+    return captured.out.replace(str(est), "EST").replace(str(merged), "MERGED"), \
+        est.read_bytes(), merged.read_bytes()
+
+
+@pytest.mark.parametrize("case", [None, 1, "no_temporary_file"])
+def test_observe_and_compare_give_the_same_bytes_on_any_cpu_count(cfg_file, short_run, tmp_path,
+                                                                   capsys, monkeypatch, case):
+    # two CPUs: the truth's model run and compare's --sim side run in a forked child
+    sim, measured = short_run
+    _set_cpus(monkeypatch, 2)
+    forked = _observe_and_compare(cfg_file, sim, measured, tmp_path, capsys, "forked")
+    monkeypatch.undo()
+    if case == "no_temporary_file":
+        # a directory that takes no temporary file: compare splices into --out itself
+        def refused(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr("frictionobs.cli.tempfile.TemporaryFile", refused)
+    else:
+        _set_cpus(monkeypatch, case)
+    assert _observe_and_compare(cfg_file, sim, measured, tmp_path, capsys, "other") == forked
+
+
+@pytest.mark.parametrize("how", ["killed", "memory"])
+@pytest.mark.parametrize("command", ["observe", "compare"])
+def test_a_child_that_dies_leaves_no_output_and_no_child(cfg_file, short_run, tmp_path, capsys,
+                                                         monkeypatch, command, how):
+    sim, measured = short_run
+    est = tmp_path / "est.csv"
+    assert main(["observe", "--config", str(cfg_file), "--measured", str(measured),
+                 "--out", str(est)]) == EXIT_OK
+    capsys.readouterr()
+
+    def die(*args, **kwargs):
+        if how == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise MemoryError("cannot allocate the column")
+
+    # each is called in the forked child only
+    monkeypatch.setattr("frictionobs.cli.simulate_forced" if command == "observe"
+                        else "frictionobs.cli.splice_rows", die)
+    _set_cpus(monkeypatch, 2)
+    out = tmp_path / "out.csv"
+    before = sorted(tmp_path.rglob("*"))
+    argv = {"observe": ["observe", "--config", str(cfg_file), "--measured", str(measured),
+                        "--truth", str(sim)],
+            "compare": ["compare", "--sim", str(sim), "--estimates", str(est)]}[command]
+    rc = main(argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_CONFIG
+    assert captured.err == {
+        "killed": "process failed: a forked process was killed by signal 9 before it handed "
+                  "back its result\n",
+        "memory": "out of memory: cannot allocate the column\n"}[how]
+    assert captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("bad", ["both", "estimates_blank_line"])
+def test_compare_reports_the_sim_rejection_first(cfg_file, short_run, tmp_path, capsys,
+                                                 monkeypatch, cpus, bad):
+    # the --sim side runs in the child, yet its rejection still comes before the
+    # estimates'; an estimates line the splice cannot split is rejected as such
+    sim, measured = short_run
+    est = tmp_path / "est.csv"
+    assert main(["observe", "--config", str(cfg_file), "--measured", str(measured),
+                 "--out", str(est)]) == EXIT_OK
+    est.write_bytes(est.read_bytes().replace(b"\n", b"\n\n", 2).replace(b"\n\n", b"\n", 1))
+    if bad == "both":
+        sim.write_bytes(sim.read_bytes() + b"1.0\n")
+    capsys.readouterr()
+    _set_cpus(monkeypatch, cpus)
+    out = tmp_path / "m.csv"
+    rc = main(["compare", "--sim", str(sim), "--estimates", str(est), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_SCHEMA
+    role = "sim" if bad == "both" else "estimates"
+    assert captured.err.startswith(f"{role} CSV rejected: ") and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+    _assert_no_child()

@@ -17,6 +17,7 @@ from frictionobs import (
     ESTIMATES_HEADER,
     MEASURED_HEADER,
     SIM_HEADER,
+    SimulationDiverged,
     read_columns,
     write_columns,
 )
@@ -444,3 +445,56 @@ def test_splice_memory_is_bounded_by_a_block(tmp_path):
     size = out.stat().st_size
     assert scan <= 3 * csvio._BLOCK
     assert peak <= 4 * csvio._ROWS * size / n < size
+
+
+def _identity(exc):
+    """What a handed-back failure must keep: type, text, args and attributes."""
+    return (type(exc), str(exc), exc.args, vars(exc), getattr(exc, "errno", None),
+            getattr(exc, "filename", None))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("failure", [
+    CsvSchemaError("truth CSV rejected: row 7", 7),
+    SimulationDiverged(0.25, 1e4, 1e3),
+    FileNotFoundError(2, "No such file or directory", "x.csv"),
+    MemoryError("cannot allocate"),
+], ids=["schema", "diverged", "os_error", "memory"])
+def test_in_parallel_raises_the_childs_failure_first(monkeypatch, cpus, failure):
+    # the child's failure keeps its type and attributes, and takes the place of
+    # a failure of this process's half; with one CPU that half never runs
+    def child():
+        raise failure
+
+    def parent():
+        ran.append(None)
+        raise ValueError("the parent's own failure")
+
+    ran = []
+    _set_cpus(monkeypatch, cpus)
+    with pytest.raises(type(failure)) as exc:
+        csvio._in_parallel(child, parent)
+    assert _identity(exc.value) == _identity(failure)
+    assert len(ran) == cpus - 1
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, "fork_fails"])
+def test_in_parallel_hands_back_results(monkeypatch, cpus):
+    # a fork that fails (EAGAIN at a process limit) runs both halves here, as one CPU does
+    if cpus == "fork_fails":
+        def fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(csvio.os, "fork", fork)
+        cpus = 2
+    _set_cpus(monkeypatch, cpus)
+    column = np.arange(100_000) * 5e-4
+    (got, diverged), mine = csvio._in_parallel(
+        lambda: (column.copy(), SimulationDiverged(1.5, 2e3, 1e3)), lambda: "parent")
+    assert got.tobytes() == column.tobytes() and got.flags.writeable
+    assert _identity(diverged) == _identity(SimulationDiverged(1.5, 2e3, 1e3))
+    assert mine == "parent"
+    with pytest.raises(ValueError, match="the parent's own"):
+        csvio._in_parallel(lambda: None, lambda: int("the parent's own"))
+    _assert_no_child()

@@ -6,7 +6,9 @@ displacement increments, ``level`` is its normalized Coulomb level and
 ``stiffness`` its slope.
 """
 
+import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -270,3 +272,74 @@ def test_plant_loop_guards():
     for bad_dt in (0.0, -dt, math.nan):
         with pytest.raises(ValueError):
             simulate_forced(PlantParams(0.052), P, np.zeros(3), bad_dt)
+
+
+# -- the kernel against its builtin-call form ---------------------------------------
+
+
+def _level_builtins(z, f_r, dir, z_floor):
+    """level as it was written with abs/min/max/copysign: the bit-for-bit reference."""
+    if dir == 0 or f_r == dir:
+        return f_r
+    if z == 0.0:
+        zc = dir * z_floor
+    else:
+        zc = math.copysign(min(max(abs(z), z_floor), 1.0), z)
+    fp = abs(dir - f_r) * (zc * (1.0 - math.log(abs(zc)))) + f_r
+    return min(1.0, max(-1.0, fp))
+
+
+def _stiffness_builtins(z, f_r, dir, s_scale, c_f, z_floor):
+    """stiffness as it was written with abs/min/max: the bit-for-bit reference."""
+    if f_r == dir:
+        return 0.0
+    zc = min(max(abs(z), z_floor), 1.0)
+    return s_scale * c_f * abs(dir - f_r) * max(0.0, -math.log(zc))
+
+
+def _advance_builtins(z, f_r, dir, dx, v, deadband, s_scale, z_floor):
+    """advance on _level_builtins."""
+    v_sign = 1 if v > deadband else -1 if v < -deadband else 0
+    if v_sign != 0 and v_sign != dir:
+        f_r = _level_builtins(z, f_r, dir, z_floor)
+        z = 0.0
+        dir = v_sign
+    if dir != 0:
+        z += s_scale * dx
+        if z * dir >= 1.0:
+            z = f_r = float(dir)
+    return z, f_r, dir
+
+
+def _bits(*values):
+    """The exact bits of each float (NaN payload and the sign of zero included)."""
+    return [struct.pack("<d", v) for v in values]
+
+
+def _assert_kernel_matches(z, f_r, dir, z_floor, s_scale, c_f, dx, v, deadband):
+    assert _bits(level(z, f_r, dir, z_floor)) == _bits(_level_builtins(z, f_r, dir, z_floor))
+    assert (_bits(stiffness(z, f_r, dir, s_scale, c_f, z_floor))
+            == _bits(_stiffness_builtins(z, f_r, dir, s_scale, c_f, z_floor)))
+    got = advance(z, f_r, dir, dx, v, deadband, s_scale, z_floor)
+    want = _advance_builtins(z, f_r, dir, dx, v, deadband, s_scale, z_floor)
+    assert _bits(*got[:2]) == _bits(*want[:2]) and got[2] == want[2]
+
+
+def test_kernel_matches_its_builtin_form_on_the_edges():
+    # z on both sides of each clip edge's sign; f_r on the flat branch and inside it
+    z_floor = P.z_floor
+    zs = [0.0, -0.0, z_floor, -z_floor, 1.0, -1.0, math.inf, -math.inf, math.nan, -math.nan]
+    for z, dir, f_r, v in itertools.product(zs, [-1, 0, 1], [-1.0, -0.5, 0.0, -0.0, 0.5, 1.0],
+                                            [-1.0, 0.0, 1.0]):
+        _assert_kernel_matches(z, f_r, dir, z_floor, P.s_scale, P.c_f, 1e-6, v, P.deadband)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(z=st.one_of(st.floats(-2.0, 2.0), st.floats(allow_nan=True, allow_infinity=True)),
+       f_r=st.floats(-1.0, 1.0), on_flat=st.booleans(), dir=st.sampled_from([-1, 0, 1]),
+       z_floor=st.floats(1e-12, 0.5), s_scale=st.floats(1e-3, 1e6), c_f=st.floats(1e-3, 1e3),
+       dx=st.floats(-1e-3, 1e-3), v=st.floats(-1.0, 1.0), deadband=st.sampled_from([0.0, 1e-4]))
+def test_kernel_matches_its_builtin_form_bit_for_bit(z, f_r, on_flat, dir, z_floor, s_scale, c_f,
+                                                     dx, v, deadband):
+    f_r = float(dir) if on_flat else f_r
+    _assert_kernel_matches(z, f_r, dir, z_floor, s_scale, c_f, dx, v, deadband)
