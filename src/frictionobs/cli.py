@@ -19,12 +19,14 @@ output behind; `simulate` writes its truth CSV, then measures each seed
 before it writes that seed's files, and removes every file it wrote when a
 measurement or a write fails. With two CPUs, `observe --truth` reads the
 truth and runs the open-loop model in a forked child while it runs the
-observer, and `compare` reads `--sim` and splices the merged rows into a
-temporary file in a child while it reads `--estimates` (csvio._in_parallel);
-a child that dies before it hands back its result exits 1. Of two failures,
-`observe` reports a rejected truth, then the observer's, then the model's;
-`compare` a rejected `--sim` before rejected estimates; and `simulate` a
-rejected measurement before an unwritable truth CSV. The commands raise;
+observer, `compare` reads `--sim` and splices the merged rows into a
+temporary file in a child while it reads `--estimates`, and a CSV of two or
+more 4096-row blocks is written in two halves, one in a child
+(csvio._in_parallel); a child that dies before it hands back its result
+exits 1. Of two failures, `observe` reports a rejected truth, then the
+observer's, then the model's; `compare` a rejected `--sim` before rejected
+estimates; and `simulate` a rejected measurement before an unwritable truth
+CSV. The commands raise;
 `main` turns the exception into its exit code and one stderr line, an
 argument that argparse rejects included. Success paths print to stdout only.
 
@@ -48,7 +50,7 @@ from typing import Iterator, NoReturn
 # numpy's OpenBLAS starts one thread per CPU when it loads. The only BLAS calls
 # here are ident.fit's 3x3 normal equations (J^T J, J^T r and their solve),
 # which gain nothing from more threads, and a process with one thread forks
-# safely in csvio.write_columns. A value the user set still wins. This must
+# safely in csvio._in_parallel. A value the user set still wins. This must
 # run before numpy loads, so before the package's own modules are imported.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -191,10 +193,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             if unwritten:
                 raise unwritten
             if i:
-                # not csvio._append: os.sendfile copies between files on Linux only
                 with open(paths[0][0], "rb") as src, _output(s_path) as out:
-                    while chunk := src.read(1 << 16):
-                        out.write(chunk)
+                    _append(out, src)
                 written.append(s_path)
             write_columns(m_path, MEASURED_HEADER, [meas.t, meas.x, meas.u])
             written.append(m_path)
@@ -385,7 +385,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 raise spliced
             if spliced:
                 with _output(args.out) as out:
-                    _append(out.fileno(), merged.fileno())
+                    _append(out, merged)
             # with no temporary file, plain inputs are spliced into --out itself
             elif not (merged is None and splice_rows(args.out, args.sim, SIM_HEADER,
                                                      args.estimates, ESTIMATES_HEADER)):

@@ -9,16 +9,16 @@ Three fixed layouts, all UTF-8 with '.' decimals:
 ``write_columns`` writes float cells with repr() (shortest round-trip
 form), so reading back what it wrote reproduces the floats bit for bit. It
 formats ``_ROWS`` rows at a time, so its memory is bounded by one block of
-strings per process whatever the record's length. The rows are split into
-one contiguous part of whole blocks per CPU this process may run on: the
-process writes the first part into the file itself, while a forked child
-formats each later part into an unnamed temporary file in the output's
-directory, which is then appended to the file by the kernel. A worker that
-meets an OSError hands its errno to the parent as its exit status, and the
-parent raises that error. The bytes are the same for any number of parts.
-With one CPU, one block, no ``os.fork``/``os.sched_getaffinity`` (macOS,
-Windows), or a directory the temporary files cannot be made in, there is
-one part and nothing forks.
+strings per process whatever the record's length. With two CPUs and at
+least two blocks, the rows are split in two through ``_in_parallel``: this
+process writes the first half of the blocks into the file, while the
+forked child formats the rest into one unnamed temporary file in the
+output's directory, which is then copied onto the end of the file. The
+child's failure reaches this process with its type and attributes (an
+OSError keeps its errno and text), and the bytes are the same with or
+without the split. With one CPU, one block, no ``os.fork`` or
+``os.sched_getaffinity`` (macOS, Windows), or a directory the temporary
+file cannot be made in, this process writes every row itself.
 
 A file is plain when its header is exactly what ``write_columns`` writes
 and its body holds only the bytes of ``_PLAIN``. A plain file is read in
@@ -32,11 +32,11 @@ float() parses and names the first bad row.
 repr() text for a file ``write_columns`` wrote, and the cell as written
 (``1.50``, ``1e5``) otherwise, which reads back as the same float.
 
-``_in_parallel`` runs two independent halves of a command at once where
-``write_columns`` would split: one half in a forked child, which hands back
-its result or its failure through a pipe, the other in this process. With
-one CPU, no ``os.fork``, or a fork that fails, it calls the first half and
-then the second.
+``_in_parallel`` runs two independent halves of a command or of a split
+write at once: one half in a forked child, which hands back its result or
+its failure through a pipe, the other in this process. It is the one place
+that forks. With one CPU, no ``os.fork``, or a fork that fails, it calls
+the first half and then the second.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ import io
 import math
 import os
 import pickle
+import shutil
+import stat
 import tempfile
 from array import array
 from itertools import islice
@@ -66,9 +68,6 @@ _PLAIN = b"0123456789.e+-,\n"
 # no ',' and no '\n' leaves the file to the csv reader
 _BLOCK = 1 << 16
 _ROWS = 4096
-# a split write's worker exits with this status on a failure that is not an
-# OSError; an OSError's errno, which is below it, is the status otherwise
-_NOT_OS_ERROR = 255
 
 
 class CsvSchemaError(ValueError):
@@ -82,54 +81,33 @@ class CsvSchemaError(ValueError):
 def write_columns(path: str | Path, header: tuple[str, ...], columns: list[np.ndarray]) -> None:
     """Write equal-length columns under the given header.
 
-    A write that fails once the file is open, a worker's included
-    (OSError), removes the file.
+    A write that fails once the file is open, the forked half's included,
+    removes the file (``_output``).
     """
     lengths = {len(c) for c in columns}
     if len(columns) != len(header) or (lengths and lengths != {len(columns[0])}):
         raise ValueError("columns must match the header and share one length")
     columns = [np.asarray(c, dtype=float) for c in columns]
     n = len(columns[0]) if columns else 0
-    blocks = -(-n // _ROWS)
-    children = []  # (pid, temporary file, (lo, hi)) of each child not yet reaped
-    try:
-        with _output(path) as out, contextlib.ExitStack() as stack:
-            try:
-                # every part's file before the first fork: a directory this
-                # process cannot create files in leaves the write to one part
-                tmps = [stack.enter_context(tempfile.TemporaryFile(dir=Path(path).parent))
-                        for _ in range(min(_cpus(), blocks) - 1)]
-            except OSError:
-                tmps = []
-            parts = len(tmps) + 1
-            # part j is rows bounds[j] to bounds[j + 1]: whole blocks, the last one cut at n
-            bounds = [min(j * blocks // parts * _ROWS, n) for j in range(parts + 1)]
-            out.write((",".join(header) + "\n").encode())
-            # nothing of the file is left in a buffer for the children to inherit
-            out.flush()
-            for tmp, lo, hi in zip(tmps, bounds[1:], bounds[2:]):
-                pid = os.fork()
-                if pid == 0:
-                    _work(tmp, columns, lo, hi)
-                children.append((pid, tmp, (lo, hi)))
-            _write_rows(out, columns, 0, bounds[1])
-            # the kernel appends the other parts after what has reached the file
-            out.flush()
-            while children:
-                pid, tmp, (lo, hi) = children[0]
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                del children[0]
-                if 0 < code < _NOT_OS_ERROR:
-                    # what the serial write raises on the same error
-                    raise OSError(code, os.strerror(code))
-                if code:
-                    raise OSError(f"{path}: the worker that formats rows {lo + 1} to {hi} "
-                                  f"ended with exit status {code}")
-                _append(out.fileno(), tmp.fileno())
-    finally:
-        # when this process's own write fails, its children are still reaped
-        for pid, _, _ in children:
-            os.waitpid(pid, 0)
+    # this process formats the first half of the blocks, a forked child the rest
+    half = -(-n // _ROWS) // 2 * _ROWS if _cpus() > 1 else 0
+    with _output(path) as out:
+        out.write((",".join(header) + "\n").encode())
+        try:
+            # a directory this process cannot create files in leaves the write to it
+            rest = tempfile.TemporaryFile(dir=Path(path).parent) if half else None
+        except OSError:
+            rest = None
+        if rest is None:
+            _write_rows(out, columns, 0, n)
+            return
+        with rest:
+            def child():
+                _write_rows(rest, columns, half, n)
+                rest.flush()
+
+            _in_parallel(child, lambda: _write_rows(out, columns, 0, half))
+            _append(out, rest)
 
 
 def _cpus() -> int:
@@ -237,13 +215,20 @@ class _Pickler(pickle.Pickler):
 
 @contextlib.contextmanager
 def _output(path: str | Path) -> Iterator[io.BufferedWriter]:
-    """path opened for writing bytes, and removed when the block or the close raises."""
+    """path opened for writing bytes, and removed when the block or the close raises.
+
+    Only a regular file is removed: a device, a FIFO or a symlink that path
+    names is left in place, and a symlink's target as written.
+    """
     fh = open(path, "wb")
+    regular = False
     try:
         with fh:
+            regular = stat.S_ISREG(os.lstat(path).st_mode)
             yield fh
     except BaseException:
-        Path(path).unlink(missing_ok=True)
+        if regular:
+            Path(path).unlink(missing_ok=True)
         raise
 
 
@@ -260,31 +245,10 @@ def _write_rows(fh: io.BufferedIOBase, columns: list[np.ndarray], lo: int, hi: i
         fh.write(_block(columns, i))
 
 
-def _work(tmp: io.BufferedRandom, columns: list[np.ndarray], lo: int, hi: int) -> NoReturn:
-    """A forked child's whole run: rows lo to hi into tmp, then exit 0.
-
-    On an OSError the exit status is its errno, which the parent raises
-    again; any other failure exits with ``_NOT_OS_ERROR``. os._exit is its
-    one way out, so it never returns into the parent's with blocks, flushes
-    none of the parent's buffers and prints no traceback.
-    """
-    code = _NOT_OS_ERROR
-    try:
-        _write_rows(tmp, columns, lo, hi)
-        tmp.flush()
-        code = 0
-    except OSError as exc:
-        if 0 < (exc.errno or 0) < _NOT_OS_ERROR:
-            code = exc.errno
-    finally:
-        os._exit(code)
-
-
-def _append(out: int, src: int) -> None:
-    """Copy the whole file src to out's position, in the kernel."""
-    size, offset = os.fstat(src).st_size, 0
-    while offset < size:
-        offset += os.sendfile(out, src, offset, size - offset)
+def _append(out: io.BufferedIOBase, src: io.BufferedIOBase) -> None:
+    """Copy the whole binary file src to out's position, through out.write."""
+    src.seek(0)
+    shutil.copyfileobj(src, out)
 
 
 def read_columns(path: str | Path, header: tuple[str, ...]) -> list[np.ndarray]:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import frictionobs
-from frictionobs import ESTIMATES_HEADER, MEASURED_HEADER, SIM_HEADER, read_columns
+from frictionobs import ESTIMATES_HEADER, MEASURED_HEADER, SIM_HEADER, csvio, read_columns
 from frictionobs.cli import (
     EXIT_CONFIG,
     EXIT_DESIGN,
@@ -1098,7 +1098,7 @@ def test_observe_and_compare_give_the_same_bytes_on_any_cpu_count(cfg_file, shor
 
 
 @pytest.mark.parametrize("how", ["killed", "memory"])
-@pytest.mark.parametrize("command", ["observe", "compare"])
+@pytest.mark.parametrize("command", ["observe", "compare", "simulate"])
 def test_a_child_that_dies_leaves_no_output_and_no_child(cfg_file, short_run, tmp_path, capsys,
                                                          monkeypatch, command, how):
     sim, measured = short_run
@@ -1106,21 +1106,31 @@ def test_a_child_that_dies_leaves_no_output_and_no_child(cfg_file, short_run, tm
     assert main(["observe", "--config", str(cfg_file), "--measured", str(measured),
                  "--out", str(est)]) == EXIT_OK
     capsys.readouterr()
+    # 8201 rows, three blocks: the truth CSV is written in two halves
+    long_cfg = tmp_path / "long.cfg"
+    long_cfg.write_text(SHORT_CFG.replace("sim.t_end = 0.4", "sim.t_end = 4.1"), encoding="utf-8")
 
     def die(*args, **kwargs):
         if how == "killed":
             os.kill(os.getpid(), signal.SIGKILL)
         raise MemoryError("cannot allocate the column")
 
-    # each is called in the forked child only
-    monkeypatch.setattr("frictionobs.cli.simulate_forced" if command == "observe"
-                        else "frictionobs.cli.splice_rows", die)
+    write_rows = csvio._write_rows
+
+    def die_in_second_half(fh, columns, lo, hi):
+        return die() if lo else write_rows(fh, columns, lo, hi)
+
+    # each is called, or dies, in the forked child only
+    monkeypatch.setattr(*{"observe": ("frictionobs.cli.simulate_forced", die),
+                          "compare": ("frictionobs.cli.splice_rows", die),
+                          "simulate": (csvio, "_write_rows", die_in_second_half)}[command])
     _set_cpus(monkeypatch, 2)
     out = tmp_path / "out.csv"
     before = sorted(tmp_path.rglob("*"))
     argv = {"observe": ["observe", "--config", str(cfg_file), "--measured", str(measured),
                         "--truth", str(sim)],
-            "compare": ["compare", "--sim", str(sim), "--estimates", str(est)]}[command]
+            "compare": ["compare", "--sim", str(sim), "--estimates", str(est)],
+            "simulate": ["simulate", "--config", str(long_cfg)]}[command]
     rc = main(argv + ["--out", str(out)])
     captured = capsys.readouterr()
     assert rc == EXIT_CONFIG
@@ -1156,3 +1166,44 @@ def test_compare_reports_the_sim_rejection_first(cfg_file, short_run, tmp_path, 
     assert captured.err.startswith(f"{role} CSV rejected: ") and captured.err.count("\n") == 1
     assert captured.out == "" and not out.exists()
     _assert_no_child()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_failed_write_through_a_symlink_leaves_the_link(cfg_file, short_run, tmp_path, capsys):
+    # only a regular file that --out names is removed on a failure. Never name a
+    # device itself as a test's output: a command that removed what it failed
+    # to write would delete the device node
+    _, measured = short_run
+    link = tmp_path / "link.csv"
+    link.symlink_to("/dev/full")
+    rc = main(["observe", "--config", str(cfg_file), "--measured", str(measured),
+               "--out", str(link)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_CONFIG and captured.out == ""
+    assert captured.err == f"cannot write output: [Errno 28] {os.strerror(errno.ENOSPC)}\n"
+    assert link.is_symlink() and os.readlink(link) == "/dev/full"
+
+
+@pytest.mark.parametrize("sendfile", ["not_a_socket", "missing"])
+def test_compare_appends_without_sendfile(cfg_file, short_run, tmp_path, capsys, monkeypatch,
+                                          sendfile):
+    # os.sendfile copies only to a socket on macOS and is missing on Windows;
+    # the merged rows reach --out through write() on every platform
+    sim, measured = short_run
+    est = tmp_path / "est.csv"
+    assert main(["observe", "--config", str(cfg_file), "--measured", str(measured),
+                 "--out", str(est)]) == EXIT_OK
+    argv = ["compare", "--sim", str(sim), "--estimates", str(est), "--out"]
+    assert main(argv + [str(tmp_path / "default.csv")]) == EXIT_OK
+    if sendfile == "missing":
+        monkeypatch.delattr(os, "sendfile")
+    else:
+        def not_a_socket(*args):
+            raise OSError(errno.ENOTSOCK, os.strerror(errno.ENOTSOCK))
+
+        monkeypatch.setattr(os, "sendfile", not_a_socket)
+    _set_cpus(monkeypatch, None)
+    capsys.readouterr()
+    assert main(argv + [str(tmp_path / "m.csv")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()

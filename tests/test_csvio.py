@@ -276,17 +276,27 @@ def test_block_writer_matches_row_writer(tmp_path, n):
 
 
 def _set_cpus(monkeypatch, cpus):
-    """Make csvio see cpus CPUs; None: a platform with no os.sched_getaffinity."""
+    """Make csvio see cpus CPUs; None: a platform with no os.sched_getaffinity.
+
+    "fork_fails": two CPUs, where os.fork fails as at a process limit (EAGAIN).
+    """
+    if cpus == "fork_fails":
+        def fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(csvio.os, "fork", fork)
+        cpus = 2
     if cpus is None:
         monkeypatch.delattr(csvio.os, "sched_getaffinity")
     else:
         monkeypatch.setattr(csvio.os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
-@pytest.mark.parametrize("cpus", [None, 1, 2, 3, 4])
+@pytest.mark.parametrize("cpus", [None, 1, 2, 3, 4, "fork_fails"])
 @pytest.mark.parametrize("n", [0, 1, csvio._ROWS, csvio._ROWS + 1, 3 * csvio._ROWS + 7])
 def test_split_writer_matches_row_writer(tmp_path, monkeypatch, cpus, n):
-    # one part per CPU, in whole blocks: the bytes do not depend on the split
+    # two halves of whole blocks on two CPUs or more, or both halves here when
+    # the fork fails: the bytes do not depend on the split
     _set_cpus(monkeypatch, cpus)
     _assert_writes_like_rows(tmp_path, n)
     _assert_no_child()
@@ -294,7 +304,7 @@ def test_split_writer_matches_row_writer(tmp_path, monkeypatch, cpus, n):
 
 @pytest.mark.parametrize("failing", ["worker", "parent", "worker_not_os"])
 def test_failed_part_removes_the_file_and_reaps_every_child(tmp_path, monkeypatch, failing):
-    # two blocks on two CPUs: this process formats rows from 0, a worker those from _ROWS
+    # two blocks on two CPUs: this process formats rows from 0, a forked child those from _ROWS
     block = csvio._block
     error = MemoryError() if failing == "worker_not_os" else OSError(28, "No space left on device")
 
@@ -306,36 +316,30 @@ def test_failed_part_removes_the_file_and_reaps_every_child(tmp_path, monkeypatc
     _set_cpus(monkeypatch, 2)
     monkeypatch.setattr(csvio, "_block", broken)
     out = tmp_path / "w.csv"
-    with pytest.raises(OSError) as exc:
+    with pytest.raises(type(error)) as exc:
         write_columns(out, EDGE_HEADER, _edge_columns(2 * csvio._ROWS))
-    if failing == "worker_not_os":
-        assert str(exc.value) == (f"{out}: the worker that formats rows {csvio._ROWS + 1} "
-                                  f"to {2 * csvio._ROWS} ended with exit status 255")
-    else:
-        # a worker's errno reaches this process, which raises it as its own write would
-        assert exc.value.errno == 28
-        assert str(exc.value) == f"[Errno 28] {os.strerror(28)}"
+    # the child's failure reaches this process with its type, and an
+    # OSError with its errno, as this process's own write would raise it
+    assert type(exc.value) is type(error)
+    assert getattr(exc.value, "errno", None) == getattr(error, "errno", None)
+    assert str(exc.value) == str(error)
     assert list(tmp_path.iterdir()) == []
     _assert_no_child()
 
 
-@pytest.mark.parametrize("refused", [0, 1])
-def test_split_write_without_temporary_files_is_one_part(tmp_path, monkeypatch, refused):
-    # a file that may be written in a directory that may not: the parts' files
-    # cannot be made, here from the first or the second on, and nothing forks
-    made = tempfile.TemporaryFile
+def test_split_write_without_temporary_files_is_one_part(tmp_path, monkeypatch):
+    # a file that may be written in a directory that may not: the second
+    # half's file cannot be made, so this process writes every row and nothing forks
     calls = []
 
     def temporary_file(*args, **kwargs):
         calls.append(None)
-        if len(calls) > refused:
-            raise PermissionError(13, "Permission denied")
-        return made(*args, **kwargs)
+        raise PermissionError(13, "Permission denied")
 
     _set_cpus(monkeypatch, 3)
     monkeypatch.setattr(csvio.tempfile, "TemporaryFile", temporary_file)
     _assert_writes_like_rows(tmp_path, 3 * csvio._ROWS + 7)
-    assert len(calls) == refused + 1
+    assert len(calls) == 1
     _assert_no_child()
 
 
@@ -482,12 +486,6 @@ def test_in_parallel_raises_the_childs_failure_first(monkeypatch, cpus, failure)
 @pytest.mark.parametrize("cpus", [1, 2, "fork_fails"])
 def test_in_parallel_hands_back_results(monkeypatch, cpus):
     # a fork that fails (EAGAIN at a process limit) runs both halves here, as one CPU does
-    if cpus == "fork_fails":
-        def fork():
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(csvio.os, "fork", fork)
-        cpus = 2
     _set_cpus(monkeypatch, cpus)
     column = np.arange(100_000) * 5e-4
     (got, diverged), mine = csvio._in_parallel(

@@ -56,6 +56,30 @@ def test_no_unused_imports(path):
     assert _unused_imports(tree) == []
 
 
+def _fork_sites(tree, module):
+    """module.function (module alone at its top level) of each call of os.fork or fork in tree."""
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{module}.{node.name}"
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in ("os.fork", "fork"):
+            sites.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, module)
+    return sites
+
+
+def test_one_fork_site():
+    # every fork goes through one protocol: csvio._in_parallel hands back a
+    # child's result or its failure, with its type, and reaps the child
+    sites = [site for path in SOURCES
+             for site in _fork_sites(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+    assert sites == ["csvio._in_parallel"]
+
+
 def test_unused_import_guard_sees_a_leftover_import():
     tree = ast.parse("from __future__ import annotations\nimport os, shutil\n"
                      "from .friction import advance, level as lv\nos.getcwd()\nadvance()\n")
