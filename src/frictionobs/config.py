@@ -7,14 +7,14 @@ Example:
     friction.sigma = 2.0
     friction.beta = 0.002
     friction.s_scale = 2000
-    observer.poles = -350, -10
+    observer.poles = -1300, -120
     sim.dt = 5e-4
     sim.t_end = 5.6
     scenario.pulses = 0.3,0.01,1.2; 1.35,0.01,-0.9
 
 Every key has a default, so an empty file is a valid configuration. The
 plant.*, friction.* and sim.* keys are the fields of PlantParams,
-FrictionParams and SimConfig; observer.deadband completes the friction law.
+FrictionParams and SimConfig; observer.poles is the one gain setting.
 Lines starting with '#' and blank lines are ignored. All module parameter
 invariants are re-validated while building the typed objects; any problem
 raises ConfigError.
@@ -44,10 +44,8 @@ _DEFAULTS = {
     "friction.beta": 0.002,
     "friction.s_scale": 2000.0,
     "friction.z_floor": 1e-4,
-    "observer.poles": "",
-    "observer.l1": 360.0,
-    "observer.l2": -182.0,
-    "observer.deadband": 1e-4,  # the friction law's reversal deadband
+    "friction.deadband": 1e-4,
+    "observer.poles": "-1300, -120",  # passes validate_robust for this law (see README)
     "sim.dt": 5e-4,
     "sim.t_end": 5.6,
     "sim.noise_std": 2e-6,
@@ -124,14 +122,11 @@ def parse_config(text: str) -> Config:
 
     try:
         plant = PlantParams(**section("plant"))
-        friction = FrictionParams(**section("friction"), deadband=get("observer.deadband"))
+        friction = FrictionParams(**section("friction"))
         sim = SimConfig(**section("sim"))
         scenario = ImpulseTrain(_parse_pulses(get("scenario.pulses")))
-        if get("observer.poles"):
-            poles = parse_poles(get("observer.poles"), "observer.poles")
-            gains = design_gains(poles, plant.m, friction.sigma / friction.beta)
-        else:
-            gains = ObserverGains(l1=get("observer.l1"), l2=get("observer.l2"))
+        poles = parse_poles(get("observer.poles"), "observer.poles")
+        gains = design_gains(poles, plant.m, friction.sigma / friction.beta)
     except ConfigError:
         raise
     except ValueError as exc:

@@ -88,7 +88,7 @@ class RobustReport:
 def design_gains(poles: tuple[float, float], m: float, sob: float = 0.0) -> ObserverGains:
     """Gains placing the phi = sob poles at the requested real pair.
 
-    Both poles must be real, finite and strictly negative.
+    Both poles must be real, finite and < 0, m finite and > 0, sob finite.
     """
     lam1, lam2 = poles
     for lam in (lam1, lam2):
@@ -96,8 +96,10 @@ def design_gains(poles: tuple[float, float], m: float, sob: float = 0.0) -> Obse
             raise ValueError("poles must be real")
         if not (math.isfinite(lam) and lam < 0):
             raise ValueError(f"poles must be finite and < 0, got {lam!r}")
-    if m <= 0:
-        raise ValueError(f"m must be > 0, got {m!r}")
+    if not (math.isfinite(m) and m > 0):
+        raise ValueError(f"m must be finite and > 0, got {m!r}")
+    if not math.isfinite(sob):
+        raise ValueError(f"sob must be finite, got {sob!r}")
     l1 = -(lam1 + lam2)
     l2 = sob - m * (lam1 * lam2)
     return ObserverGains(l1, l2)
@@ -125,7 +127,8 @@ def validate_robust(g: ObserverGains, m: float, sob: float, kappa: float) -> Rob
 
     def real_parts(dfc_dx: float) -> tuple[float, float, float]:
         # (discriminant, Re lam1, Re lam2) at phi = sob + dfc_dx, the stiffness dfc_dx
-        disc = g.l1 * g.l1 + (4.0 / m) * (g.l2 - dfc_dx - sob)
+        # divided before it is scaled: 4.0 / m overflows for a subnormal m
+        disc = g.l1 * g.l1 + 4.0 * ((g.l2 - dfc_dx - sob) / m)
         r = math.sqrt(disc) if disc >= 0.0 else 0.0
         return disc, (-g.l1 - r) / 2.0, (-g.l1 + r) / 2.0
 

@@ -167,13 +167,17 @@ def test_observe_empty_measured(cfg_file, tmp_path, capsys):
     assert (tmp_path / "e.csv").read_text(encoding="utf-8").strip() == ",".join(ESTIMATES_HEADER)
 
 
+# poles whose product underflows: l2 = sigma/beta, which breaks l2 < sigma/beta
+TINY_POLES = "observer.poles = -1e-200, -1e-200\n"
+
+
 def test_observe_bad_gains_is_config_error(tmp_path, capsys):
-    # gains that break l1 > 0 are a config error for observe; simulate and
-    # identify do not use the gains and run as before
+    # gains that break l2 < sigma/beta are a config error for observe;
+    # simulate and identify do not use the gains and run as before
     bad = tmp_path / "bad.cfg"
     bad.write_text(
         "sim.dt = 1e-3\nsim.t_end = 0.08\nsim.noise_std = 0\n"
-        "scenario.pulses = 0.01,0.005,1.0\nobserver.l1 = -5\n",
+        "scenario.pulses = 0.01,0.005,1.0\n" + TINY_POLES,
         encoding="utf-8",
     )
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "sim.csv")]) == EXIT_OK
@@ -183,7 +187,7 @@ def test_observe_bad_gains_is_config_error(tmp_path, capsys):
                "--out", str(tmp_path / "e.csv")])
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "l1 > 0" in err
+    assert err.startswith("config error: ") and "l2 < sigma/beta" in err
     assert err.count("\n") == 1
     rc = main(["identify", "--config", str(bad), "--measured", measured,
                "--out", str(tmp_path / "fit.txt")])
@@ -195,14 +199,13 @@ def test_observe_bad_gains_come_before_a_diverging_model(cfg_file, short_run, tm
     # the model diverges at once under this v_max, but the gain condition is
     # what is reported, whichever of the two runs first
     bad = tmp_path / "bad.cfg"
-    bad.write_text(SHORT_CFG.replace("observer.poles = -350, -10\n", "")
-                   + "observer.l1 = -5\nsim.v_max = 1e-9\n", encoding="utf-8")
+    bad.write_text(SHORT_CFG + TINY_POLES + "sim.v_max = 1e-9\n", encoding="utf-8")
     out = tmp_path / "e.csv"
     rc = main(["observe", "--config", str(bad), "--measured", str(short_run[1]),
                "--out", str(out), "--truth", str(short_run[0])])
     captured = capsys.readouterr()
     assert rc == EXIT_CONFIG
-    assert captured.err == ("config error: gains (l1=-5.0, l2=-182.0) violate l1 > 0, "
+    assert captured.err == ("config error: gains (l1=2e-200, l2=1000.0) violate l1 > 0, "
                             "l2 < sigma/beta = 1000.0\n")
     assert captured.out == "" and not out.exists()
     # with gains that hold, the model's divergence is what is reported
@@ -333,7 +336,7 @@ def test_identify_fits_with_the_config_deadband(tmp_path, capsys):
     cfg = tmp_path / "i.cfg"
     cfg.write_text(
         "sim.t_end = 0.3\nsim.noise_std = 0\nscenario.pulses = 0.01,0.005,1.0\n"
-        "observer.deadband = 0.02\n",
+        "friction.deadband = 0.02\n",
         encoding="utf-8",
     )
     main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim.csv")])
@@ -563,19 +566,24 @@ def test_unknown_subcommand_maps_to_config_error():
 TWO_ROWS = "t,x,u\n0.0,0.0,0.0\n0.001,0.0,0.0\n"
 
 
-@pytest.mark.parametrize("config_line, argv", [
-    ("sim.noise_std = nan", ["simulate"]),
-    ("sim.noise_std = inf", ["simulate"]),
-    ("sim.quant = inf", ["simulate"]),
-    ("sim.seed = -1", ["simulate"]),
-    ("", ["identify", "--bounds-factor", "nan"]),
-    ("", ["identify", "--bounds-factor", "inf"]),
-    ("", ["design", "--kappa", "nan"]),
-    ("", ["design", "--kappa", "inf"]),
-    ("sim.t_end = 1e300\nsim.dt = 1e-10", ["simulate"]),
+@pytest.mark.parametrize("config_line, argv, names", [
+    ("sim.noise_std = nan", ["simulate"], None),
+    ("sim.noise_std = inf", ["simulate"], None),
+    ("sim.quant = inf", ["simulate"], None),
+    ("sim.seed = -1", ["simulate"], None),
+    ("", ["identify", "--bounds-factor", "nan"], "--bounds-factor nan"),
+    ("", ["identify", "--bounds-factor", "inf"], "--bounds-factor inf"),
+    ("", ["design", "--kappa", "nan"], "kappa must be finite and >= 0, got nan"),
+    ("", ["design", "--kappa", "inf"], "kappa must be finite and >= 0, got inf"),
+    ("", ["design", "--m", "nan"], "m must be finite and > 0, got nan"),
+    ("", ["design", "--m", "inf"], "m must be finite and > 0, got inf"),
+    ("", ["design", "--sob", "nan"], "sob must be finite, got nan"),
+    ("", ["design", "--sob", "inf"], "sob must be finite, got inf"),
+    ("sim.t_end = 1e300\nsim.dt = 1e-10", ["simulate"], None),
 ], ids=["noise_nan", "noise_inf", "quant_inf", "seed_negative", "bounds_factor_nan",
-        "bounds_factor_inf", "kappa_nan", "kappa_inf", "sample_count_overflow"])
-def test_bad_value_is_config_error(tmp_path, capsys, config_line, argv):
+        "bounds_factor_inf", "kappa_nan", "kappa_inf", "m_nan", "m_inf", "sob_nan", "sob_inf",
+        "sample_count_overflow"])
+def test_bad_value_is_config_error(tmp_path, capsys, config_line, argv, names):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(SHORT_CFG + config_line + "\n", encoding="utf-8")
     m = tmp_path / "m.csv"
@@ -591,6 +599,8 @@ def test_bad_value_is_config_error(tmp_path, capsys, config_line, argv):
     captured = capsys.readouterr()
     assert rc == EXIT_CONFIG
     assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    # a non-finite flag is named with its value, not blamed on what it feeds
+    assert names is None or names in captured.err
     assert captured.out == ""
     assert not out.exists() and not (tmp_path / "out_measured.csv").exists()
 

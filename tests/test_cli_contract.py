@@ -29,9 +29,7 @@ GOOD = {
     "friction.beta": ["0.002", "0.01"],
     "friction.s_scale": ["2000", "500"],
     "friction.z_floor": ["1e-4", "1e-3"],
-    "observer.l1": ["360", "200"],
-    "observer.l2": ["-182", "-100"],
-    "observer.deadband": ["1e-4", "0"],
+    "friction.deadband": ["1e-4", "0"],
     "observer.poles": ["-350, -10", "-100,-20"],
     "sim.noise_std": ["2e-6", "0"],
     "sim.quant": ["0", "1e-7"],

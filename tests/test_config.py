@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frictionobs import ConfigError, config, load_config, parse_config
+from frictionobs import ConfigError, config, load_config, parse_config, validate_robust
 
 KEYS = (
     "plant.m", "friction.c_f", "friction.sigma", "friction.beta", "friction.s_scale",
-    "friction.z_floor", "observer.l1", "observer.l2", "observer.deadband", "observer.poles",
+    "friction.z_floor", "friction.deadband", "observer.poles",
     "sim.dt", "sim.t_end", "sim.noise_std", "sim.quant", "sim.seed", "sim.v_max",
     "scenario.pulses",
 )
@@ -36,8 +36,23 @@ def test_empty_config_gets_defaults():
     assert cfg.friction.s_scale == 2000.0
     assert cfg.friction.z_floor == 1e-4 and cfg.friction.deadband == 1e-4
     assert cfg.sim.dt == 5e-4 and cfg.sim.t_end == 5.6 and cfg.sim.seed == 7
-    assert cfg.gains.l1 == 360.0 and cfg.gains.l2 == -182.0
+    # the default poles (-1300, -120) placed for sigma/beta = 1000
+    assert cfg.gains.l1 == 1420.0 and cfg.gains.l2 == 1000.0 - 0.052 * 156000.0
     assert len(cfg.scenario.pulses) == 5
+
+
+def test_default_gains_pass_validate_robust():
+    cfg = parse_config("")
+    fp = cfg.friction
+    report = validate_robust(cfg.gains, cfg.plant.m, fp.sigma / fp.beta, fp.kappa)
+    assert report.passed, report
+
+
+@pytest.mark.parametrize("key", list(config._DEFAULTS))
+def test_every_key_is_read(key):
+    # a key that nothing reads would take any value; each one must reject this
+    with pytest.raises(ConfigError):
+        parse_config(f"observer.poles = -350, -10\n{key} = abc\n")
 
 
 def test_comments_and_blanks_ignored():
@@ -101,18 +116,18 @@ def test_poles_errors():
         parse_config("observer.poles = -350, 10\n")
 
 
-def test_explicit_gains_used_without_poles():
-    cfg = parse_config("observer.l1 = 710.0\nobserver.l2 = -1971.75\n")
-    assert cfg.gains.l1 == 710.0
-    assert cfg.gains.l2 == -1971.75
-
-
 def test_deadband_validation():
     with pytest.raises(ConfigError, match="deadband"):
-        parse_config("observer.deadband = -1e-4\n")
+        parse_config("friction.deadband = -1e-4\n")
     with pytest.raises(ConfigError, match="deadband"):
-        parse_config("observer.deadband = nan\n")
-    assert parse_config("observer.deadband = 0\n").friction.deadband == 0.0
+        parse_config("friction.deadband = nan\n")
+    assert parse_config("friction.deadband = 0\n").friction.deadband == 0.0
+
+
+def test_gains_keys_are_gone():
+    for key in ("observer.l1", "observer.l2", "observer.deadband"):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(f"{key} = 1\n")
 
 
 def test_kappa_is_not_a_key():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from frictionobs import ObserverGains, design_gains, validate_robust
 
@@ -44,8 +46,12 @@ def test_design_validation():
     for poles in ((-350.0, 10.0), (0.0, -10.0), (complex(-3, 1), -10.0), (-math.inf, -1.0)):
         with pytest.raises(ValueError):
             design_gains(poles, M)
-    with pytest.raises(ValueError):
-        design_gains((-350.0, -10.0), 0.0)
+    for m in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"m must be finite and > 0, got {m!r}"):
+            design_gains((-350.0, -10.0), m)
+    for sob in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"sob must be finite, got {sob!r}"):
+            design_gains((-350.0, -10.0), M, sob)
 
 
 def test_placed_poles_recovered():
@@ -145,3 +151,40 @@ def test_discriminant_monotone_in_gap():
         g = design_gains((-10.0 - gap, -10.0), M, 0.0)
         discs.append(validate_robust(g, M, 0.0, 3000.0).worst_discriminant)
     assert np.all(np.diff(discs) > 0)
+
+
+def test_pole_ranges_for_a_subnormal_m():
+    # (l2 - sob)/m is formed before it is scaled by 4: 4/m overflows here
+    m = 1e-320
+    rep = validate_robust(design_gains((-350.0, -10.0), m), m, 0.0, 0.0)
+    assert rep.lam1_range == (-350.0, -350.0)
+    assert rep.lam2_range == (-10.0, -10.0)
+    assert rep.worst_discriminant == 340.0**2
+
+
+@given(
+    m=st.floats(1e-3, 1e3),
+    sob=st.floats(0.0, 1e6),
+    kappa=st.floats(0.0, 1e6),
+    gap=st.floats(1e-6, 1e6),
+    margin=st.floats(1e-6, 1e3),
+)
+def test_certified_gains_are_a_placed_real_pair(m, sob, kappa, gap, margin):
+    # gains that pass validate_robust have real, negative poles at phi = sob,
+    # and placing those poles gives the same gains back
+    l2 = sob - gap
+    l1 = 2.0 * math.sqrt((kappa + sob - l2) / m) * (1.0 + margin)
+    g = ObserverGains(l1, l2)
+    assume(validate_robust(g, m, sob, kappa).passed)
+    # roots of lam^2 + l1 lam + (sob - l2)/m without cancellation: the fast
+    # one from the quadratic formula, the slow one from the product
+    disc = l1 * l1 + 4.0 * ((l2 - sob) / m)
+    assert disc > 0.0
+    lam1 = -0.5 * (l1 + math.sqrt(disc))
+    lam2 = ((sob - l2) / m) / lam1
+    assert lam1 < 0.0 and lam2 < 0.0
+    back = design_gains((lam1, lam2), m, sob)
+    # a relative 1e-13 (about 450 ulp); l2 is compared as l2 - sob, the
+    # placed product -m lam1 lam2, which a near-zero l2 leaves well scaled
+    assert back.l1 == pytest.approx(l1, rel=1e-13, abs=0)
+    assert back.l2 - sob == pytest.approx(l2 - sob, rel=1e-13, abs=0)

@@ -18,7 +18,8 @@ GOLDEN = {
     "batch_run001.csv": "e1e7d572101dfbb0916a48e9a32612904650aeb8743a65505f3fe4dd65706d47",
     "batch_measured_run000.csv": "362a98a9d295a38eab61be48272408c71799d04c12cb385c1e4ff15c4118e932",
     "batch_measured_run001.csv": "c485da98214c83309172ee68dddf5a19a62ef62adc86646933fa6bb13a03056b",
-    "est.csv": "e00ed2dead751cc848bbf389e1039734cab1305b586bea1a12a69e034b8daa1e",
+    # the default gains placed from observer.poles = -1300, -120
+    "est.csv": "314df2400b09adcf17e204a68cb0cef01947c3187b8b90746ccd4512d59ba8a0",
 }
 
 
