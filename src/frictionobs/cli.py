@@ -19,16 +19,16 @@ output behind; `simulate` writes its truth CSV, then measures each seed
 before it writes that seed's files, and removes every file it wrote when a
 measurement or a write fails. With two CPUs, `observe --truth` reads the
 truth and runs the open-loop model in a forked child while it runs the
-observer, `compare` reads `--sim` and splices the merged rows into a
-temporary file in a child while it reads `--estimates`, and a CSV of two or
-more 4096-row blocks is written in two halves, one in a child
-(csvio._in_parallel); a child that dies before it hands back its result
-exits 1. Of two failures, `observe` reports a rejected truth, then the
-observer's, then the model's; `compare` a rejected `--sim` before rejected
-estimates; and `simulate` a rejected measurement before an unwritable truth
-CSV. The commands raise;
-`main` turns the exception into its exit code and one stderr line, an
-argument that argparse rejects included. Success paths print to stdout only.
+observer, `compare` reads `--sim` in a child while it reads `--estimates`,
+and every CSV of two or more 4096-row blocks, `compare`'s merged CSV
+included, is written in two halves, one in a child (csvio._in_parallel);
+a child that dies before it hands back its result exits 1. Of two
+failures, `observe` reports a rejected truth, then the observer's, then
+the model's; `compare` a rejected `--sim` before rejected estimates; and
+`simulate` a rejected measurement before an unwritable truth CSV. The
+commands raise; `main` turns the exception into its exit code and one
+stderr line, an argument that argparse rejects included. Success paths
+print to stdout only.
 
 Importing this module sets ``OPENBLAS_NUM_THREADS`` to 1 unless the
 environment already sets it, before numpy loads, so a CLI process runs one
@@ -42,7 +42,6 @@ import contextlib
 import math
 import os
 import sys
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterator, NoReturn
@@ -161,6 +160,9 @@ def _check_files(args: argparse.Namespace, outputs: list[tuple[str, str | Path |
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    # before the paths are built, a pair a run; _run000 to _run999 take three digits
+    if not 1 <= args.runs <= 1000:
+        raise ConfigError("--runs must be between 1 and 1000")
     out = Path(args.out)
     measured_out = (Path(args.measured_out) if args.measured_out
                     else out.with_name(out.stem + "_measured" + (out.suffix or ".csv")))
@@ -169,8 +171,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         paths = [(_run_path(out, i), _run_path(measured_out, i)) for i in range(args.runs)]
     _check_files(args, [f for s, m in paths for f in (("--out", s), ("--measured-out", m))])
     cfg = load_config(args.config)
-    if args.runs < 1:
-        raise ConfigError("--runs must be >= 1")
     traj = simulate(cfg.plant, cfg.friction, cfg.scenario, cfg.sim)
     unwritten = None
     try:
@@ -342,60 +342,39 @@ plt.tight_layout(); plt.show()
 
 def cmd_compare(args: argparse.Namespace) -> int:
     _check_files(args, [("--out", args.out), ("--plot-script", args.plot_script)])
-    with contextlib.ExitStack() as stack:
-        try:
-            # the merged rows are spliced into this unnamed file while the estimates are read
-            merged = stack.enter_context(tempfile.TemporaryFile(dir=Path(args.out).parent))
-        except OSError:
-            merged = None  # then they are spliced into --out once both inputs are checked
 
-        def sim():
-            ts, _, vs, fs, _ = _read(args.sim, SIM_HEADER, "sim")
-            # columns of their own, which free the parsed table and cross the pipe uncopied
-            ts, vs, fs = (np.ascontiguousarray(c) for c in (ts, vs, fs))
-            try:
-                # plain inputs are spliced line by line; any other is formatted anew below
-                spliced = merged is not None and splice_rows(
-                    merged, args.sim, SIM_HEADER, args.estimates, ESTIMATES_HEADER)
-            except (OSError, ValueError) as exc:
-                # raised below once both inputs have passed their checks, which an
-                # estimates line the splice cannot split (ValueError) does not
-                spliced = exc
-            return ts, vs, fs, spliced
+    def sim():
+        ts, _, vs, fs, _ = _read(args.sim, SIM_HEADER, "sim")
+        # columns of their own, which free the parsed table and cross the pipe uncopied
+        return tuple(np.ascontiguousarray(c) for c in (ts, vs, fs))
 
-        (ts, vs, fs, spliced), (te, w2, w3, _, e_obs) = _in_parallel(
-            sim, lambda: _read(args.estimates, ESTIMATES_HEADER, "estimates"))
-        if len(ts) != len(te):
-            raise CsvSchemaError(
-                f"row count mismatch: sim has {len(ts)} rows, estimates has {len(te)}"
-            )
-        if not same_grid(ts, te):
-            raise CsvSchemaError("timestamp mismatch between sim and estimates")
-        lines = [f"rows = {len(ts)}", f"rms_e_obs = {_fmt(rms(e_obs))}",
-                 f"rms_velocity_error = {_fmt(rms(w2, vs))}",
-                 f"rms_force_error = {_fmt(rms(w3, fs))}"]
-        del ts, vs, fs, te, w2, w3, e_obs
+    (ts, vs, fs), (te, w2, w3, _, e_obs) = _in_parallel(
+        sim, lambda: _read(args.estimates, ESTIMATES_HEADER, "estimates"))
+    if len(ts) != len(te):
+        raise CsvSchemaError(
+            f"row count mismatch: sim has {len(ts)} rows, estimates has {len(te)}"
+        )
+    if not same_grid(ts, te):
+        raise CsvSchemaError("timestamp mismatch between sim and estimates")
+    lines = [f"rows = {len(ts)}", f"rms_e_obs = {_fmt(rms(e_obs))}",
+             f"rms_velocity_error = {_fmt(rms(w2, vs))}",
+             f"rms_force_error = {_fmt(rms(w3, fs))}"]
+    del ts, vs, fs, te, w2, w3, e_obs
+    if args.plot_script:
+        # the short script first: when it cannot be written, no merged CSV is left behind
+        with _output(args.plot_script) as out:
+            out.write(PLOT_SCRIPT.encode())
+        lines.append(f"wrote {args.plot_script}")
+    try:
+        # plain inputs are spliced line by line; any other is formatted anew
+        if not splice_rows(args.out, args.sim, SIM_HEADER, args.estimates, ESTIMATES_HEADER):
+            write_columns(Path(args.out), SIM_HEADER + ESTIMATES_HEADER[1:],
+                          _read(args.sim, SIM_HEADER, "sim")
+                          + _read(args.estimates, ESTIMATES_HEADER, "estimates")[1:])
+    except OSError:
         if args.plot_script:
-            # the short script first: when it cannot be written, no merged CSV is left behind
-            with _output(args.plot_script) as out:
-                out.write(PLOT_SCRIPT.encode())
-            lines.append(f"wrote {args.plot_script}")
-        try:
-            if isinstance(spliced, Exception):
-                raise spliced
-            if spliced:
-                with _output(args.out) as out:
-                    _append(out, merged)
-            # with no temporary file, plain inputs are spliced into --out itself
-            elif not (merged is None and splice_rows(args.out, args.sim, SIM_HEADER,
-                                                     args.estimates, ESTIMATES_HEADER)):
-                write_columns(Path(args.out), SIM_HEADER + ESTIMATES_HEADER[1:],
-                              _read(args.sim, SIM_HEADER, "sim")
-                              + _read(args.estimates, ESTIMATES_HEADER, "estimates")[1:])
-        except OSError:
-            if args.plot_script:
-                Path(args.plot_script).unlink(missing_ok=True)
-            raise
+            Path(args.plot_script).unlink(missing_ok=True)
+        raise
     lines.append(f"wrote {args.out}")
     print("\n".join(lines))
     return EXIT_OK
@@ -424,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measured-out", default=None,
                    help="measured CSV path (t,x,u); default: <out>_measured.csv")
     p.add_argument("--runs", type=int, default=1,
-                   help="batch of independent runs with seeds seed..seed+N-1")
+                   help="batch of 1 to 1000 runs with seeds seed..seed+N-1")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("design", help="design observer gains and check robustness")

@@ -9,16 +9,16 @@ Three fixed layouts, all UTF-8 with '.' decimals:
 ``write_columns`` writes float cells with repr() (shortest round-trip
 form), so reading back what it wrote reproduces the floats bit for bit. It
 formats ``_ROWS`` rows at a time, so its memory is bounded by one block of
-strings per process whatever the record's length. With two CPUs and at
-least two blocks, the rows are split in two through ``_in_parallel``: this
-process writes the first half of the blocks into the file, while the
-forked child formats the rest into one unnamed temporary file in the
-output's directory, which is then copied onto the end of the file. The
-child's failure reaches this process with its type and attributes (an
-OSError keeps its errno and text), and the bytes are the same with or
-without the split. With one CPU, one block, no ``os.fork`` or
-``os.sched_getaffinity`` (macOS, Windows), or a directory the temporary
-file cannot be made in, this process writes every row itself.
+strings per process whatever the record's length. It and ``splice_rows``
+write in two halves (``_in_two_halves``): with two CPUs and at least two
+blocks, this process writes the first half of the blocks into the file
+while a child forked by ``_in_parallel`` writes the rest into one unnamed
+temporary file in the output's directory, which is then copied onto the
+end of the file. The child's failure reaches this process with its type
+and attributes (an OSError keeps its errno and text), and the bytes are
+the same with or without the split. With one CPU, one block, no
+``os.fork`` or ``os.sched_getaffinity`` (macOS, Windows), or a directory
+the temporary file cannot be made in, this process writes every row itself.
 
 A file is plain when its header is exactly what ``write_columns`` writes
 and its body holds only the bytes of ``_PLAIN``. A plain file is read in
@@ -32,11 +32,11 @@ float() parses and names the first bad row.
 repr() text for a file ``write_columns`` wrote, and the cell as written
 (``1.50``, ``1e5``) otherwise, which reads back as the same float.
 
-``_in_parallel`` runs two independent halves of a command or of a split
+``_in_parallel`` runs two independent halves of a command or of a CSV
 write at once: one half in a forked child, which hands back its result or
-its failure through a pipe, the other in this process. It is the one place
-that forks. With one CPU, no ``os.fork``, or a fork that fails, it calls
-the first half and then the second.
+its failure as one pickle stream through a pipe, the other in this
+process. It is the one place that forks. With one CPU, no ``os.fork``, or a
+fork that fails, it calls the first half and then the second.
 """
 
 from __future__ import annotations
@@ -88,8 +88,17 @@ def write_columns(path: str | Path, header: tuple[str, ...], columns: list[np.nd
     if len(columns) != len(header) or (lengths and lengths != {len(columns[0])}):
         raise ValueError("columns must match the header and share one length")
     columns = [np.asarray(c, dtype=float) for c in columns]
-    n = len(columns[0]) if columns else 0
-    # this process formats the first half of the blocks, a forked child the rest
+    _in_two_halves(path, header, len(columns[0]) if columns else 0,
+                   lambda fh, lo, hi: _write_rows(fh, columns, lo, hi))
+
+
+def _in_two_halves(path: str | Path, header: tuple[str, ...], n: int,
+                   write: Callable[[io.BufferedIOBase, int, int], None]) -> None:
+    """Write the header to path, then rows 0 to n in two halves (see above).
+
+    write(fh, lo, hi) writes rows lo to hi, whole blocks but for the last, at
+    fh's position. A failure, the child's included, removes path (``_output``).
+    """
     half = -(-n // _ROWS) // 2 * _ROWS if _cpus() > 1 else 0
     with _output(path) as out:
         out.write((",".join(header) + "\n").encode())
@@ -99,14 +108,14 @@ def write_columns(path: str | Path, header: tuple[str, ...], columns: list[np.nd
         except OSError:
             rest = None
         if rest is None:
-            _write_rows(out, columns, 0, n)
+            write(out, 0, n)
             return
         with rest:
             def child():
-                _write_rows(rest, columns, half, n)
+                write(rest, half, n)
                 rest.flush()
 
-            _in_parallel(child, lambda: _write_rows(out, columns, 0, half))
+            _in_parallel(child, lambda: write(out, 0, half))
             _append(out, rest)
 
 
@@ -125,10 +134,11 @@ def _in_parallel(child: Callable[[], object], parent: Callable[[], object]) -> t
     runs first in this process, and parent() only when child() returns.
     The child hands its result or its failure back through a pipe, pickled
     by ``_Pickler`` so that an exception keeps its type and attributes, and
-    always leaves by os._exit. A contiguous array crosses as one block of
-    bytes that the array received here is built on, so it is held once. A
-    child that cannot hand anything back (it was killed, or its result does
-    not pickle) raises ChildProcessError.
+    always leaves by os._exit. A contiguous array crosses in one pickle
+    stream as one block of bytes, which is read into the bytearray that the
+    array received here is built on, so it is held once. A child that
+    cannot hand anything back (it was killed, its result does not pickle,
+    or its stream ends early) raises ChildProcessError.
     """
     if _cpus() < 2:
         return child(), parent()
@@ -143,47 +153,37 @@ def _in_parallel(child: Callable[[], object], parent: Callable[[], object]) -> t
         os.close(r)
         _hand_back(w, child)
     os.close(w)
-    with open(r, "rb") as pipe:
-        try:
-            mine = parent()
-        finally:
-            # read to the end before the reap: the child blocks on a full pipe
+    done = None
+    try:
+        with open(r, "rb") as pipe:
             try:
-                head, sizes = pickle.load(pipe)
-                buffers = [bytearray(n) for n in sizes]
-                for b in buffers:
-                    pipe.readinto(b)
-            except (EOFError, pickle.UnpicklingError):
-                pass  # a child that died part way: its exit status tells
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if code:
-                raise ChildProcessError("a forked process " + (
-                    f"was killed by signal {-code}" if code < 0 else f"ended with exit status {code}")
-                    + " before it handed back its result")
-            done, theirs = pickle.loads(head, buffers=buffers)
-            if not done:
-                raise theirs
+                mine = parent()
+            finally:
+                # read to the end before the reap: the child blocks on a full pipe
+                with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                    done, theirs = pickle.load(pipe)
+    finally:
+        # the pipe is closed, so a child still writing to it fails and exits
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code or done is None:
+            raise ChildProcessError("a forked process " + (
+                f"was killed by signal {-code}" if code < 0 else f"ended with exit status {code}")
+                + " before it handed back its result")
+        if not done:
+            raise theirs
     return theirs, mine
 
 
 def _hand_back(w: int, fn: Callable[[], object]) -> NoReturn:
-    """A forked child's whole run: fn's result, or its failure, pickled into the pipe w.
-
-    The pickle goes first, with the sizes of the out-of-band buffers that follow it.
-    """
+    """A forked child's whole run: fn's result, or its failure, pickled into the pipe w."""
     code = 1
     try:
         try:
             payload = (True, fn())
         except BaseException as exc:
             payload = (False, exc)
-        head, buffers = io.BytesIO(), []
-        _Pickler(head, 5, buffer_callback=buffers.append).dump(payload)
-        raw = [b.raw() for b in buffers]
         with open(w, "wb") as pipe:
-            pickle.dump((head.getvalue(), [m.nbytes for m in raw]), pipe)
-            for m in raw:
-                pipe.write(m)
+            _Pickler(pipe, 5).dump(payload)
         code = 0
     finally:
         os._exit(code)
@@ -330,34 +330,35 @@ def _lines(fh: io.BufferedReader) -> list[bytes]:
     return lines
 
 
-def splice_rows(path: str | Path | io.BufferedIOBase, left: str | Path,
-                left_header: tuple[str, ...], right: str | Path,
-                right_header: tuple[str, ...]) -> bool:
+def splice_rows(path: str | Path, left: str | Path, left_header: tuple[str, ...],
+                right: str | Path, right_header: tuple[str, ...]) -> bool:
     """Write each line of left followed by right's line without its first cell.
 
     left and right are files that ``read_columns`` has accepted under their
     headers, with one row count. When both are plain (``_plain_rows``), path
     gets the header ``left_header + right_header[1:]`` and the spliced
-    lines, ``_ROWS`` at a time, and the result is True. Otherwise nothing is
-    written and the result is False. For files that ``write_columns`` wrote
-    the output is byte for byte what ``write_columns`` writes from their
-    parsed columns. path must not name left or right; it may also be a
-    binary file open for writing, which is flushed and left open.
+    lines, ``_ROWS`` at a time and in two halves like ``write_columns``,
+    and the result is True. Otherwise nothing is written and the result is
+    False. For files that ``write_columns`` wrote the output is byte for
+    byte what ``write_columns`` writes from their parsed columns. path must
+    not name left or right.
     """
     with open(left, "rb") as a, open(right, "rb") as b:
-        if _plain_rows(a, left_header) is None or _plain_rows(b, right_header) is None:
+        n = _plain_rows(a, left_header)
+        if n is None or _plain_rows(b, right_header) is None:
             return False
-        for fh in (a, b):
-            fh.seek(0)
-            fh.readline()
-        with contextlib.ExitStack() as stack:
-            out = path if hasattr(path, "write") else stack.enter_context(_output(path))
-            out.write((",".join(left_header + right_header[1:]) + "\n").encode())
+
+    def splice(out: io.BufferedIOBase, lo: int, hi: int) -> None:
+        # handles of its own: a forked child shares the offsets of those it inherits
+        with open(left, "rb") as a, open(right, "rb") as b:
+            for fh in (a, b):
+                next(islice(fh, lo + 1, lo + 1), None)  # the header and rows before lo
             # a plain line is a row read_columns accepted, so it holds a ','
-            while block := _lines(a):
+            for _ in range(lo, hi, _ROWS):
                 out.write(b"".join([s[:-1] + r[r.index(b","):]
-                                    for s, r in zip(block, _lines(b))]))
-            out.flush()
+                                    for s, r in zip(_lines(a), _lines(b))]))
+
+    _in_two_halves(path, left_header + right_header[1:], n, splice)
     return True
 
 

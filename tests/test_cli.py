@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import frictionobs
-from frictionobs import ESTIMATES_HEADER, MEASURED_HEADER, SIM_HEADER, csvio, read_columns
+from frictionobs import ESTIMATES_HEADER, MEASURED_HEADER, SIM_HEADER, cli, csvio, read_columns
 from frictionobs.cli import (
     EXIT_CONFIG,
     EXIT_DESIGN,
@@ -977,6 +977,34 @@ def test_failed_write_leaves_no_partial_file(tmp_path, command, limit):
     assert sorted(tmp_path.iterdir()) == before
 
 
+# a child interpreter whose address space is capped at argv[1] bytes runs
+# the CLI on the rest of argv
+UNDER_MEMORY_LIMIT = """\
+import resource, sys
+limit = int(sys.argv.pop(1))
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from frictionobs.cli import entry
+entry()
+"""
+
+
+@pytest.mark.parametrize("runs", ["0", "1001", "99999999999999999999"])
+def test_simulate_rejects_runs_out_of_range_first(tmp_path, runs):
+    # --runs is checked before a path is built for each run, so a count that
+    # would take more memory than the machine has is one error line; the
+    # child runs under a cap and a timeout, so a regression fails here
+    # instead of using up the machine's memory
+    path = [str(Path(frictionobs.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", UNDER_MEMORY_LIMIT, str(1 << 30), "simulate",
+                           "--config", str(tmp_path / "missing.cfg"), "--out",
+                           str(tmp_path / "s.csv"), "--runs", runs],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == EXIT_CONFIG and proc.stdout == ""
+    assert proc.stderr == "config error: --runs must be between 1 and 1000\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 class _DiskFull(io.FileIO):
     """A file on a disk that fills up once the file holds 4096 bytes.
 
@@ -1097,11 +1125,11 @@ def test_observe_and_compare_give_the_same_bytes_on_any_cpu_count(cfg_file, shor
     forked = _observe_and_compare(cfg_file, sim, measured, tmp_path, capsys, "forked")
     monkeypatch.undo()
     if case == "no_temporary_file":
-        # a directory that takes no temporary file: compare splices into --out itself
+        # a directory that takes no temporary file: this process writes every row itself
         def refused(*args, **kwargs):
             raise PermissionError(13, "Permission denied")
 
-        monkeypatch.setattr("frictionobs.cli.tempfile.TemporaryFile", refused)
+        monkeypatch.setattr("frictionobs.csvio.tempfile.TemporaryFile", refused)
     else:
         _set_cpus(monkeypatch, case)
     assert _observe_and_compare(cfg_file, sim, measured, tmp_path, capsys, "other") == forked
@@ -1126,13 +1154,17 @@ def test_a_child_that_dies_leaves_no_output_and_no_child(cfg_file, short_run, tm
         raise MemoryError("cannot allocate the column")
 
     write_rows = csvio._write_rows
+    read = cli._read
 
     def die_in_second_half(fh, columns, lo, hi):
         return die() if lo else write_rows(fh, columns, lo, hi)
 
+    def die_reading_sim(path, header, role):
+        return die() if role == "sim" else read(path, header, role)
+
     # each is called, or dies, in the forked child only
     monkeypatch.setattr(*{"observe": ("frictionobs.cli.simulate_forced", die),
-                          "compare": ("frictionobs.cli.splice_rows", die),
+                          "compare": (cli, "_read", die_reading_sim),
                           "simulate": (csvio, "_write_rows", die_in_second_half)}[command])
     _set_cpus(monkeypatch, 2)
     out = tmp_path / "out.csv"

@@ -384,21 +384,26 @@ def _merged_by_write_columns(path, sim, est):
 
 
 @pytest.mark.parametrize("n", [1, csvio._ROWS - 1, csvio._ROWS, csvio._ROWS + 1, 9000])
-def test_splice_matches_write_columns(tmp_path, n):
+def test_splice_matches_write_columns(tmp_path, monkeypatch, n):
     sim, est = _sim_and_estimates(tmp_path, n)
-    assert csvio.splice_rows(tmp_path / "spliced.csv", sim, SIM_HEADER, est, ESTIMATES_HEADER)
     _merged_by_write_columns(tmp_path / "written.csv", sim, est)
-    assert (tmp_path / "spliced.csv").read_bytes() == (tmp_path / "written.csv").read_bytes()
+    # two CPUs: from two blocks on, a forked child skips to the second half and splices it
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        assert csvio.splice_rows(tmp_path / "spliced.csv", sim, SIM_HEADER, est, ESTIMATES_HEADER)
+        assert (tmp_path / "spliced.csv").read_bytes() == (tmp_path / "written.csv").read_bytes()
 
 
 @pytest.mark.parametrize("strip", ["sim", "est", "both"])
-def test_splice_last_line_without_newline(tmp_path, strip):
+def test_splice_last_line_without_newline(tmp_path, monkeypatch, strip):
     sim, est = _sim_and_estimates(tmp_path, csvio._ROWS + 1)
     _merged_by_write_columns(tmp_path / "written.csv", sim, est)
     for p in {"sim": [sim], "est": [est], "both": [sim, est]}[strip]:
         p.write_bytes(p.read_bytes().rstrip(b"\n"))
-    assert csvio.splice_rows(tmp_path / "spliced.csv", sim, SIM_HEADER, est, ESTIMATES_HEADER)
-    assert (tmp_path / "spliced.csv").read_bytes() == (tmp_path / "written.csv").read_bytes()
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        assert csvio.splice_rows(tmp_path / "spliced.csv", sim, SIM_HEADER, est, ESTIMATES_HEADER)
+        assert (tmp_path / "spliced.csv").read_bytes() == (tmp_path / "written.csv").read_bytes()
 
 
 @pytest.mark.parametrize("edit", [lambda b: b.replace(b"\n", b"\r\n"),
@@ -495,4 +500,29 @@ def test_in_parallel_hands_back_results(monkeypatch, cpus):
     assert mine == "parent"
     with pytest.raises(ValueError, match="the parent's own"):
         csvio._in_parallel(lambda: None, lambda: int("the parent's own"))
+    _assert_no_child()
+
+
+def test_in_parallel_child_that_hands_back_nothing(monkeypatch):
+    # a pickle stream that ends early is a failure even where the child exits 0
+    _set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(csvio, "_hand_back", lambda w, fn: os._exit(0))
+    with pytest.raises(ChildProcessError, match="exit status 0 before it handed back"):
+        csvio._in_parallel(lambda: 1, lambda: 2)
+    _assert_no_child()
+
+
+def test_handed_back_array_is_held_once(monkeypatch):
+    # the child's array crosses the pipe as one block of bytes, read into the
+    # buffer that the array handed back here is built on
+    _set_cpus(monkeypatch, 2)
+    a = np.arange(3 << 20) * 5e-4
+    tracemalloc.start()
+    try:
+        (got,), _ = csvio._in_parallel(lambda: (a,), lambda: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == a.tobytes()
+    assert peak <= a.nbytes * 1.01
     _assert_no_child()

@@ -56,14 +56,14 @@ def test_no_unused_imports(path):
     assert _unused_imports(tree) == []
 
 
-def _fork_sites(tree, module):
-    """module.function (module alone at its top level) of each call of os.fork or fork in tree."""
+def _call_sites(tree, module, callees):
+    """module.function (module alone at its top level) of each call in tree of one of callees."""
     sites = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = f"{module}.{node.name}"
-        elif isinstance(node, ast.Call) and ast.unparse(node.func) in ("os.fork", "fork"):
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in callees:
             sites.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -72,12 +72,23 @@ def _fork_sites(tree, module):
     return sites
 
 
+def _sites(callees):
+    """_call_sites of callees in every module of the package."""
+    return [site for path in SOURCES
+            for site in _call_sites(ast.parse(path.read_text(encoding="utf-8")), path.stem,
+                                    callees)]
+
+
 def test_one_fork_site():
     # every fork goes through one protocol: csvio._in_parallel hands back a
     # child's result or its failure, with its type, and reaps the child
-    sites = [site for path in SOURCES
-             for site in _fork_sites(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
-    assert sites == ["csvio._in_parallel"]
+    assert _sites(("os.fork", "fork")) == ["csvio._in_parallel"]
+
+
+def test_one_temporary_file_site():
+    # every CSV written in two halves goes through one writer, and no command
+    # makes a temporary file of its own
+    assert _sites(("tempfile.TemporaryFile", "TemporaryFile")) == ["csvio._in_two_halves"]
 
 
 def test_unused_import_guard_sees_a_leftover_import():
