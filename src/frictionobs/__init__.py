@@ -1,8 +1,9 @@
 """Friction observation toolkit for a 1-DOF mass under presliding friction.
 
 The package covers the full loop: the friction model (``friction``), forward
-simulation (``plant``), observer gain design and estimation (``observer``),
-parameter fitting (``ident``) and a CSV-based CLI (``csvio``, ``config``, ``cli``).
+simulation and the measured record (``plant``, on the time grid of
+``grid``), observer gain design and estimation (``observer``), parameter
+fitting (``ident``) and a CSV-based CLI (``csvio``, ``config``, ``cli``).
 
 Each public name is imported from its submodule on first access, so
 ``import frictionobs`` loads no numpy. The CLI module (``frictionobs.cli``)
@@ -22,7 +23,8 @@ _SUBMODULE = {
     **dict.fromkeys(("Estimates", "ObserverDiverged", "ObserverGains", "RobustReport",
                      "design_gains", "e_obs_series", "observer_matrix", "observer_update",
                      "rms", "run_observer", "validate_robust"), "observer"),
-    **dict.fromkeys(("GridError", "ImpulseTrain", "Measured", "PlantParams", "SimConfig",
+    "GridError": "grid",
+    **dict.fromkeys(("ImpulseTrain", "Measured", "PlantParams", "SimConfig",
                      "SimulationDiverged", "Trajectory", "measure", "simulate",
                      "simulate_forced"), "plant"),
 }

@@ -2,8 +2,9 @@
 
 Exit codes are stable: 0 success, 1 configuration/argument error (a
 non-finite flag or config value included, and an output that names an input
-or another output), an output that cannot be written or a record too long to
-hold in memory, 2 simulation divergence or observer estimates that overflow
+or another output), an output that cannot be written, a `simulate` record
+whose CSVs cannot fit in the free space of their file systems, or one too
+long to address, 2 simulation divergence or observer estimates that overflow
 to inf or NaN, or an `identify` start point with no finite residual, 3
 gain-design conditions failed (gains are still printed), 4 CSV schema
 violation, grid/length mismatch, or a record for `identify` that does not
@@ -15,17 +16,26 @@ whose u is too small for x to respond to them.
 Each command checks its file names before it opens a file. `observe`,
 `identify` and `compare` read and check their inputs, and compute their
 results, before they open their first output, so a rejected input leaves no
-output behind; `simulate` writes its truth CSV, then measures each seed
-before it writes that seed's files, and removes every file it wrote when a
-measurement or a write fails. With two CPUs, `observe --truth` reads the
-truth and runs the open-loop model in a forked child while it runs the
-observer, `compare` reads `--sim` in a child while it reads `--estimates`,
-and every CSV of two or more 4096-row blocks, `compare`'s merged CSV
-included, is written in two halves, one in a child (csvio._in_parallel);
-a child that dies before it hands back its result exits 1. Of two
-failures, `observe` reports a rejected truth, then the observer's, then
-the model's; `compare` a rejected `--sim` before rejected estimates; and
-`simulate` a rejected measurement before an unwritable truth CSV. The
+output behind. `simulate` first refuses a record whose CSVs, every row
+counted at its shortest, cannot fit in their file systems' free space
+(csvio._check_room). It then folds the plant once, a 4096-row block at a
+time, and writes the truth CSV and each seed's measured CSV from every
+block (csvio.write_blocks), so it holds one block whatever the record's
+length; seeds beyond what RLIMIT_NOFILE lets it hold open are folded in
+groups, and the truth CSV's copies under `--runs` come last. It removes
+every file it wrote when the fold or a write fails. With two CPUs,
+`observe --truth` reads the truth and runs the open-loop model in a forked
+child while it runs the observer, `compare` reads `--sim` in a child while
+it reads `--estimates`, and every CSV of two or more 4096-row blocks,
+`compare`'s merged CSV and `simulate`'s included, is written in two
+halves, one in a child (csvio._in_parallel); a child that dies before it
+hands back its result exits 1. Of two failures, `observe` reports a
+rejected truth, then the observer's, then the model's; `compare` a
+rejected `--sim` before rejected estimates; and `simulate` a divergence,
+then the first rejected row of the lowest seed with one, then an
+unwritable or failed output or a dead child, wherever in the record each
+comes: on any failure but a divergence it folds the record again, writing
+nothing, to find the first. The
 commands raise; `main` turns the exception into its exit code and one
 stderr line, an argument that argparse rejects included. Success paths
 print to stdout only.
@@ -43,8 +53,9 @@ import math
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
-from typing import Iterator, NoReturn
+from typing import Callable, Iterator, NoReturn
 
 # numpy's OpenBLAS starts one thread per CPU when it loads. The only BLAS calls
 # here are ident.fit's 3x3 normal equations (J^T J, J^T r and their solve),
@@ -63,19 +74,24 @@ from .csvio import (
     MEASURED_HEADER,
     SIM_HEADER,
     CsvSchemaError,
+    _ROWS,
     _append,
+    _check_room,
     _in_parallel,
     _output,
+    _outputs_at_once,
     _reading,
     read_columns,
     splice_rows,
+    write_blocks,
     write_columns,
 )
-from .config import ConfigError, load_config, parse_poles
+from .config import Config, ConfigError, load_config, parse_poles
 from .ident import THETA_NAMES, FitProblem, fit
 from .observer import ObserverDiverged, design_gains, rms, run_observer, validate_robust
-from .plant import (GridError, Measured, SimulationDiverged, measure, same_grid, simulate,
-                    simulate_forced)
+from .grid import GridError, same_grid
+from .plant import (Measured, SimConfig, SimulationDiverged, Trajectory, sensor,
+                    simulate_blocks, simulate_forced)
 
 import numpy as np
 
@@ -171,42 +187,89 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         paths = [(_run_path(out, i), _run_path(measured_out, i)) for i in range(args.runs)]
     _check_files(args, [f for s, m in paths for f in (("--out", s), ("--measured-out", m))])
     cfg = load_config(args.config)
-    traj = simulate(cfg.plant, cfg.friction, cfg.scenario, cfg.sim)
-    unwritten = None
+    n = cfg.sim.n_samples
+    # the seed only reaches the measurement noise, so every run shares one truth
+    sims = [replace(cfg.sim, seed=cfg.sim.seed + i) for i in range(args.runs)]
+    truth = paths[0][0]
+    _check_room([(s, SIM_HEADER) for s, _ in paths] + [(m, MEASURED_HEADER) for _, m in paths], n)
+    # the truth CSV, then each seed's measured CSV: a run of None is the truth
+    outputs = [(truth, SIM_HEADER)] + [(m, MEASURED_HEADER) for _, m in paths]
+    runs = [None, *sims]
+    written = []
     try:
-        write_columns(paths[0][0], SIM_HEADER, [traj.t, traj.x, traj.v, traj.f, traj.u])
-    except OSError as exc:
-        unwritten = exc  # raised once seed 0 is measured: measure's rejection comes first
-    # v and f are freed before measure loads numpy.random
-    t, x, u = traj.t, traj.x, traj.u
-    del traj
-    lines, written = [], [] if unwritten else [paths[0][0]]
-    try:
-        # the seed only reaches the measurement noise, so every run shares one truth
-        for i, (s_path, m_path) in enumerate(paths):
-            seed = cfg.sim.seed + i
-            try:
-                meas = measure(t, x, u, replace(cfg.sim, seed=seed))
-            except ValueError as exc:
-                # finite settings can still overflow x: a huge noise_std, a tiny quant
-                raise ConfigError(f"sim.noise_std/sim.quant: {exc}") from None
-            if unwritten:
-                raise unwritten
-            if i:
-                with open(paths[0][0], "rb") as src, _output(s_path) as out:
-                    _append(out, src)
-                written.append(s_path)
-            write_columns(m_path, MEASURED_HEADER, [meas.t, meas.x, meas.u])
-            written.append(m_path)
-            del meas  # before the next seed's noise is drawn
-            lines.append(f"seed {seed}: wrote {s_path} and {m_path}")
-    except Exception:
-        # a rejected config or a later seed's failure must not leave files behind
+        # one fold of the plant a group of outputs that can be open at once
+        step = _outputs_at_once()
+        if cfg.sim.noise_std > 0:
+            np.random  # imported once, before a fold's halves fork, not once in each
+        for i in range(0, len(outputs), step):
+            write_blocks(outputs[i:i + step], n, partial(_blocks, cfg, runs[i:i + step]))
+            written += [path for path, _ in outputs[i:i + step]]
+        for s_path, _ in paths[1:]:
+            with open(truth, "rb") as src, _output(s_path) as copy:
+                _append(copy, src)
+            written.append(s_path)
+    except BaseException as exc:
+        # a failed fold or write must not leave files behind
         for path in written:
             path.unlink(missing_ok=True)
+        if isinstance(exc, (ConfigError, OSError, MemoryError)):
+            # the record's own failure comes before any other
+            _check_record(cfg, sims)
         raise
-    print("\n".join(lines))
+    print("\n".join(f"seed {sim.seed}: wrote {s} and {m}" for sim, (s, m) in zip(sims, paths)))
     return EXIT_OK
+
+
+def _measured(measured: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+              row: int) -> np.ndarray:
+    """measured(x) of the record's rows from row on; a non-finite one is the config's error."""
+    x = measured(x)
+    ok = np.isfinite(x)
+    if not ok.all():
+        # finite settings can still overflow x: a huge noise_std, a tiny quant
+        raise ConfigError("sim.noise_std/sim.quant: measured x is not finite at row "
+                          f"{row + int(np.argmin(ok))}")
+    return x
+
+
+def _truth_blocks(cfg: Config) -> Iterator[tuple[int, Trajectory]]:
+    """(first row, block) of the config's run, folded from rest a 4096-row block at a time."""
+    return zip(range(0, cfg.sim.n_samples, _ROWS),
+               simulate_blocks(cfg.plant, cfg.friction, cfg.scenario, cfg.sim, _ROWS))
+
+
+def _blocks(cfg: Config, runs: list[SimConfig | None]) -> Iterator[Iterator[list[np.ndarray]]]:
+    """The record's CSV columns, a block of rows at a time from rest (``csvio.write_blocks``).
+
+    A run of None gives the truth CSV's columns, and a SimConfig the
+    measured CSV's of its seed. Each seed's columns are measured as they
+    are taken, so one block of them is held at a time.
+    """
+    sensors = [run and sensor(run) for run in runs]
+    for row, b in _truth_blocks(cfg):
+        yield ([b.t, _measured(s, b.x, row), b.u] if s else [b.t, b.x, b.v, b.f, b.u]
+               for s in sensors)
+
+
+def _check_record(cfg: Config, sims: list[SimConfig]) -> None:
+    """Raise the record's own failure, if it has one, from one fold that writes nothing.
+
+    That is a divergence, or else the first rejected row of the lowest seed
+    with one.
+    """
+    sensors = [sensor(sim) for sim in sims]
+    rejected = None
+    for row, b in _truth_blocks(cfg):
+        # a seed past the lowest one rejected so far is no longer measured
+        for i, measured in enumerate(sensors):
+            try:
+                _measured(measured, b.x, row)
+            except ConfigError as exc:
+                del sensors[i:]
+                rejected = exc
+                break
+    if rejected:
+        raise rejected
 
 
 def cmd_design(args: argparse.Namespace) -> int:

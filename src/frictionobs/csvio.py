@@ -9,14 +9,17 @@ Three fixed layouts, all UTF-8 with '.' decimals:
 ``write_columns`` writes float cells with repr() (shortest round-trip
 form), so reading back what it wrote reproduces the floats bit for bit. It
 formats ``_ROWS`` rows at a time, so its memory is bounded by one block of
-strings per process whatever the record's length. It and ``splice_rows``
-write in two halves (``_in_two_halves``): with two CPUs and at least two
-blocks, this process writes the first half of the blocks into the file
-while a child forked by ``_in_parallel`` writes the rest into one unnamed
-temporary file in the output's directory, which is then copied onto the
-end of the file. The child's failure reaches this process with its type
-and attributes (an OSError keeps its errno and text), and the bytes are
-the same with or without the split. With one CPU, one block, no
+strings per process whatever the record's length. ``write_blocks`` writes
+several CSVs at once from a fold that yields their columns a block of rows
+at a time, so the rows are never all held. These and ``splice_rows`` write
+in two halves (``_in_two_halves``): with two CPUs and at least two blocks,
+this process writes the first half of the blocks into each file while a
+child forked by ``_in_parallel`` writes the rest into one unnamed
+temporary file an output, in the output's directory, each then copied
+onto the end of its file. A fold's child runs its own fold from row 0 and
+drops the rows before its half. The child's failure reaches this process
+with its type and attributes (an OSError keeps its errno and text), and
+the bytes are the same with or without the split. With one CPU, one block, no
 ``os.fork`` or ``os.sched_getaffinity`` (macOS, Windows), or a directory
 the temporary file cannot be made in, this process writes every row itself.
 
@@ -30,7 +33,9 @@ float() parses and names the first bad row.
 ``splice_rows`` joins the rows of two plain files by copying their lines,
 ``_ROWS`` at a time, so those cells keep the text they were written with:
 repr() text for a file ``write_columns`` wrote, and the cell as written
-(``1.50``, ``1e5``) otherwise, which reads back as the same float.
+(``1.50``, ``1e5``) otherwise, which reads back as the same float. Its
+forked half seeks to its first line in each file, at the byte offset that
+the plainness scan (``_plain_rows``) recorded.
 
 ``_in_parallel`` runs two independent halves of a command or of a CSV
 write at once: one half in a forked child, which hands back its result or
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import io
 import math
 import os
@@ -53,7 +59,7 @@ import tempfile
 from array import array
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterator, NoReturn
+from typing import Callable, Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -68,6 +74,9 @@ _PLAIN = b"0123456789.e+-,\n"
 # no ',' and no '\n' leaves the file to the csv reader
 _BLOCK = 1 << 16
 _ROWS = 4096
+# file descriptors that _outputs_at_once leaves to stdio, pipes and the
+# command's own reads
+_SPARE_FILES = 32
 
 
 class CsvSchemaError(ValueError):
@@ -88,35 +97,107 @@ def write_columns(path: str | Path, header: tuple[str, ...], columns: list[np.nd
     if len(columns) != len(header) or (lengths and lengths != {len(columns[0])}):
         raise ValueError("columns must match the header and share one length")
     columns = [np.asarray(c, dtype=float) for c in columns]
-    _in_two_halves(path, header, len(columns[0]) if columns else 0,
-                   lambda fh, lo, hi: _write_rows(fh, columns, lo, hi))
+    _in_two_halves([(path, header)], len(columns[0]) if columns else 0,
+                   lambda outs, lo, hi: _write_rows(outs[0], [c[lo:hi] for c in columns], lo, hi))
 
 
-def _in_two_halves(path: str | Path, header: tuple[str, ...], n: int,
-                   write: Callable[[io.BufferedIOBase, int, int], None]) -> None:
-    """Write the header to path, then rows 0 to n in two halves (see above).
+def write_blocks(outputs: list[tuple[str | Path, tuple[str, ...]]], n: int,
+                 fold: Callable[[], Iterator[Iterable[list[np.ndarray]]]]) -> None:
+    """Write n rows of each (path, header) output from a fold over blocks of rows.
 
-    write(fh, lo, hi) writes rows lo to hi, whole blocks but for the last, at
-    fh's position. A failure, the child's included, removes path (``_output``).
+    fold() starts the fold at row 0 and yields, for each ``_ROWS`` rows in
+    turn (the last block shorter), one list of columns an output. The
+    outputs are written in two halves (``_in_two_halves``), each of which
+    runs a fold of its own: the child's computes and drops the rows before
+    its half. So the rows are never all held, whatever n is. A failure of
+    the fold, the child's included, removes every output.
+    """
+    def write(outs: list[io.BufferedIOBase], lo: int, hi: int) -> None:
+        for row, block in zip(range(0, hi, _ROWS), fold()):
+            # every output's columns are taken, so that the fold's state moves on
+            for out, columns in zip(outs, block):
+                if row >= lo:
+                    _write_rows(out, columns, row, row + len(columns[0]))
+
+    _in_two_halves(outputs, n, write)
+
+
+def _in_two_halves(outputs: list[tuple[str | Path, tuple[str, ...]]], n: int,
+                   write: Callable[[list[io.BufferedIOBase], int, int], None]) -> None:
+    """Write each (path, header) output's header, then rows 0 to n of all of them in two halves.
+
+    write(outs, lo, hi) writes rows lo to hi of each output to the file in
+    outs at the same place, whole blocks but for the last, at its position.
+    The child's half gets one temporary file an output (see above). A
+    failure, the child's included, removes every output (``_output``).
     """
     half = -(-n // _ROWS) // 2 * _ROWS if _cpus() > 1 else 0
-    with _output(path) as out:
-        out.write((",".join(header) + "\n").encode())
+    with contextlib.ExitStack() as files:
+        outs = [files.enter_context(_output(path)) for path, _ in outputs]
+        for out, (_, header) in zip(outs, outputs):
+            out.write((",".join(header) + "\n").encode())
         try:
             # a directory this process cannot create files in leaves the write to it
-            rest = tempfile.TemporaryFile(dir=Path(path).parent) if half else None
+            halves = [files.enter_context(tempfile.TemporaryFile(dir=Path(path).parent))
+                      for path, _ in outputs] if half else None
         except OSError:
-            rest = None
-        if rest is None:
-            write(out, 0, n)
+            halves = None
+        if halves is None:
+            write(outs, 0, n)
             return
-        with rest:
-            def child():
-                write(rest, half, n)
+
+        def child():
+            write(halves, half, n)
+            for rest in halves:
                 rest.flush()
 
-            _in_parallel(child, lambda: write(out, 0, half))
+        _in_parallel(child, lambda: write(outs, 0, half))
+        for out, rest in zip(outs, halves):
             _append(out, rest)
+
+
+def _outputs_at_once() -> int:
+    """How many outputs one ``_in_two_halves`` call may hold open under RLIMIT_NOFILE.
+
+    Each takes a file and a temporary file; ``_SPARE_FILES`` of the limit
+    are left to the process's other files. 256 where there is no limit to
+    read (Windows), and no bound where there is none.
+    """
+    if not hasattr(os, "sysconf"):
+        return 256
+    limit = os.sysconf("SC_OPEN_MAX")  # the soft RLIMIT_NOFILE; -1 where there is none
+    return max(1, (limit - _SPARE_FILES) // 2) if limit >= 0 else 1 << 30
+
+
+def _check_room(outputs: list[tuple[str | Path, tuple[str, ...]]], n: int) -> None:
+    """Raise OSError (ENOSPC) when n rows of each (path, header) output cannot fit on its disk.
+
+    Each row counts at its shortest, 3 bytes a cell (``0.0``) and a comma
+    or '\n' after each. An output in a directory not made yet counts
+    against the nearest one that is; an existing file's bytes count as free,
+    since writing truncates it; a device or FIFO counts for nothing. A
+    directory whose free space cannot be read is not checked: opening the
+    output there reports what is wrong.
+    """
+    disks: dict[int, list] = {}  # device: [a directory on it, bytes free, bytes needed]
+    for path, header in outputs:
+        path = os.path.realpath(path)
+        if os.path.exists(path) and not os.path.isfile(path):
+            continue
+        where = os.path.dirname(path)
+        while not os.path.isdir(where):
+            where = os.path.dirname(where)
+        try:
+            disk = disks.setdefault(os.stat(where).st_dev,
+                                    [where, shutil.disk_usage(where).free, 0])
+        except OSError:
+            continue
+        disk[1] += os.path.getsize(path) if os.path.isfile(path) else 0
+        disk[2] += len(",".join(header)) + 1 + 4 * len(header) * n
+    for where, free, need in disks.values():
+        if need > free:
+            raise OSError(errno.ENOSPC, f"{n} rows need at least {need} bytes of CSV on the "
+                                        f"file system of {where}, which has {free} free")
 
 
 def _cpus() -> int:
@@ -240,8 +321,11 @@ def _block(columns: list[np.ndarray], lo: int) -> bytes:
 
 
 def _write_rows(fh: io.BufferedIOBase, columns: list[np.ndarray], lo: int, hi: int) -> None:
-    """Write rows lo to hi a block at a time; hi - lo is whole blocks unless hi is the end."""
-    for i in range(lo, hi, _ROWS):
+    """Write rows lo to hi of a file, which columns hold from their first item, a block at a time.
+
+    hi - lo is whole blocks unless hi is the file's last row.
+    """
+    for i in range(0, hi - lo, _ROWS):
         fh.write(_block(columns, i))
 
 
@@ -274,26 +358,38 @@ def _reading(path: Path) -> Iterator[io.BufferedReader]:
         raise CsvSchemaError(f"cannot read {path}: {exc}") from exc
 
 
-def _plain_rows(fh: io.BufferedReader, header: tuple[str, ...]) -> int | None:
+def _plain_rows(fh: io.BufferedReader, header: tuple[str, ...],
+                starts: list[int] | None = None) -> int | None:
     """The number of lines of a plain file's body, or None when it is not plain.
 
     fh is a binary file at its start; it is read to its end. Plain is the
     header exactly as ``write_columns`` writes it, then only ``_PLAIN``
     bytes, with a ',' or a '\n' in every ``_BLOCK`` bytes of the body, so
     that no cell can reach the csv module's field limit. A last line with
-    no '\n' counts.
+    no '\n' counts. A starts list gets the byte offset in the file of body
+    lines 0, ``_ROWS``, 2 * ``_ROWS`` and so on.
     """
     if fh.readline() != (",".join(header) + "\n").encode():
         return None
-    lines, last = 0, b"\n"
+    lines, last, at = 0, b"\n", fh.tell()
+    marks = [at]
     # one block at a time, so that a scan holds two blocks and one block's
     # scratch for translate at most
     for block in iter(lambda: fh.read(_BLOCK), b""):
         if block.translate(None, _PLAIN) or (
                 len(block) == _BLOCK and b"," not in block and b"\n" not in block):
             return None
-        lines += block.count(b"\n")
+        count = block.count(b"\n")
+        # the line after the k-th '\n' of this block starts a block of rows
+        ks = range(len(marks) * _ROWS - lines, count + 1, _ROWS)
+        if ks:
+            ends = np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+            marks += [at + int(ends[k - 1]) + 1 for k in ks]
+        lines += count
+        at += len(block)
         last = block[-1:]
+    if starts is not None:
+        starts[:] = marks
     return lines + (last != b"\n")
 
 
@@ -343,22 +439,23 @@ def splice_rows(path: str | Path, left: str | Path, left_header: tuple[str, ...]
     byte what ``write_columns`` writes from their parsed columns. path must
     not name left or right.
     """
+    starts = [], []
     with open(left, "rb") as a, open(right, "rb") as b:
-        n = _plain_rows(a, left_header)
-        if n is None or _plain_rows(b, right_header) is None:
+        n = _plain_rows(a, left_header, starts[0])
+        if n is None or _plain_rows(b, right_header, starts[1]) is None:
             return False
 
-    def splice(out: io.BufferedIOBase, lo: int, hi: int) -> None:
+    def splice(outs: list[io.BufferedIOBase], lo: int, hi: int) -> None:
         # handles of its own: a forked child shares the offsets of those it inherits
         with open(left, "rb") as a, open(right, "rb") as b:
-            for fh in (a, b):
-                next(islice(fh, lo + 1, lo + 1), None)  # the header and rows before lo
+            for fh, at in zip((a, b), starts):
+                fh.seek(at[lo // _ROWS])  # lo is a whole number of blocks
             # a plain line is a row read_columns accepted, so it holds a ','
             for _ in range(lo, hi, _ROWS):
-                out.write(b"".join([s[:-1] + r[r.index(b","):]
-                                    for s, r in zip(_lines(a), _lines(b))]))
+                outs[0].write(b"".join([s[:-1] + r[r.index(b","):]
+                                        for s, r in zip(_lines(a), _lines(b))]))
 
-    _in_two_halves(path, left_header + right_header[1:], n, splice)
+    _in_two_halves([(path, left_header + right_header[1:])], n, splice)
     return True
 
 

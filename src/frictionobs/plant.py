@@ -5,9 +5,13 @@ state with the current velocity (the exact viscous-lag update and the
 scalar hysteresis kernel ``friction.advance``/``friction.level``, state kept
 in local floats), then updates the velocity with the resulting force and
 the position with the new velocity. The sample grid is exactly
-k * dt for k = 0 .. floor(t_end/dt). The integrator has one entry,
-``simulate_forced``, on any per-sample input; ``simulate`` hands it an
-impulse train sampled on the grid.
+k * dt for k = 0 .. floor(t_end/dt). The integrator is one loop,
+``_fold``, which runs each block of rows from the state the block before
+it left: ``simulate_forced`` runs it over a whole per-sample input,
+``simulate`` over an impulse train sampled on the grid, and
+``simulate_blocks`` over that train a block at a time, so that a run of
+any length is held one block at a time. ``sensor`` measures a run's x a
+block at a time in the same way, and ``measure`` all of it at once.
 
 Every per-sample column is held as packed float64 values, 8 bytes a sample:
 the loop reads u from the input array's buffer and writes x, v and f into
@@ -20,12 +24,12 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .friction import FrictionParams, advance, level
-
-_GRID_CHUNK = 1 << 14  # steps of t that grid_break checks at a time
+from .grid import GridError, grid_break
 
 
 class SimulationDiverged(RuntimeError):
@@ -122,51 +126,6 @@ class SimConfig:
         return int(math.floor(self.t_end / self.dt + 1e-9)) + 1
 
 
-class GridError(ValueError):
-    """Samples are not on a uniform time grid; carries the row index, 0-based over the data."""
-
-    def __init__(self, row: int, message: str):
-        super().__init__(message)
-        self.row = row
-
-
-def grid_break(t: np.ndarray) -> int | None:
-    """First row of t that breaks a uniform increasing grid, or None if none does.
-
-    The first step dt = t[1] - t[0] must be positive and finite, and every
-    later step must match it within max(1e-12, 1e-6 * dt). A non-finite
-    timestamp always breaks the grid.
-    """
-    if len(t) and not math.isfinite(t[0]):
-        return 0
-    if len(t) < 2:
-        return None
-    dt = float(t[1] - t[0])
-    if not 0.0 < dt < math.inf:
-        return 1
-    # a chunk at a time, so the scratch is bounded; a NaN step fails the comparison
-    for lo in range(0, len(t) - 1, _GRID_CHUNK):
-        off = ~(np.abs(np.diff(t[lo:lo + _GRID_CHUNK + 1]) - dt) <= max(1e-12, 1e-6 * dt))
-        if off.any():
-            return lo + int(np.argmax(off)) + 1
-    return None
-
-
-def same_grid(a: np.ndarray, b: np.ndarray) -> bool:
-    """True if a and b have one length and agree within max(1e-9, 1e-9 * max|a|).
-
-    A NaN in either never agrees.
-    """
-    if len(a) != len(b):
-        return False
-    if len(a) == 0:
-        return True
-    # one temporary, d; np.max passes a NaN on, which fails the comparison
-    tol = max(1e-9, 1e-9 * max(float(np.max(a)), -float(np.min(a))))
-    d = np.subtract(a, b, dtype=float)
-    return bool(np.max(np.abs(d, out=d)) <= tol)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Simulated run on a uniform grid: t, x [m], v [m/s], f [N], u [N]."""
@@ -232,8 +191,25 @@ def simulate(
     Returns a Trajectory with exactly floor(t_end/dt)+1 samples at k*dt.
     Raises SimulationDiverged if |v| exceeds cfg.v_max or overflows to NaN.
     """
-    return simulate_forced(pp, fp, train.sample(np.arange(cfg.n_samples) * cfg.dt), cfg.dt,
-                           cfg.v_max)
+    return next(simulate_blocks(pp, fp, train, cfg, cfg.n_samples))
+
+
+def simulate_blocks(
+    pp: PlantParams,
+    fp: FrictionParams,
+    train: ImpulseTrain,
+    cfg: SimConfig,
+    rows: int,
+) -> Iterator[Trajectory]:
+    """simulate's run as Trajectory blocks of rows samples each, the last one shorter.
+
+    Joined, the blocks are simulate's Trajectory, bit for bit, and only the
+    block being folded is held. A divergence raises SimulationDiverged when
+    the fold reaches its block.
+    """
+    n = cfg.n_samples
+    grid = (np.arange(lo, min(lo + rows, n)) * cfg.dt for lo in range(0, n, rows))
+    return _fold(pp, fp, ((t, train.sample(t)) for t in grid), cfg.dt, cfg.v_max, n)
 
 
 def simulate_forced(
@@ -253,13 +229,18 @@ def simulate_forced(
     u = np.asarray(u, dtype=float)
     if not np.isfinite(u).all():
         raise ValueError(f"input u is not finite at row {int(np.argmin(np.isfinite(u)))}")
-    n = len(u)
-    t = np.arange(n, dtype=float)
+    t = np.arange(len(u), dtype=float)
     t *= dt
-    # packed float64 columns, 8 bytes a sample where a list of floats takes
-    # 32; a memoryview stores a float in half the time array item assignment takes
-    u_d = memoryview(u)
-    xs, vs, fs = (memoryview(array("d", [0.0]) * n) for _ in range(3))
+    return next(_fold(pp, fp, [(t, u)], dt, v_max, len(u)))
+
+
+def _fold(pp: PlantParams, fp: FrictionParams, blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+          dt: float, v_max: float, n: int) -> Iterator[Trajectory]:
+    """An n-row run from rest, one Trajectory for each (t, u) block of its rows in turn.
+
+    The plant's state is carried from each block to the next, and it is not
+    advanced past the run's last row.
+    """
     m = pp.m
     sigma, c_f, s_scale, z_floor, deadband = fp.sigma, fp.c_f, fp.s_scale, fp.z_floor, fp.deadband
     decay = math.exp(-dt / fp.beta)
@@ -267,23 +248,57 @@ def simulate_forced(
     # hysteresis state: see friction.advance
     z = f_r = 0.0
     d = 0
-    for k in range(n):
-        # viscous lag, exact with v held over the step
-        target = sigma * v
-        f_v = target + (f_v - target) * decay
-        z, f_r, d = advance(z, f_r, d, v * dt, v, deadband, s_scale, z_floor)
-        f_k = c_f * level(z, f_r, d, z_floor) + f_v
-        xs[k] = x
-        vs[k] = v
-        fs[k] = f_k
-        if k < n - 1:
-            v += dt * (u_d[k] - f_k) / m
-            # with u finite, a NaN v comes from an overflow (inf - inf in the
-            # lag force), and it fails this comparison too
-            if not abs(v) <= v_max:
-                raise SimulationDiverged((k + 1) * dt, v, v_max)
-            x += dt * v
-    return Trajectory(t, np.frombuffer(xs), np.frombuffer(vs), np.frombuffer(fs), u)
+    lo = 0  # the block's first row
+    for t, u in blocks:
+        last = n - 1 - lo  # the run's last row, counted from the block's first
+        # packed float64 columns, 8 bytes a sample where a list of floats takes
+        # 32; a memoryview stores a float in half the time array item assignment takes
+        u_d = memoryview(u)
+        xs, vs, fs = (memoryview(array("d", [0.0]) * len(u)) for _ in range(3))
+        for k in range(len(u)):
+            # viscous lag, exact with v held over the step
+            target = sigma * v
+            f_v = target + (f_v - target) * decay
+            z, f_r, d = advance(z, f_r, d, v * dt, v, deadband, s_scale, z_floor)
+            f_k = c_f * level(z, f_r, d, z_floor) + f_v
+            xs[k] = x
+            vs[k] = v
+            fs[k] = f_k
+            if k < last:
+                v += dt * (u_d[k] - f_k) / m
+                # with u finite, a NaN v comes from an overflow (inf - inf in the
+                # lag force), and it fails this comparison too
+                if not abs(v) <= v_max:
+                    raise SimulationDiverged((lo + k + 1) * dt, v, v_max)
+                x += dt * v
+        lo += len(u)
+        yield Trajectory(t, np.frombuffer(xs), np.frombuffer(vs), np.frombuffer(fs), u)
+
+
+def sensor(cfg: SimConfig) -> Callable[[np.ndarray], np.ndarray]:
+    """One seed's displacement measurement, as a function that measures a run's x a block at a time.
+
+    Each call measures the next rows: it draws their noise from one
+    numpy.random.default_rng(cfg.seed) noise stream, so a run measured in
+    blocks of any sizes is what ``measure`` makes of it whole, bit for bit.
+    A call returns x itself when neither noise nor quantization applies.
+    """
+    # numpy.random loads on first use: a run without noise never imports it
+    rng = np.random.default_rng(cfg.seed) if cfg.noise_std > 0 else None
+
+    def measured(x: np.ndarray) -> np.ndarray:
+        # finite settings can still overflow x (a huge noise_std, a subnormal quant)
+        with np.errstate(over="ignore"):
+            if rng is not None:
+                noise = rng.normal(0.0, cfg.noise_std, size=len(x))
+                x = np.add(noise, x, out=noise)  # n + x is x + n to the bit
+            if cfg.quant > 0:
+                # in place in the noise block; the caller's x is never written
+                x = np.divide(x, cfg.quant, out=x if rng is not None else None)
+                x = np.multiply(np.floor(x, out=x), cfg.quant, out=x)
+        return x
+
+    return measured
 
 
 def measure(t: np.ndarray, x: np.ndarray, u: np.ndarray, cfg: SimConfig) -> Measured:
@@ -292,18 +307,9 @@ def measure(t: np.ndarray, x: np.ndarray, u: np.ndarray, cfg: SimConfig) -> Meas
     Quantization maps x to floor(x/quant)*quant (toward minus infinity);
     quant = 0 disables it. The noise stream is drawn from
     numpy.random.default_rng(cfg.seed), so a fixed seed reproduces the
-    sequence bit-identically. An x that overflows to inf or NaN raises
-    ValueError naming the row. The result shares t and u with the arguments,
-    and x too when neither noise nor quantization applies.
+    sequence bit-identically; ``sensor`` draws it a block at a time. An x
+    that overflows to inf or NaN raises ValueError naming the row. The
+    result shares t and u with the arguments, and x too when neither noise
+    nor quantization applies.
     """
-    # finite settings can still overflow x (a huge noise_std, a subnormal
-    # quant); Measured then rejects the non-finite x
-    with np.errstate(over="ignore"):
-        if cfg.noise_std > 0:
-            noise = np.random.default_rng(cfg.seed).normal(0.0, cfg.noise_std, size=len(x))
-            x = np.add(noise, x, out=noise)  # n + x is x + n to the bit
-        if cfg.quant > 0:
-            # in place in the noise column; the caller's x is never written
-            x = np.divide(x, cfg.quant, out=x if cfg.noise_std > 0 else None)
-            x = np.multiply(np.floor(x, out=x), cfg.quant, out=x)
-    return Measured(t, x, u)
+    return Measured(t, sensor(cfg)(x), u)

@@ -68,12 +68,28 @@ def test_simulate_missing_config(tmp_path):
     assert rc == EXIT_CONFIG
 
 
-def test_simulate_diverged(tmp_path):
+def test_simulate_diverged(tmp_path, capsys, monkeypatch):
     p = tmp_path / "d.cfg"
     p.write_text("sim.v_max = 0.05\nsim.t_end = 0.2\nscenario.pulses = 0.0,0.2,5.0\n",
                  encoding="utf-8")
     rc = main(["simulate", "--config", str(p), "--out", str(tmp_path / "s.csv")])
     assert rc == EXIT_DIVERGED
+    # 18,001 rows, five blocks, split after the second on two CPUs: a
+    # divergence in the second block (row 5000) or the fourth (row 14000)
+    # comes once rows have been written, and every file is removed
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        for start in (2.5, 7.0):
+            p.write_text(f"sim.v_max = 0.05\nsim.t_end = 9.0\nscenario.pulses = {start},0.2,5.0\n",
+                         encoding="utf-8")
+            capsys.readouterr()
+            rc = main(["simulate", "--config", str(p), "--out", str(tmp_path / "s.csv"),
+                       "--runs", "2"])
+            err = capsys.readouterr().err
+            assert rc == EXIT_DIVERGED
+            assert err.startswith("simulation diverged: ") and f"at t = {start + 0.001:g} s" in err
+            assert sorted(tmp_path.iterdir()) == [p]
+            _assert_no_child()
 
 
 def test_simulate_multi_run_seeds(cfg_file, tmp_path, capsys):
@@ -606,9 +622,9 @@ def test_bad_value_is_config_error(tmp_path, capsys, config_line, argv, names):
 
 
 @pytest.mark.parametrize("t_end, prefix", [
-    # 2e15 samples: a 14 PiB time grid, which no process can map, so
-    # nothing is allocated
-    ("1e12", "out of memory: "),
+    # 2e15 samples: at least 64 PB of CSV, which no disk holds, so nothing
+    # is folded
+    ("1e12", "cannot write output: "),
     # past sys.maxsize bytes a float64 column cannot even be addressed
     ("1e17", "config error: "),
     ("1e300", "config error: "),
@@ -892,6 +908,118 @@ def test_later_seed_overflow_leaves_no_files(tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("case", ["lower_seed_later_row", "divergence_after_rejection"])
+def test_simulate_reports_the_first_failure_of_the_whole_record(tmp_path, capsys, monkeypatch,
+                                                                  cpus, case):
+    # 9001 rows, three blocks, split after the first on two CPUs. Seed 10's
+    # noise overflows x at row 3625, seed 9's only at row 6154, in the
+    # other half: the lower seed is reported. A subnormal quant rejects row
+    # 0, where x / quant overflows once the noise is added, and a divergence
+    # at 4 s still comes first
+    cfg = tmp_path / "run.cfg"
+    text = SHORT_CFG.replace("sim.t_end = 0.4", "sim.t_end = 4.5")
+    text += {"lower_seed_later_row": "sim.noise_std = 5e307\nsim.seed = 9\n",
+             "divergence_after_rejection": "sim.quant = 5e-324\nsim.v_max = 0.5\n"
+                                           "scenario.pulses = 4.0,0.2,5.0\n"}[case]
+    cfg.write_text(text, encoding="utf-8")
+    _set_cpus(monkeypatch, cpus)
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv"),
+               "--runs", "2"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == ({"lower_seed_later_row": EXIT_CONFIG,
+                                   "divergence_after_rejection": EXIT_DIVERGED}[case], "")
+    assert captured.err == {
+        "lower_seed_later_row":
+            "config error: sim.noise_std/sim.quant: measured x is not finite at row 6154\n",
+        "divergence_after_rejection":
+            "simulation diverged: |v| = 0.524039 exceeded bound 0.5 at t = 4.006 s\n"}[case]
+    assert sorted(tmp_path.iterdir()) == [cfg]
+    _assert_no_child()
+    if case == "divergence_after_rejection":
+        cfg.write_text(text.replace("4.0,0.2,5.0", "4.0,0.2,0.3"), encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: sim.noise_std/sim.quant: measured x is not finite at row 0\n")
+
+
+# a child interpreter that may hold at most argv[1] open files runs the CLI
+# on the rest of argv
+UNDER_OPEN_FILE_LIMIT = """\
+import resource, sys
+limit = int(sys.argv.pop(1))
+resource.setrlimit(resource.RLIMIT_NOFILE, (limit, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+from frictionobs.cli import entry
+entry()
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="RLIMIT_NOFILE is a POSIX limit")
+def test_simulate_1000_runs_under_a_low_open_file_limit(tmp_path, capsys):
+    # 1001 outputs open at once if every seed shared one fold; under a limit
+    # of 256 files the seeds are folded in groups of 112 outputs
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SHORT_CFG.replace("sim.t_end = 0.4", "sim.t_end = 0.002"), encoding="utf-8")
+    big, ref = tmp_path / "big", tmp_path / "ref"
+    big.mkdir()
+    ref.mkdir()
+    path = [str(Path(frictionobs.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", UNDER_OPEN_FILE_LIMIT, "256", "simulate",
+                           "--config", str(cfg), "--out", str(big / "s.csv"), "--runs", "1000"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_OK and proc.stderr == ""
+    assert len(proc.stdout.splitlines()) == 1000 and len(list(big.iterdir())) == 2000
+    # the runs of seeds 3 and 1002, as runs of their own
+    for seed, run in ((3, 0), (1002, 999)):
+        cfg.write_text(SHORT_CFG.replace("sim.t_end = 0.4", "sim.t_end = 0.002")
+                       .replace("sim.seed = 3", f"sim.seed = {seed}"), encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg), "--out", str(ref / f"{seed}.csv")]) == 0
+        assert (big / f"s_run{run:03d}.csv").read_bytes() == (ref / f"{seed}.csv").read_bytes()
+        assert ((big / f"s_measured_run{run:03d}.csv").read_bytes()
+                == (ref / f"{seed}_measured.csv").read_bytes())
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 2, "fork_fails", "no_temporary_file"])
+def test_streamed_simulate_writes_what_the_library_run_gives(tmp_path, capsys, monkeypatch,
+                                                            cpus):
+    # 9001 rows, three blocks, noise and quantization: the streamed fold
+    # writes what simulate, measure and write_columns write from whole columns
+    from dataclasses import replace
+
+    from frictionobs import load_config, measure, simulate, write_columns
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SHORT_CFG.replace("sim.t_end = 0.4", "sim.t_end = 4.5")
+                   + "sim.quant = 1e-7\n", encoding="utf-8")
+    config = load_config(cfg)
+    traj = simulate(config.plant, config.friction, config.scenario, config.sim)
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    write_columns(ref / "s.csv", SIM_HEADER, [traj.t, traj.x, traj.v, traj.f, traj.u])
+    for i in range(2):
+        m = measure(traj.t, traj.x, traj.u, replace(config.sim, seed=config.sim.seed + i))
+        write_columns(ref / f"m{i}.csv", MEASURED_HEADER, [m.t, m.x, m.u])
+    if cpus == "no_temporary_file":
+        def refused(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr("frictionobs.csvio.tempfile.TemporaryFile", refused)
+        cpus = 2
+    _set_cpus(monkeypatch, cpus)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["simulate", "--config", str(cfg), "--out", str(out / "s.csv"),
+                 "--runs", "2"]) == EXIT_OK
+    _assert_no_child()
+    for i in range(2):
+        assert (out / f"s_run{i:03d}.csv").read_bytes() == (ref / "s.csv").read_bytes()
+        assert (out / f"s_measured_run{i:03d}.csv").read_bytes() == (ref / f"m{i}.csv").read_bytes()
+    capsys.readouterr()
+
+
 def _traced_peak(argv):
     """main(argv)'s exit code and its peak traced memory in bytes."""
     tracemalloc.start()
@@ -902,21 +1030,25 @@ def _traced_peak(argv):
 
 
 def test_simulate_and_observe_peak_bytes_a_sample(tmp_path, capsys):
-    # each column is freed once it has been read for the last time. On this
-    # 20,001-sample record simulate peaks at 114.3 bytes a sample (122.3 when
-    # the noisy x was drawn before the truth CSV was written) and observe
-    # --truth at 142.7 (182.8 with the truth's t, the model's columns and the
-    # estimates all held); one 4096-row block of formatted cells is about 70
-    # of each
+    # each column is freed once it has been read for the last time. On a
+    # 20,001-sample record observe --truth peaks at 142.7 bytes a sample
+    # (182.8 with the truth's t, the model's columns and the estimates all
+    # held); one 4096-row block of formatted cells is about 70 of it
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(SHORT_CFG.replace("sim.t_end = 0.4", "sim.t_end = 10.0"), encoding="utf-8")
-    n = 20001
-    # numpy.random is imported on first use; its import is no cost of a sample
-    np.random.default_rng
-    sim = tmp_path / "sim.csv"
-    rc, peak = _traced_peak(["simulate", "--config", str(cfg), "--out", str(sim)])
-    assert rc == EXIT_OK and len(read_columns(sim, SIM_HEADER)[0]) == n
-    assert peak <= 118 * n
+    # simulate holds one block of rows whatever the record's length: its
+    # peaks on 20,001 and 100,001 samples (1.65 MB each) differ by less
+    # than one block of one column
+    peaks = []
+    for t_end, n in (("50.0", 100001), ("10.0", 20001)):
+        cfg.write_text(SHORT_CFG.replace("sim.t_end = 0.4", f"sim.t_end = {t_end}"),
+                       encoding="utf-8")
+        # numpy.random is imported on first use; its import is no cost of a sample
+        np.random.default_rng
+        sim = tmp_path / "sim.csv"
+        rc, peak = _traced_peak(["simulate", "--config", str(cfg), "--out", str(sim)])
+        assert rc == EXIT_OK and len(read_columns(sim, SIM_HEADER)[0]) == n
+        peaks.append(peak)
+    assert abs(peaks[0] - peaks[1]) < 8 * csvio._ROWS
     rc, peak = _traced_peak(["observe", "--config", str(cfg), "--measured",
                              str(tmp_path / "sim_measured.csv"), "--out",
                              str(tmp_path / "e.csv"), "--truth", str(sim)])
@@ -1121,18 +1253,29 @@ def test_observe_and_compare_give_the_same_bytes_on_any_cpu_count(cfg_file, shor
                                                                    capsys, monkeypatch, case):
     # two CPUs: the truth's model run and compare's --sim side run in a forked child
     sim, measured = short_run
+    refusals = []
+    if case == "no_temporary_file":
+        # 5001 rows, two blocks: the estimates and the merged CSV are split
+        cfg_file.write_text(SHORT_CFG.replace("sim.t_end = 0.4", "sim.t_end = 2.5"),
+                            encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg_file), "--out", str(sim)]) == EXIT_OK
+        capsys.readouterr()
     _set_cpus(monkeypatch, 2)
     forked = _observe_and_compare(cfg_file, sim, measured, tmp_path, capsys, "forked")
     monkeypatch.undo()
     if case == "no_temporary_file":
         # a directory that takes no temporary file: this process writes every row itself
         def refused(*args, **kwargs):
+            refusals.append(None)
             raise PermissionError(13, "Permission denied")
 
+        _set_cpus(monkeypatch, 2)
         monkeypatch.setattr("frictionobs.csvio.tempfile.TemporaryFile", refused)
     else:
         _set_cpus(monkeypatch, case)
     assert _observe_and_compare(cfg_file, sim, measured, tmp_path, capsys, "other") == forked
+    # observe's estimates and compare's merged CSV
+    assert len(refusals) == (2 if case == "no_temporary_file" else 0)
 
 
 @pytest.mark.parametrize("how", ["killed", "memory"])

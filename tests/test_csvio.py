@@ -5,6 +5,7 @@ import os
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -305,16 +306,16 @@ def test_split_writer_matches_row_writer(tmp_path, monkeypatch, cpus, n):
 @pytest.mark.parametrize("failing", ["worker", "parent", "worker_not_os"])
 def test_failed_part_removes_the_file_and_reaps_every_child(tmp_path, monkeypatch, failing):
     # two blocks on two CPUs: this process formats rows from 0, a forked child those from _ROWS
-    block = csvio._block
+    write_rows = csvio._write_rows
     error = MemoryError() if failing == "worker_not_os" else OSError(28, "No space left on device")
 
-    def broken(columns, lo):
+    def broken(fh, columns, lo, hi):
         if (lo > 0) == (failing != "parent"):
             raise error
-        return block(columns, lo)
+        return write_rows(fh, columns, lo, hi)
 
     _set_cpus(monkeypatch, 2)
-    monkeypatch.setattr(csvio, "_block", broken)
+    monkeypatch.setattr(csvio, "_write_rows", broken)
     out = tmp_path / "w.csv"
     with pytest.raises(type(error)) as exc:
         write_columns(out, EDGE_HEADER, _edge_columns(2 * csvio._ROWS))
@@ -432,6 +433,37 @@ def test_splice_copies_plain_cells_as_written(tmp_path):
     merged = read_columns(out, MERGED_HEADER)
     parsed = read_columns(sim, SIM_HEADER) + read_columns(est, ESTIMATES_HEADER)[1:]
     assert [c.tobytes() for c in merged] == [c.tobytes() for c in parsed]
+
+
+@pytest.mark.parametrize("n", [1, csvio._ROWS, csvio._ROWS + 1, 3 * csvio._ROWS - 1])
+def test_plain_scan_records_where_each_block_of_rows_starts(tmp_path, n):
+    # the splice's forked half seeks to its first row; 64 KiB read blocks
+    # end inside lines, and a block of rows can start right after one
+    sim, _ = _sim_and_estimates(tmp_path, n)
+    body = sim.read_bytes()
+    starts = []
+    with open(sim, "rb") as fh:
+        assert csvio._plain_rows(fh, SIM_HEADER, starts) == n
+    lines = body.splitlines(keepends=True)
+    offsets = np.cumsum([0] + [len(line) for line in lines])
+    assert starts == [int(offsets[1 + k]) for k in range(0, n + 1, csvio._ROWS)]
+
+
+def test_room_check_counts_the_shortest_rows(tmp_path, monkeypatch):
+    # t,x,u rows take at least 12 bytes ("0.0,0.0,0.0\n"), and the header 6
+    free = 6 + 12 * 1000
+    monkeypatch.setattr(csvio.shutil, "disk_usage", lambda path: SimpleNamespace(free=free))
+    out = tmp_path / "new" / "m.csv"
+    csvio._check_room([(out, MEASURED_HEADER)], 1000)
+    with pytest.raises(OSError) as exc:
+        csvio._check_room([(out, MEASURED_HEADER)], 1001)
+    assert exc.value.errno == 28 and "1001 rows need at least 12018 bytes" in str(exc.value)
+    # a file that is there is truncated, so its bytes count as free
+    (tmp_path / "old.csv").write_bytes(b"x" * 12)
+    csvio._check_room([(tmp_path / "old.csv", MEASURED_HEADER)], 1001)
+    # a device takes no disk space
+    if os.path.exists("/dev/null"):
+        csvio._check_room([("/dev/null", MEASURED_HEADER)], 10 ** 15)
 
 
 def test_splice_memory_is_bounded_by_a_block(tmp_path):

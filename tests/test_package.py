@@ -169,6 +169,10 @@ STALE_TRACE_TARGETS = {
     ("cli", "error_metrics"),
     # the fitter's forward model is simulate_forced on the record's u
     ("ident", "simulate"),
+    # simulate folds the plant and draws the noise a block at a time
+    # (plant.simulate_blocks, plant.sensor)
+    ("cli", "simulate"),
+    ("cli", "measure"),
     # the hold step is written out in observer_update
     ("observer", "zoh_discretize"),
     # the fit's spread comes from its own Jacobian; no box probe calls a residual

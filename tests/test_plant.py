@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from frictionobs import plant
+from frictionobs import grid, plant
 from frictionobs import (
     FrictionParams,
     GridError,
@@ -202,6 +202,55 @@ def test_measure_quantization_floors():
     assert np.allclose(m.x, steps * q, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("rows", [1, 7, 4096])
+@pytest.mark.parametrize("quant", [0.0, 1e-6])
+@pytest.mark.parametrize("seed", [0, 5, 42])
+def test_measure_equals_the_sensor_in_blocks(rows, quant, seed):
+    # one noise stream, drawn in blocks of any size: 7 splits no block
+    # boundary the others have, and 4096 is the block the CLI writes
+    traj = simulate(PLANT, FRICTION, ImpulseTrain(((0.01, 0.01, 1.0),)),
+                    SimConfig(dt=1e-4, t_end=1.0))
+    cfg = SimConfig(dt=1e-4, t_end=1.0, noise_std=1e-6, quant=quant, seed=seed)
+    whole = measure(traj.t, traj.x, traj.u, cfg).x
+    measured = plant.sensor(cfg)
+    blocks = [measured(traj.x[lo:lo + rows]) for lo in range(0, len(traj), rows)]
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+    # a start mid-stream: the rows before it are measured and dropped
+    start = len(traj) // 2 + 3
+    measured = plant.sensor(cfg)
+    for lo in range(0, start, rows):
+        measured(traj.x[lo:min(lo + rows, start)])
+    rest = [measured(traj.x[lo:lo + rows]) for lo in range(start, len(traj), rows)]
+    assert np.concatenate(rest).tobytes() == whole[start:].tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 7, 4096])
+def test_simulate_blocks_join_to_simulate(rows):
+    train = ImpulseTrain(((0.01, 0.01, 1.0), (0.3, 0.02, -1.2)))
+    cfg = SimConfig(dt=1e-4, t_end=0.5)
+    whole = simulate(PLANT, FRICTION, train, cfg)
+    blocks = list(plant.simulate_blocks(PLANT, FRICTION, train, cfg, rows))
+    assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+    for name in ("t", "x", "v", "f", "u"):
+        joined = np.concatenate([getattr(b, name) for b in blocks])
+        assert joined.tobytes() == getattr(whole, name).tobytes(), name
+
+
+def test_simulate_blocks_diverge_where_simulate_does():
+    # the divergence is in the third block of 7 rows, and no block is
+    # yielded past the one before it
+    train = ImpulseTrain(((1.5e-3, 1e-3, 300.0),))
+    cfg = SimConfig(dt=1e-4, t_end=0.01, v_max=1.0)
+    with pytest.raises(SimulationDiverged) as whole:
+        simulate(PLANT, FRICTION, train, cfg)
+    blocks = plant.simulate_blocks(PLANT, FRICTION, train, cfg, 7)
+    assert [len(next(blocks)) for _ in range(2)] == [7, 7]
+    with pytest.raises(SimulationDiverged) as blocked:
+        next(blocks)
+    assert str(blocked.value) == str(whole.value)
+    assert blocked.value.t == whole.value.t == pytest.approx(1.7e-3)
+
+
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(dt=0.0, t_end=1.0)
@@ -264,9 +313,9 @@ def _same_grid_whole(a, b):
     return bool(np.all(np.abs(a - b) <= tol))
 
 
-@pytest.mark.parametrize("extra", [-2, -1, 0, 1, 2, plant._GRID_CHUNK + 1])
+@pytest.mark.parametrize("extra", [-2, -1, 0, 1, 2, grid._GRID_CHUNK + 1])
 def test_grid_checks_match_whole_array_formulas(extra):
-    c = plant._GRID_CHUNK
+    c = grid._GRID_CHUNK
     n = c + extra
     base = np.arange(n) * 5e-4
     # rows around the first chunk edge (row c is the last step of chunk 0),
@@ -282,15 +331,15 @@ def test_grid_checks_match_whole_array_formulas(extra):
         t[r:] += 1e-6
         cases.append(t)
     for t in cases:
-        assert plant.grid_break(t) == _grid_break_whole(t)
+        assert grid.grid_break(t) == _grid_break_whole(t)
         # inf - inf is NaN, which both formulas reject, with numpy's warning
         with np.errstate(invalid="ignore"):
             for b in (base, base + 2e-9, base * (1 + 1e-12), t[::-1]):
-                assert plant.same_grid(t, b) == _same_grid_whole(t, b)
-                assert plant.same_grid(b, t) == _same_grid_whole(b, t)
+                assert grid.same_grid(t, b) == _same_grid_whole(t, b)
+                assert grid.same_grid(b, t) == _same_grid_whole(b, t)
     # a break one row before the chunk edge, at it, one row after it, and in the last row
     for r in (c - 1, c, c + 1, n - 1):
         if r < n:
             t = base.copy()
             t[r] += 1e-3
-            assert plant.grid_break(t) == r
+            assert grid.grid_break(t) == r
