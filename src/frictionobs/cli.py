@@ -38,7 +38,9 @@ comes: on any failure but a divergence it folds the record again, writing
 nothing, to find the first. The
 commands raise; `main` turns the exception into its exit code and one
 stderr line, an argument that argparse rejects included. Success paths
-print to stdout only.
+print to stdout only, and only once every output is written: where stdout
+is a closed pipe, a command exits 1 (`cannot write output: [Errno 32]
+Broken pipe`) with its outputs complete, whether or not stdout is buffered.
 
 Importing this module sets ``OPENBLAS_NUM_THREADS`` to 1 unless the
 environment already sets it, before numpy loads, so a CLI process runs one
@@ -76,6 +78,7 @@ from .csvio import (
     CsvSchemaError,
     _ROWS,
     _append,
+    _block,
     _check_room,
     _in_parallel,
     _output,
@@ -238,17 +241,19 @@ def _truth_blocks(cfg: Config) -> Iterator[tuple[int, Trajectory]]:
                simulate_blocks(cfg.plant, cfg.friction, cfg.scenario, cfg.sim, _ROWS))
 
 
-def _blocks(cfg: Config, runs: list[SimConfig | None]) -> Iterator[Iterator[list[np.ndarray]]]:
-    """The record's CSV columns, a block of rows at a time from rest (``csvio.write_blocks``).
+def _blocks(cfg: Config, runs: list[SimConfig | None], lo: int) -> Iterator[bytes]:
+    """The record's CSV lines from row lo, a block at a time (``csvio.write_blocks``' fold).
 
-    A run of None gives the truth CSV's columns, and a SimConfig the
-    measured CSV's of its seed. Each seed's columns are measured as they
-    are taken, so one block of them is held at a time.
+    A run of None gives the truth CSV's lines, and a SimConfig the measured
+    CSV's of its seed. Every seed is measured in every block from rest, rows
+    before lo too, so each noise stream and rejection check runs as from row 0.
     """
     sensors = [run and sensor(run) for run in runs]
     for row, b in _truth_blocks(cfg):
-        yield ([b.t, _measured(s, b.x, row), b.u] if s else [b.t, b.x, b.v, b.f, b.u]
-               for s in sensors)
+        for s in sensors:
+            columns = [b.t, _measured(s, b.x, row), b.u] if s else [b.t, b.x, b.v, b.f, b.u]
+            if row >= lo:
+                yield _block(columns, 0)
 
 
 def _check_record(cfg: Config, sims: list[SimConfig]) -> None:
@@ -351,13 +356,13 @@ def cmd_identify(args: argparse.Namespace) -> int:
     meas = _read_measured(args.measured)
     theta0 = [getattr(cfg.friction, name) for name in THETA_NAMES]
     f = args.bounds_factor
-    bounds = tuple((v / f, v * f) for v in theta0)
-    for name, v, (lo, hi) in zip(THETA_NAMES, theta0, bounds):
-        # fails for f <= 1, a non-finite f and an overflow
-        if not 0.0 < lo < hi < math.inf:
+    for name, v in zip(THETA_NAMES, theta0):
+        # fails for f <= 1 (before v / f, which f = 0 cannot divide), a non-finite f and an overflow
+        if not (f > 1 and 0.0 < v / f < v * f < math.inf):
             raise ConfigError(
                 f"no finite positive search box for {name} = {v!r} with --bounds-factor {f!r}"
             )
+    bounds = tuple((v / f, v * f) for v in theta0)
     try:
         problem = FitProblem(record=meas, plant=cfg.plant, friction=cfg.friction, bounds=bounds)
         result = fit(problem)
@@ -513,7 +518,17 @@ def main(argv: list[str] | None = None) -> int:
             break
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        try:
+            # a closed pipe fails here, not in the flush at exit, which would exit 120
+            sys.stdout.flush()
+        except OSError:
+            # what is left in the buffer goes nowhere, so the flush at exit cannot fail again
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+            raise
+        return code
     except SystemExit:
         # only -h/--help exits, once it has printed its text to stdout
         return EXIT_OK

@@ -6,22 +6,32 @@ Three fixed layouts, all UTF-8 with '.' decimals:
     sim-out       : t,x,v,f,u
     estimates-out : t,w2_tilde,w3_tilde,phi,e_obs
 
-``write_columns`` writes float cells with repr() (shortest round-trip
-form), so reading back what it wrote reproduces the floats bit for bit. It
-formats ``_ROWS`` rows at a time, so its memory is bounded by one block of
-strings per process whatever the record's length. ``write_blocks`` writes
-several CSVs at once from a fold that yields their columns a block of rows
-at a time, so the rows are never all held. These and ``splice_rows`` write
-in two halves (``_in_two_halves``): with two CPUs and at least two blocks,
-this process writes the first half of the blocks into each file while a
-child forked by ``_in_parallel`` writes the rest into one unnamed
-temporary file an output, in the output's directory, each then copied
-onto the end of its file. A fold's child runs its own fold from row 0 and
-drops the rows before its half. The child's failure reaches this process
-with its type and attributes (an OSError keeps its errno and text), and
-the bytes are the same with or without the split. With one CPU, one block, no
-``os.fork`` or ``os.sched_getaffinity`` (macOS, Windows), or a directory
-the temporary file cannot be made in, this process writes every row itself.
+``write_blocks`` is the one CSV writer. A fold, ``blocks(lo)``, yields
+the CSV lines of its outputs one ``_ROWS``-row block at a time from row lo,
+one chunk an output, and each chunk is written as it comes, so a process
+holds one chunk whatever the record's length. With two CPUs and at least
+two blocks the write has two halves: this process writes the first half of
+the blocks into each file from ``blocks(0)``, while a child forked by
+``_in_parallel`` writes the rest from ``blocks(half)`` into one unnamed
+temporary file an output, in the output's directory, each then copied onto
+the end of its file. The child's failure reaches this process with its type
+and attributes (an OSError keeps its errno and text), and the bytes are the
+same with or without the split. With one CPU, one block, no ``os.fork`` or
+``os.sched_getaffinity`` (macOS, Windows), or a directory the temporary
+file cannot be made in, this process writes every row itself. It has three
+folds:
+
+- ``write_columns`` formats columns it holds, every cell with repr() of a
+  float (shortest round-trip form), so reading back what it wrote
+  reproduces the floats bit for bit;
+- ``splice_rows`` joins the lines of two plain files (below), each read
+  from row lo on at the byte offset that the plainness scan
+  (``_plain_rows``) recorded, so those cells keep the text they were
+  written with: repr() text for a file ``write_columns`` wrote, and the
+  cell as written (``1.50``, ``1e5``) otherwise, which reads back as the
+  same float;
+- ``cli._blocks`` folds the plant from rest and draws each seed's noise,
+  so a forked half computes and drops the rows before its own.
 
 A file is plain when its header is exactly what ``write_columns`` writes
 and its body holds only the bytes of ``_PLAIN``. A plain file is read in
@@ -29,13 +39,6 @@ bulk: its body is parsed by one ``np.loadtxt`` call. Any other file, and
 any body that call does not turn into one finite row per line, is read
 again row by row with the csv module, which accepts every finite number
 float() parses and names the first bad row.
-
-``splice_rows`` joins the rows of two plain files by copying their lines,
-``_ROWS`` at a time, so those cells keep the text they were written with:
-repr() text for a file ``write_columns`` wrote, and the cell as written
-(``1.50``, ``1e5``) otherwise, which reads back as the same float. Its
-forked half seeks to its first line in each file, at the byte offset that
-the plainness scan (``_plain_rows``) recorded.
 
 ``_in_parallel`` runs two independent halves of a command or of a CSV
 write at once: one half in a forked child, which hands back its result or
@@ -59,7 +62,7 @@ import tempfile
 from array import array
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NoReturn
+from typing import Callable, Iterator, NoReturn
 
 import numpy as np
 
@@ -97,39 +100,21 @@ def write_columns(path: str | Path, header: tuple[str, ...], columns: list[np.nd
     if len(columns) != len(header) or (lengths and lengths != {len(columns[0])}):
         raise ValueError("columns must match the header and share one length")
     columns = [np.asarray(c, dtype=float) for c in columns]
-    _in_two_halves([(path, header)], len(columns[0]) if columns else 0,
-                   lambda outs, lo, hi: _write_rows(outs[0], [c[lo:hi] for c in columns], lo, hi))
+    n = len(columns[0]) if columns else 0
+    write_blocks([(path, header)], n,
+                 lambda lo: (_block(columns, row) for row in range(lo, n, _ROWS)))
 
 
 def write_blocks(outputs: list[tuple[str | Path, tuple[str, ...]]], n: int,
-                 fold: Callable[[], Iterator[Iterable[list[np.ndarray]]]]) -> None:
-    """Write n rows of each (path, header) output from a fold over blocks of rows.
+                 blocks: Callable[[int], Iterator[bytes]]) -> None:
+    """Write each (path, header) output's header, then its n rows from a fold over blocks of rows.
 
-    fold() starts the fold at row 0 and yields, for each ``_ROWS`` rows in
-    turn (the last block shorter), one list of columns an output. The
-    outputs are written in two halves (``_in_two_halves``), each of which
-    runs a fold of its own: the child's computes and drops the rows before
-    its half. So the rows are never all held, whatever n is. A failure of
-    the fold, the child's included, removes every output.
-    """
-    def write(outs: list[io.BufferedIOBase], lo: int, hi: int) -> None:
-        for row, block in zip(range(0, hi, _ROWS), fold()):
-            # every output's columns are taken, so that the fold's state moves on
-            for out, columns in zip(outs, block):
-                if row >= lo:
-                    _write_rows(out, columns, row, row + len(columns[0]))
-
-    _in_two_halves(outputs, n, write)
-
-
-def _in_two_halves(outputs: list[tuple[str | Path, tuple[str, ...]]], n: int,
-                   write: Callable[[list[io.BufferedIOBase], int, int], None]) -> None:
-    """Write each (path, header) output's header, then rows 0 to n of all of them in two halves.
-
-    write(outs, lo, hi) writes rows lo to hi of each output to the file in
-    outs at the same place, whole blocks but for the last, at its position.
-    The child's half gets one temporary file an output (see above). A
-    failure, the child's included, removes every output (``_output``).
+    blocks(lo), lo a whole number of ``_ROWS`` blocks, yields for each block
+    from row lo in turn (the last shorter) one chunk of CSV lines an output,
+    in the outputs' order. Each half of the write (see above) runs a fold of
+    its own, takes one chunk at a time and closes the fold when its half
+    ends. A failure, the fold's and the child's included, removes every
+    output (``_output``).
     """
     half = -(-n // _ROWS) // 2 * _ROWS if _cpus() > 1 else 0
     with contextlib.ExitStack() as files:
@@ -142,22 +127,26 @@ def _in_two_halves(outputs: list[tuple[str | Path, tuple[str, ...]]], n: int,
                       for path, _ in outputs] if half else None
         except OSError:
             halves = None
+
+        def write(fhs: list[io.BufferedIOBase], lo: int, hi: int) -> None:
+            with contextlib.closing(blocks(lo)) as chunks:
+                for _ in range(lo, hi, _ROWS):
+                    for fh in fhs:
+                        # no name holds the chunk, so it is freed before the next is made
+                        fh.write(next(chunks))
+            for fh in fhs:
+                fh.flush()  # a forked half leaves by os._exit, which flushes nothing
+
         if halves is None:
             write(outs, 0, n)
             return
-
-        def child():
-            write(halves, half, n)
-            for rest in halves:
-                rest.flush()
-
-        _in_parallel(child, lambda: write(outs, 0, half))
+        _in_parallel(lambda: write(halves, half, n), lambda: write(outs, 0, half))
         for out, rest in zip(outs, halves):
             _append(out, rest)
 
 
 def _outputs_at_once() -> int:
-    """How many outputs one ``_in_two_halves`` call may hold open under RLIMIT_NOFILE.
+    """How many outputs one ``write_blocks`` call may hold open under RLIMIT_NOFILE.
 
     Each takes a file and a temporary file; ``_SPARE_FILES`` of the limit
     are left to the process's other files. 256 where there is no limit to
@@ -320,15 +309,6 @@ def _block(columns: list[np.ndarray], lo: int) -> bytes:
     return ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
 
 
-def _write_rows(fh: io.BufferedIOBase, columns: list[np.ndarray], lo: int, hi: int) -> None:
-    """Write rows lo to hi of a file, which columns hold from their first item, a block at a time.
-
-    hi - lo is whole blocks unless hi is the file's last row.
-    """
-    for i in range(0, hi - lo, _ROWS):
-        fh.write(_block(columns, i))
-
-
 def _append(out: io.BufferedIOBase, src: io.BufferedIOBase) -> None:
     """Copy the whole binary file src to out's position, through out.write."""
     src.seek(0)
@@ -445,17 +425,16 @@ def splice_rows(path: str | Path, left: str | Path, left_header: tuple[str, ...]
         if n is None or _plain_rows(b, right_header, starts[1]) is None:
             return False
 
-    def splice(outs: list[io.BufferedIOBase], lo: int, hi: int) -> None:
+    def splice(lo: int) -> Iterator[bytes]:
         # handles of its own: a forked child shares the offsets of those it inherits
         with open(left, "rb") as a, open(right, "rb") as b:
             for fh, at in zip((a, b), starts):
-                fh.seek(at[lo // _ROWS])  # lo is a whole number of blocks
+                fh.seek(at[lo // _ROWS])
             # a plain line is a row read_columns accepted, so it holds a ','
-            for _ in range(lo, hi, _ROWS):
-                outs[0].write(b"".join([s[:-1] + r[r.index(b","):]
-                                        for s, r in zip(_lines(a), _lines(b))]))
+            for _ in range(lo, n, _ROWS):
+                yield b"".join([s[:-1] + r[r.index(b","):] for s, r in zip(_lines(a), _lines(b))])
 
-    _in_two_halves([(path, left_header + right_header[1:])], n, splice)
+    write_blocks([(path, left_header + right_header[1:])], n, splice)
     return True
 
 

@@ -484,12 +484,17 @@ def test_identify_rejects_impulse_start(tmp_path, capsys, cfg_file):
     assert captured.err.count("\n") == 1 and captured.out == ""
 
 
-def test_identify_bad_bounds_factor(tmp_path, cfg_file):
+@pytest.mark.parametrize("factor", ["0.5", "0", "-0.0"])
+def test_identify_bad_bounds_factor(tmp_path, cfg_file, capsys, factor):
+    # a factor of zero is rejected like any other at most 1, before it divides
     m = tmp_path / "m.csv"
     m.write_text("t,x,u\n0.0,0.0,0.0\n0.001,0.0,0.0\n", encoding="utf-8")
     rc = main(["identify", "--config", str(cfg_file), "--measured", str(m),
-               "--out", str(tmp_path / "r.txt"), "--bounds-factor", "0.5"])
+               "--out", str(tmp_path / "r.txt"), "--bounds-factor", factor])
     assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == ("config error: no finite positive search box for "
+                                       f"sigma = 2.0 with --bounds-factor {float(factor)!r}\n")
+    assert not (tmp_path / "r.txt").exists()
 
 
 def test_identify_nonuniform_grid_rejected(cfg_file, tmp_path, capsys):
@@ -1296,11 +1301,12 @@ def test_a_child_that_dies_leaves_no_output_and_no_child(cfg_file, short_run, tm
             os.kill(os.getpid(), signal.SIGKILL)
         raise MemoryError("cannot allocate the column")
 
-    write_rows = csvio._write_rows
+    block = cli._block
     read = cli._read
+    pid = os.getpid()
 
-    def die_in_second_half(fh, columns, lo, hi):
-        return die() if lo else write_rows(fh, columns, lo, hi)
+    def die_in_second_half(columns, lo):
+        return die() if os.getpid() != pid else block(columns, lo)
 
     def die_reading_sim(path, header, role):
         return die() if role == "sim" else read(path, header, role)
@@ -1308,7 +1314,7 @@ def test_a_child_that_dies_leaves_no_output_and_no_child(cfg_file, short_run, tm
     # each is called, or dies, in the forked child only
     monkeypatch.setattr(*{"observe": ("frictionobs.cli.simulate_forced", die),
                           "compare": (cli, "_read", die_reading_sim),
-                          "simulate": (csvio, "_write_rows", die_in_second_half)}[command])
+                          "simulate": (cli, "_block", die_in_second_half)}[command])
     _set_cpus(monkeypatch, 2)
     out = tmp_path / "out.csv"
     before = sorted(tmp_path.rglob("*"))
@@ -1326,6 +1332,40 @@ def test_a_child_that_dies_leaves_no_output_and_no_child(cfg_file, short_run, tm
     assert captured.out == ""
     assert sorted(tmp_path.rglob("*")) == before
     _assert_no_child()
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["simulate", "observe"])
+def test_a_closed_stdout_exits_1_with_complete_outputs(cfg_file, short_run, tmp_path, capsys,
+                                                       command, buffered):
+    # a command writes its files, then prints: only the print fails, and a
+    # buffered stdout fails before the exit code is chosen, not in the flush at exit
+    sim, measured = short_run
+    argv = {"simulate": ["simulate", "--config", str(cfg_file)],
+            "observe": ["observe", "--config", str(cfg_file), "--measured", str(measured),
+                        "--truth", str(sim)]}[command]
+    piped, normal = tmp_path / "piped", tmp_path / "normal"
+    piped.mkdir()
+    normal.mkdir()
+    path = [str(Path(frictionobs.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=os.pathsep.join(filter(None, path)),
+               **({} if buffered else {"PYTHONUNBUFFERED": "1"}))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "frictionobs.cli", *argv,
+                               "--out", str(piped / "out.csv")],
+                              stdout=w, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(w)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr == "cannot write output: [Errno 32] Broken pipe\n"
+    assert main(argv + ["--out", str(normal / "out.csv")]) == EXIT_OK
+    capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in normal.iterdir()}
+    assert len(files) == {"simulate": 2, "observe": 1}[command]
+    assert {p.name: p.read_bytes() for p in piped.iterdir()} == files
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

@@ -2,6 +2,7 @@
 
 import math
 import os
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -225,7 +226,7 @@ def test_write_read_roundtrip_any_finite_float(rows):
     assert [c.tobytes() for c in back] == [c.tobytes() for c in cols]
 
 
-def _write_rows_reference(path, header, columns):
+def _write_row_by_row(path, header, columns):
     """The writer as it was before it worked in blocks: one row per write."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -260,7 +261,7 @@ def _edge_columns(n):
 def _assert_writes_like_rows(tmp_path, n):
     columns = _edge_columns(n)
     write_columns(tmp_path / "block.csv", EDGE_HEADER, columns)
-    _write_rows_reference(tmp_path / "row.csv", EDGE_HEADER, columns)
+    _write_row_by_row(tmp_path / "row.csv", EDGE_HEADER, columns)
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
 
 
@@ -306,16 +307,16 @@ def test_split_writer_matches_row_writer(tmp_path, monkeypatch, cpus, n):
 @pytest.mark.parametrize("failing", ["worker", "parent", "worker_not_os"])
 def test_failed_part_removes_the_file_and_reaps_every_child(tmp_path, monkeypatch, failing):
     # two blocks on two CPUs: this process formats rows from 0, a forked child those from _ROWS
-    write_rows = csvio._write_rows
+    block = csvio._block
     error = MemoryError() if failing == "worker_not_os" else OSError(28, "No space left on device")
 
-    def broken(fh, columns, lo, hi):
+    def broken(columns, lo):
         if (lo > 0) == (failing != "parent"):
             raise error
-        return write_rows(fh, columns, lo, hi)
+        return block(columns, lo)
 
     _set_cpus(monkeypatch, 2)
-    monkeypatch.setattr(csvio, "_write_rows", broken)
+    monkeypatch.setattr(csvio, "_block", broken)
     out = tmp_path / "w.csv"
     with pytest.raises(type(error)) as exc:
         write_columns(out, EDGE_HEADER, _edge_columns(2 * csvio._ROWS))
@@ -325,6 +326,38 @@ def test_failed_part_removes_the_file_and_reaps_every_child(tmp_path, monkeypatc
     assert getattr(exc.value, "errno", None) == getattr(error, "errno", None)
     assert str(exc.value) == str(error)
     assert list(tmp_path.iterdir()) == []
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_write_blocks_holds_no_chunk_once_written(tmp_path, monkeypatch, cpus):
+    # each half takes one chunk at a time and keeps no name for it, so a
+    # chunk is freed before the fold formats the next; on two CPUs the
+    # child's failed check is handed back like any other failure
+    n = 3 * csvio._ROWS
+    pair = [[np.asarray(c, dtype=float) for c in _edge_columns(n)] for _ in range(2)]
+    pair[1].reverse()
+    checked = []
+
+    def blocks(lo):
+        chunk = None
+        for row in range(lo, n, csvio._ROWS):
+            for columns in pair:
+                if chunk is not None:
+                    # this name and getrefcount's argument are its only references
+                    assert sys.getrefcount(chunk) - 2 == 0
+                    checked.append(row)
+                chunk = csvio._block(columns, row)
+                yield chunk
+
+    _set_cpus(monkeypatch, cpus)
+    outputs = [(tmp_path / f"{i}.csv", EDGE_HEADER) for i in range(2)]
+    csvio.write_blocks(outputs, n, blocks)
+    # this process's half: every chunk but the first, or the first block's second
+    assert len(checked) == {1: 5, 2: 1}[cpus]
+    for (path, _), columns in zip(outputs, pair):
+        write_columns(tmp_path / "ref.csv", EDGE_HEADER, columns)
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
     _assert_no_child()
 
 

@@ -88,7 +88,7 @@ def test_one_fork_site():
 def test_one_temporary_file_site():
     # every CSV written in two halves goes through one writer, and no command
     # makes a temporary file of its own
-    assert _sites(("tempfile.TemporaryFile", "TemporaryFile")) == ["csvio._in_two_halves"]
+    assert _sites(("tempfile.TemporaryFile", "TemporaryFile")) == ["csvio.write_blocks"]
 
 
 def test_unused_import_guard_sees_a_leftover_import():
@@ -125,6 +125,30 @@ def test_importing_the_package_loads_no_numpy():
     # a library caller's own numpy, imported later, keeps its BLAS threads
     code = "import sys, frictionobs; print('numpy' in sys.modules)"
     assert _in_fresh_interpreter(code) == "False\n"
+
+
+def test_the_largest_modules_compile_before_numpy_loads(tmp_path):
+    # without a bytecode cache (PYTHONDONTWRITEBYTECODE) the compiler's scratch
+    # memory for a module compiled after numpy has loaded stays resident,
+    # about 3 KB a line, so the two largest modules are compiled before it;
+    # the empty cache prefix makes every module compile from source
+    code = ("import importlib.machinery as m, os, sys\n"
+            "compile = m.SourceFileLoader.source_to_code\n"
+            "def traced(self, data, path, *args, **kwargs):\n"
+            "    print(path, 'numpy' in sys.modules)\n"
+            "    return compile(self, data, path, *args, **kwargs)\n"
+            "m.SourceFileLoader.source_to_code = traced\n"
+            "import frictionobs.cli\n")
+    out = _in_fresh_interpreter(code, PYTHONDONTWRITEBYTECODE="1",
+                                PYTHONPYCACHEPREFIX=str(tmp_path))
+    numpy_loaded = {Path(path).name: loaded == "True"
+                    for path, loaded in map(str.split, out.splitlines())
+                    if Path(path) in SOURCES}
+    by_size = sorted(SOURCES, key=lambda p: len(p.read_text(encoding="utf-8").splitlines()))
+    assert {p.name for p in by_size[-2:]} == {"cli.py", "csvio.py"}
+    assert numpy_loaded["cli.py"] is False and numpy_loaded["csvio.py"] is False
+    # the trace does see numpy load: the smaller modules compile after it
+    assert numpy_loaded["observer.py"] is True
 
 
 @pytest.fixture(scope="module")
