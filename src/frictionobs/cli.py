@@ -302,11 +302,16 @@ def cmd_observe(args: argparse.Namespace) -> int:
     n = len(meas)
 
     def observe():
+        nonlocal meas
         try:
             return run_observer(meas, cfg.gains, cfg.plant.m, cfg.friction)
         except ValueError as exc:
             # Measured checked the record, so what is left is the gain condition
             raise ConfigError(str(exc)) from None
+        finally:
+            # x and u are read for the last time: on one CPU, _in_parallel has
+            # run the model first; est.t is meas.t
+            del meas
 
     if not args.truth:
         est = observe()
@@ -320,7 +325,7 @@ def cmd_observe(args: argparse.Namespace) -> int:
                 raise CsvSchemaError("truth CSV rejected: grid does not match the measured sequence")
             if n < 2:
                 raise CsvSchemaError("truth CSV rejected: --truth needs at least 2 samples")
-            vs = truth[2].copy()
+            vs = truth[2]
             del truth
             # the model runs from rest at row 0, row for row, like the observer
             try:
@@ -413,11 +418,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     def sim():
         ts, _, vs, fs, _ = _read(args.sim, SIM_HEADER, "sim")
-        # columns of their own, which free the parsed table and cross the pipe uncopied
-        return tuple(np.ascontiguousarray(c) for c in (ts, vs, fs))
+        return ts, vs, fs
 
-    (ts, vs, fs), (te, w2, w3, _, e_obs) = _in_parallel(
-        sim, lambda: _read(args.estimates, ESTIMATES_HEADER, "estimates"))
+    def estimates():
+        te, w2, w3, _, e_obs = _read(args.estimates, ESTIMATES_HEADER, "estimates")
+        return te, w2, w3, e_obs
+
+    # each column is an array of its own, so x, u and phi are freed as they are read
+    (ts, vs, fs), (te, w2, w3, e_obs) = _in_parallel(sim, estimates)
     if len(ts) != len(te):
         raise CsvSchemaError(
             f"row count mismatch: sim has {len(ts)} rows, estimates has {len(te)}"

@@ -8,15 +8,16 @@ Three fixed layouts, all UTF-8 with '.' decimals:
 
 ``write_blocks`` is the one CSV writer. A fold, ``blocks(lo)``, yields
 the CSV lines of its outputs one ``_ROWS``-row block at a time from row lo,
-one chunk an output, and each chunk is written as it comes, so a process
-holds one chunk whatever the record's length. With two CPUs and at least
-two blocks the write has two halves: this process writes the first half of
-the blocks into each file from ``blocks(0)``, while a child forked by
-``_in_parallel`` writes the rest from ``blocks(half)`` into one unnamed
-temporary file an output, in the output's directory, each then copied onto
-the end of its file. The child's failure reaches this process with its type
-and attributes (an OSError keeps its errno and text), and the bytes are the
-same with or without the split. With one CPU, one block, no ``os.fork`` or
+one chunk an output, and each chunk is made and written a piece of at most
+``_PIECE`` lines at a time, so a process holds one piece whatever the
+record's length. With two CPUs and at least two blocks the write has two
+halves: this process writes the first half of the blocks into each file
+from ``blocks(0)``, while a child forked by ``_in_parallel`` writes the
+rest from ``blocks(half)`` into one unnamed temporary file an output, in
+the output's directory, each then copied onto the end of its file. The
+child's failure reaches this process with its type and attributes (an
+OSError keeps its errno and text), and the bytes are the same with or
+without the split. With one CPU, one block, no ``os.fork`` or
 ``os.sched_getaffinity`` (macOS, Windows), or a directory the temporary
 file cannot be made in, this process writes every row itself. It has three
 folds:
@@ -35,10 +36,12 @@ folds:
 
 A file is plain when its header is exactly what ``write_columns`` writes
 and its body holds only the bytes of ``_PLAIN``. A plain file is read in
-bulk: its body is parsed by one ``np.loadtxt`` call. Any other file, and
-any body that call does not turn into one finite row per line, is read
-again row by row with the csv module, which accepts every finite number
-float() parses and names the first bad row.
+bulk: its body is parsed one ``_ROWS`` block at a time, by one
+``np.loadtxt`` call a block, into one preallocated array a column, so each
+column owns its buffer and can be freed on its own. Any other file, and
+any body that a block's call does not turn into one finite row per line,
+is read again row by row with the csv module, which accepts every finite
+number float() parses and names the first bad row.
 
 ``_in_parallel`` runs two independent halves of a command or of a CSV
 write at once: one half in a forked child, which hands back its result or
@@ -77,6 +80,9 @@ _PLAIN = b"0123456789.e+-,\n"
 # no ',' and no '\n' leaves the file to the csv reader
 _BLOCK = 1 << 16
 _ROWS = 4096
+# the lines of a chunk made at a time: 4096 rows of five random columns
+# take 1.6 MB of traced scratch to format, 1024 rows 0.5 MB
+_PIECE = 1024
 # file descriptors that _outputs_at_once leaves to stdio, pipes and the
 # command's own reads
 _SPARE_FILES = 32
@@ -111,7 +117,8 @@ def write_blocks(outputs: list[tuple[str | Path, tuple[str, ...]]], n: int,
 
     blocks(lo), lo a whole number of ``_ROWS`` blocks, yields for each block
     from row lo in turn (the last shorter) one chunk of CSV lines an output,
-    in the outputs' order. Each half of the write (see above) runs a fold of
+    in the outputs' order: an iterable of bytes pieces, each made as it is
+    written. Each half of the write (see above) runs a fold of
     its own, takes one chunk at a time and closes the fold when its half
     ends. A failure, the fold's and the child's included, removes every
     output (``_output``).
@@ -132,8 +139,9 @@ def write_blocks(outputs: list[tuple[str | Path, tuple[str, ...]]], n: int,
             with contextlib.closing(blocks(lo)) as chunks:
                 for _ in range(lo, hi, _ROWS):
                     for fh in fhs:
-                        # no name holds the chunk, so it is freed before the next is made
-                        fh.write(next(chunks))
+                        # no name holds the chunk, so it is freed before the next is made,
+                        # and writelines frees each piece before it takes the next
+                        fh.writelines(next(chunks))
             for fh in fhs:
                 fh.flush()  # a forked half leaves by os._exit, which flushes nothing
 
@@ -302,11 +310,12 @@ def _output(path: str | Path) -> Iterator[io.BufferedWriter]:
         raise
 
 
-def _block(columns: list[np.ndarray], lo: int) -> bytes:
-    """Rows lo to lo + _ROWS of the columns as CSV lines."""
-    # tolist() yields Python floats, so each cell is repr of a float
-    cells = [map(repr, c[lo:lo + _ROWS].tolist()) for c in columns]
-    return ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
+def _block(columns: list[np.ndarray], lo: int) -> Iterator[bytes]:
+    """Rows lo to lo + _ROWS of the columns as CSV lines, made ``_PIECE`` rows at a time."""
+    for row in range(lo, min(lo + _ROWS, len(columns[0])), _PIECE):
+        # tolist() yields Python floats, so each cell is repr of a float
+        cells = [map(repr, c[row:row + _PIECE].tolist()) for c in columns]
+        yield ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
 
 
 def _append(out: io.BufferedIOBase, src: io.BufferedIOBase) -> None:
@@ -374,33 +383,44 @@ def _plain_rows(fh: io.BufferedReader, header: tuple[str, ...],
 
 
 def _read_plain(fh: io.BufferedReader, header: tuple[str, ...]) -> list[np.ndarray] | None:
-    """Parse a plain body with one np.loadtxt call, or return None.
+    """Parse a plain body one ``_ROWS``-row block at a time into one array a column, or return None.
 
-    fh is a binary file at its start. The result is what ``_read_rows``
-    returns, and None leaves the file to it: a file that is not plain
-    (``_plain_rows``), no rows, an empty first line, or a parse that is not
-    one finite row of the header's width per line. Cells of plain bytes
-    mean the same to loadtxt and float(): both round with the same strtod.
+    fh is a binary file at its start. Each block's lines go to one
+    np.loadtxt call, whose rows are copied into the columns, so a column
+    owns its buffer and the parse holds one block of scratch. The result is
+    what ``_read_rows`` returns, and None leaves the file to it: a file that
+    is not plain (``_plain_rows``), no rows, or a block that is not one
+    finite row of the header's width per line. Cells of plain bytes mean
+    the same to loadtxt and float(): both round with the same strtod.
     """
     lines = _plain_rows(fh, header)
+    if not lines:
+        return None
     fh.seek(0)
     fh.readline()
-    # an empty body would make loadtxt warn that it found no data
-    if not lines or fh.peek(1)[:1] == b"\n":
-        return None
-    try:
-        table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
-    except ValueError:
-        return None
-    # loadtxt skips empty lines, which the csv reader rejects
-    if table.shape != (lines, len(header)) or not np.isfinite(table).all():
-        return None
-    return list(table.T)
+    columns = [np.empty(lines) for _ in header]
+    for lo in range(0, lines, _ROWS):
+        rows = min(_ROWS, lines - lo)
+        # loadtxt skips empty lines, which the csv reader rejects; a block of
+        # them would make it warn that it found no data
+        if fh.peek(1)[:1] == b"\n":
+            return None
+        try:
+            # islice stops at the block's last line, so fh is left at the next block
+            table = np.loadtxt(islice(fh, rows), delimiter=",", comments=None, ndmin=2,
+                               dtype=float)
+        except ValueError:
+            return None
+        if table.shape != (rows, len(header)) or not np.isfinite(table).all():
+            return None
+        for column, cells in zip(columns, table.T):
+            column[lo:lo + rows] = cells
+    return columns
 
 
 def _lines(fh: io.BufferedReader) -> list[bytes]:
-    """The next ``_ROWS`` lines of fh, each ending in '\n'."""
-    lines = list(islice(fh, _ROWS))
+    """The next ``_PIECE`` lines of fh, each ending in '\n'."""
+    lines = list(islice(fh, _PIECE))
     if lines and not lines[-1].endswith(b"\n"):
         lines[-1] += b"\n"
     return lines
@@ -413,7 +433,7 @@ def splice_rows(path: str | Path, left: str | Path, left_header: tuple[str, ...]
     left and right are files that ``read_columns`` has accepted under their
     headers, with one row count. When both are plain (``_plain_rows``), path
     gets the header ``left_header + right_header[1:]`` and the spliced
-    lines, ``_ROWS`` at a time and in two halves like ``write_columns``,
+    lines, ``_PIECE`` at a time and in two halves like ``write_columns``,
     and the result is True. Otherwise nothing is written and the result is
     False. For files that ``write_columns`` wrote the output is byte for
     byte what ``write_columns`` writes from their parsed columns. path must
@@ -430,9 +450,11 @@ def splice_rows(path: str | Path, left: str | Path, left_header: tuple[str, ...]
         with open(left, "rb") as a, open(right, "rb") as b:
             for fh, at in zip((a, b), starts):
                 fh.seek(at[lo // _ROWS])
-            # a plain line is a row read_columns accepted, so it holds a ','
+            # a plain line is a row read_columns accepted, so it holds a ','; past
+            # the last line a piece is empty
             for _ in range(lo, n, _ROWS):
-                yield b"".join([s[:-1] + r[r.index(b","):] for s, r in zip(_lines(a), _lines(b))])
+                yield (b"".join([s[:-1] + r[r.index(b","):] for s, r in zip(_lines(a), _lines(b))])
+                       for _ in range(0, _ROWS, _PIECE))
 
     write_blocks([(path, left_header + right_header[1:])], n, splice)
     return True

@@ -2,7 +2,9 @@
 
 A record's rows are samples at t[k] = t[0] + k * dt: ``grid_break`` finds
 the first row that breaks such a grid, and ``same_grid`` tells whether two
-time columns agree. Both hold a bounded scratch whatever the length.
+time columns agree. Both hold a bounded scratch whatever the length, and
+a difference of finite timestamps that overflows (1e308 - -1e308) fails the
+check without a numpy warning.
 """
 
 from __future__ import annotations
@@ -33,14 +35,16 @@ def grid_break(t: np.ndarray) -> int | None:
         return 0
     if len(t) < 2:
         return None
-    dt = float(t[1] - t[0])
-    if not 0.0 < dt < math.inf:
-        return 1
-    # a chunk at a time, so the scratch is bounded; a NaN step fails the comparison
-    for lo in range(0, len(t) - 1, _GRID_CHUNK):
-        off = ~(np.abs(np.diff(t[lo:lo + _GRID_CHUNK + 1]) - dt) <= max(1e-12, 1e-6 * dt))
-        if off.any():
-            return lo + int(np.argmax(off)) + 1
+    # an overflow is an inf step, and inf - inf a NaN one: both fail the comparisons
+    with np.errstate(over="ignore", invalid="ignore"):
+        dt = float(t[1] - t[0])
+        if not 0.0 < dt < math.inf:
+            return 1
+        # a chunk at a time, so the scratch is bounded
+        for lo in range(0, len(t) - 1, _GRID_CHUNK):
+            off = ~(np.abs(np.diff(t[lo:lo + _GRID_CHUNK + 1]) - dt) <= max(1e-12, 1e-6 * dt))
+            if off.any():
+                return lo + int(np.argmax(off)) + 1
     return None
 
 
@@ -55,5 +59,6 @@ def same_grid(a: np.ndarray, b: np.ndarray) -> bool:
         return True
     # one temporary, d; np.max passes a NaN on, which fails the comparison
     tol = max(1e-9, 1e-9 * max(float(np.max(a)), -float(np.min(a))))
-    d = np.subtract(a, b, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.subtract(a, b, dtype=float)
     return bool(np.max(np.abs(d, out=d)) <= tol)

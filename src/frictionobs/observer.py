@@ -49,6 +49,8 @@ import numpy as np
 from .friction import FrictionParams, advance, stiffness
 from .plant import Measured
 
+_E_OBS_CHUNK = 1 << 14  # samples of x that e_obs_series shifts at a time
+
 Mat2 = tuple[tuple[float, float], tuple[float, float]]
 
 
@@ -327,7 +329,16 @@ def e_obs_series(x_meas: np.ndarray, w2: np.ndarray, dt: float) -> np.ndarray:
     """Displacement-consistency error x - x(0) - integral of w2~.
 
     The integral is the rectangle-rule running sum of w2~ on its own grid,
-    so it includes the current estimate.
+    so it includes the current estimate. The result is the one full-length
+    array: the sum is scaled and subtracted in place, x - x(0) a chunk at a
+    time, so each cell takes the same operations as
+    ``(x - x[0]) - np.cumsum(w2) * dt``, to the bit.
     """
     x_meas = np.asarray(x_meas, dtype=float)
-    return (x_meas - x_meas[0]) - np.cumsum(np.asarray(w2, dtype=float)) * dt
+    e = np.cumsum(np.asarray(w2, dtype=float))
+    e *= dt
+    x0 = x_meas[0]
+    for lo in range(0, len(e), _E_OBS_CHUNK):
+        chunk = e[lo:lo + _E_OBS_CHUNK]
+        np.subtract(x_meas[lo:lo + _E_OBS_CHUNK] - x0, chunk, out=chunk)
+    return e

@@ -507,6 +507,43 @@ def test_identify_nonuniform_grid_rejected(cfg_file, tmp_path, capsys):
     assert err.startswith("measured CSV rejected: ") and ": row 3: t = 0.003 " in err
 
 
+def _time_column(path, header, ts):
+    """A CSV of header whose t column is ts and every other cell 0.0."""
+    path.write_text(",".join(header) + "\n" + "".join(
+        t + ",0.0" * (len(header) - 1) + "\n" for t in ts), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["observe_first_step", "observe_later_step",
+                                  "identify_first_step", "identify_later_step",
+                                  "observe_truth", "compare"])
+def test_overflowing_time_step_is_one_error_line(cfg_file, tmp_path, capsys, case):
+    # finite timestamps whose difference overflows to inf: the grid checks
+    # reject them without a numpy overflow warning on stderr
+    command, _, how = case.partition("_")
+    ts = {"first_step": ["1e308", "-1e308"], "later_step": ["0.0", "1e308", "-1e308"]}
+    out = ["--out", str(tmp_path / "out")]
+    if how in ts:
+        argv = [command, "--config", str(cfg_file), "--measured",
+                _time_column(tmp_path / "m.csv", MEASURED_HEADER, ts[how]), *out]
+        line = f"measured CSV rejected: {tmp_path / 'm.csv'}: row {len(ts[how])}: t = -1e+308 "
+    elif command == "observe":
+        # a grid of one 1e308 step, against a truth whose step is -1e308
+        argv = ["observe", "--config", str(cfg_file), "--measured",
+                _time_column(tmp_path / "m.csv", MEASURED_HEADER, ["0.0", "1e308"]), "--truth",
+                _time_column(tmp_path / "s.csv", SIM_HEADER, ["0.0", "-1e308"]), *out]
+        line = "truth CSV rejected: grid does not match the measured sequence"
+    else:
+        argv = ["compare", "--sim", _time_column(tmp_path / "s.csv", SIM_HEADER, ["0.0", "1e308"]),
+                "--estimates",
+                _time_column(tmp_path / "e.csv", ESTIMATES_HEADER, ["0.0", "-1e308"]), *out]
+        line = "timestamp mismatch between sim and estimates"
+    assert main(argv) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(line)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["observe", "identify"])
 @pytest.mark.parametrize("row", ["0.0005,nan,0.0", "nan,0.0,0.0", "0.0005,inf,0.0"],
                          ids=["nan_x", "nan_t", "inf_x"])
@@ -1034,11 +1071,12 @@ def _traced_peak(argv):
         tracemalloc.stop()
 
 
-def test_simulate_and_observe_peak_bytes_a_sample(tmp_path, capsys):
-    # each column is freed once it has been read for the last time. On a
-    # 20,001-sample record observe --truth peaks at 142.7 bytes a sample
-    # (182.8 with the truth's t, the model's columns and the estimates all
-    # held); one 4096-row block of formatted cells is about 70 of it
+def test_simulate_and_observe_peak_bytes_a_sample(tmp_path, capsys, monkeypatch):
+    # each column is an array of its own, freed once it has been read for
+    # the last time, and CSV text is made 1024 rows at a time. On a
+    # 20,001-sample record observe --truth peaks at 84 bytes a sample on one
+    # CPU and 70 on two (this process's share), compare at 84 and 66; with
+    # views of one parsed table, copies and 4096-row text they took 143 and 137
     cfg = tmp_path / "run.cfg"
     # simulate holds one block of rows whatever the record's length: its
     # peaks on 20,001 and 100,001 samples (1.65 MB each) differ by less
@@ -1054,11 +1092,19 @@ def test_simulate_and_observe_peak_bytes_a_sample(tmp_path, capsys):
         assert rc == EXIT_OK and len(read_columns(sim, SIM_HEADER)[0]) == n
         peaks.append(peak)
     assert abs(peaks[0] - peaks[1]) < 8 * csvio._ROWS
-    rc, peak = _traced_peak(["observe", "--config", str(cfg), "--measured",
-                             str(tmp_path / "sim_measured.csv"), "--out",
-                             str(tmp_path / "e.csv"), "--truth", str(sim)])
-    assert rc == EXIT_OK and "rms_e_model = " in capsys.readouterr().out
-    assert peak <= 160 * n
+    est = tmp_path / "e.csv"
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        rc, peak = _traced_peak(["observe", "--config", str(cfg), "--measured",
+                                 str(tmp_path / "sim_measured.csv"), "--out", str(est),
+                                 "--truth", str(sim)])
+        assert rc == EXIT_OK and "rms_e_model = " in capsys.readouterr().out
+        assert peak <= 100 * n
+        rc, peak = _traced_peak(["compare", "--sim", str(sim), "--estimates", str(est),
+                                 "--out", str(tmp_path / "m.csv")])
+        assert rc == EXIT_OK and f"rows = {n}" in capsys.readouterr().out
+        assert peak <= 100 * n
+        _assert_no_child()
 
 
 # a child interpreter that may write files of at most argv[1] bytes, with

@@ -397,6 +397,42 @@ def test_row_read_holds_each_cell_as_a_packed_double(tmp_path):
     assert peak <= 16 * 3 * n
 
 
+@pytest.mark.parametrize("newline", [True, False], ids=["newline", "no_newline"])
+@pytest.mark.parametrize("n", [1, csvio._ROWS - 1, csvio._ROWS, csvio._ROWS + 1,
+                               3 * csvio._ROWS + 7])
+def test_plain_read_gives_each_column_a_buffer_of_its_own(tmp_path, n, newline):
+    # a plain body is parsed a block at a time into one array a column, so
+    # a command can free one column while it holds the others
+    p = tmp_path / "sim.csv"
+    write_columns(p, SIM_HEADER, [np.arange(n) * 5e-4, np.resize(np.array(EDGE_VALUES), n),
+                                  *np.random.default_rng(n).standard_normal((3, n))])
+    if not newline:
+        p.write_bytes(p.read_bytes()[:-1])
+    with open(p, "rb") as fh:
+        columns = csvio._read_plain(fh, SIM_HEADER)
+    assert columns is not None
+    for column, by_row in zip(columns, csvio._read_rows(p, SIM_HEADER)):
+        assert column.flags.c_contiguous and column.flags.owndata
+        assert column.tobytes() == by_row.tobytes()
+
+
+@pytest.mark.parametrize("row", [0, csvio._ROWS - 1, csvio._ROWS, csvio._ROWS + 1,
+                                 2 * csvio._ROWS])
+def test_empty_line_in_any_block_leaves_the_file_to_the_row_reader(tmp_path, row):
+    # loadtxt skips an empty line, and warns on a block that holds nothing
+    # else (the one at 2 * _ROWS, the last line); the row reader names it
+    p = tmp_path / "m.csv"
+    write_columns(p, MEASURED_HEADER, [np.arange(2 * csvio._ROWS) * 5e-4] * 3)
+    lines = p.read_bytes().split(b"\n")
+    lines.insert(1 + row, b"")
+    p.write_bytes(b"\n".join(lines))
+    with open(p, "rb") as fh:
+        assert csvio._read_plain(fh, MEASURED_HEADER) is None
+    with pytest.raises(CsvSchemaError) as exc:
+        read_columns(p, MEASURED_HEADER)
+    assert exc.value.row == row + 1
+
+
 MERGED_HEADER = SIM_HEADER + ESTIMATES_HEADER[1:]
 
 

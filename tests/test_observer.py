@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from frictionobs import observer
 from frictionobs import (
     FrictionParams,
     ObserverDiverged,
@@ -359,3 +360,31 @@ def test_e_obs_series_definition():
     dt = 5e-4
     expect = (x - x[0]) - np.cumsum(w2) * dt
     assert np.allclose(e_obs_series(x, w2, dt), expect, rtol=0, atol=0)
+
+
+CHUNK = observer._E_OBS_CHUNK
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 3 * CHUNK + 7])
+       | st.integers(1, 3 * CHUNK + 7),
+       seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-6, 1.0, 1e300, 1.7e308]),
+       dt=st.sampled_from([5e-4, 1.0, 1e10]))
+def test_e_obs_series_is_the_formula_in_one_array(n, seed, scale, dt):
+    # the running sum is scaled and shifted in place, x - x[0] a chunk at a
+    # time: the bits of the whole-array formula, inf and NaN from an
+    # overflow included, with one n-sample array and one chunk of scratch
+    rng = np.random.default_rng(seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, w2 = rng.standard_normal((2, n)) * scale
+        expect = (x - x[0]) - np.cumsum(w2) * dt
+        tracemalloc.start()
+        try:
+            got = e_obs_series(x, w2, dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert got.tobytes() == expect.tobytes()
+    # beyond the two arrays, a few kB of Python objects
+    assert peak <= 8 * n + 8 * min(n, CHUNK) + 4096
