@@ -26,21 +26,22 @@ groups, and the truth CSV's copies under `--runs` come last. It removes
 every file it wrote when the fold or a write fails. With two CPUs,
 `observe --truth` reads the truth and runs the open-loop model in a forked
 child while it runs the observer, `compare` reads `--sim` in a child while
-it reads `--estimates`, and every CSV of two or more 4096-row blocks,
-`compare`'s merged CSV and `simulate`'s included, is written in two
-halves, one in a child (csvio._in_parallel); a child that dies before it
-hands back its result exits 1. Of two failures, `observe` reports a
-rejected truth, then the observer's, then the model's; `compare` a
+it reads `--estimates`, and every CSV of two or more 4096-row blocks but
+`compare`'s merged CSV, `simulate`'s included, is written in two halves,
+one in a child (csvio._in_parallel); a child that dies before it hands back
+its result exits 1. `compare` splices its merged CSV from two plain inputs
+in one pass, and formats any other anew. Of two failures, `observe` reports
+a rejected truth, then the observer's, then the model's; `compare` a
 rejected `--sim` before rejected estimates; and `simulate` a divergence,
-then the first rejected row of the lowest seed with one, then an
-unwritable or failed output or a dead child, wherever in the record each
-comes: on any failure but a divergence it folds the record again, writing
-nothing, to find the first. The
-commands raise; `main` turns the exception into its exit code and one
-stderr line, an argument that argparse rejects included. Success paths
-print to stdout only, and only once every output is written: where stdout
-is a closed pipe, a command exits 1 (`cannot write output: [Errno 32]
-Broken pipe`) with its outputs complete, whether or not stdout is buffered.
+then the first rejected row of the lowest seed with one, then an unwritable
+or failed output or a dead child, wherever in the record each comes: on any
+failure but a divergence it folds the record again, writing nothing, to
+find the first. The commands raise; `main` turns the exception into its
+exit code and one stderr line, an argument that argparse rejects included.
+Success paths print to stdout only, and only once every output is written:
+where stdout is a closed pipe, a command exits 1 (`cannot write output:
+[Errno 32] Broken pipe`) with its outputs complete, whether or not stdout
+is buffered.
 
 Importing this module sets ``OPENBLAS_NUM_THREADS`` to 1 unless the
 environment already sets it, before numpy loads, so a CLI process runs one
@@ -83,6 +84,7 @@ from .csvio import (
     _in_parallel,
     _output,
     _outputs_at_once,
+    _read_columns,
     _reading,
     read_columns,
     splice_rows,
@@ -417,15 +419,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
     _check_files(args, [("--out", args.out), ("--plot-script", args.plot_script)])
 
     def sim():
-        ts, _, vs, fs, _ = _read(args.sim, SIM_HEADER, "sim")
-        return ts, vs, fs
+        with _rejected("sim"):
+            (ts, _, vs, fs, _), plain = _read_columns(args.sim, SIM_HEADER)
+        return ts, vs, fs, plain
 
     def estimates():
-        te, w2, w3, _, e_obs = _read(args.estimates, ESTIMATES_HEADER, "estimates")
-        return te, w2, w3, e_obs
+        with _rejected("estimates"):
+            (te, w2, w3, _, e_obs), plain = _read_columns(args.estimates, ESTIMATES_HEADER)
+        return te, w2, w3, e_obs, plain
 
     # each column is an array of its own, so x, u and phi are freed as they are read
-    (ts, vs, fs), (te, w2, w3, e_obs) = _in_parallel(sim, estimates)
+    (ts, vs, fs, sim_plain), (te, w2, w3, e_obs, est_plain) = _in_parallel(sim, estimates)
     if len(ts) != len(te):
         raise CsvSchemaError(
             f"row count mismatch: sim has {len(ts)} rows, estimates has {len(te)}"
@@ -442,8 +446,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
             out.write(PLOT_SCRIPT.encode())
         lines.append(f"wrote {args.plot_script}")
     try:
-        # plain inputs are spliced line by line; any other is formatted anew
-        if not splice_rows(args.out, args.sim, SIM_HEADER, args.estimates, ESTIMATES_HEADER):
+        # plain inputs (read in bulk) are spliced line by line; any other is formatted anew
+        if sim_plain and est_plain:
+            splice_rows(args.out, args.sim, args.estimates)
+        else:
             write_columns(Path(args.out), SIM_HEADER + ESTIMATES_HEADER[1:],
                           _read(args.sim, SIM_HEADER, "sim")
                           + _read(args.estimates, ESTIMATES_HEADER, "estimates")[1:])

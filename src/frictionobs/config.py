@@ -138,8 +138,9 @@ def load_config(path: str | Path) -> Config:
     p = Path(path)
     try:
         # a byte that is not UTF-8 becomes U+FFFD: harmless in a comment,
-        # and in a key or value it fails the parse like any other typo
-        text = p.read_text(encoding="utf-8", errors="replace")
+        # and in a key or value it fails the parse like any other typo; a
+        # leading byte-order mark (as Notepad saves) is skipped
+        text = p.read_text(encoding="utf-8-sig", errors="replace")
     except OSError as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
     return parse_config(text)

@@ -1,38 +1,38 @@
 """CSV schemas shared by the command-line tools.
 
-Three fixed layouts, all UTF-8 with '.' decimals:
+Three fixed layouts, all UTF-8 (a leading byte-order mark is skipped) with
+'.' decimals:
 
     measured-in   : t,x,u
     sim-out       : t,x,v,f,u
     estimates-out : t,w2_tilde,w3_tilde,phi,e_obs
 
-``write_blocks`` is the one CSV writer. A fold, ``blocks(lo)``, yields
-the CSV lines of its outputs one ``_ROWS``-row block at a time from row lo,
-one chunk an output, and each chunk is made and written a piece of at most
-``_PIECE`` lines at a time, so a process holds one piece whatever the
-record's length. With two CPUs and at least two blocks the write has two
-halves: this process writes the first half of the blocks into each file
-from ``blocks(0)``, while a child forked by ``_in_parallel`` writes the
-rest from ``blocks(half)`` into one unnamed temporary file an output, in
-the output's directory, each then copied onto the end of its file. The
-child's failure reaches this process with its type and attributes (an
-OSError keeps its errno and text), and the bytes are the same with or
-without the split. With one CPU, one block, no ``os.fork`` or
-``os.sched_getaffinity`` (macOS, Windows), or a directory the temporary
-file cannot be made in, this process writes every row itself. It has three
-folds:
+``write_blocks`` writes every CSV but ``compare``'s merged one. A fold,
+``blocks(lo)``, yields the CSV lines of its outputs one ``_ROWS``-row
+block at a time from row lo, one chunk an output, and each chunk is made
+and written a piece of at most ``_PIECE`` lines at a time, so a process
+holds one piece whatever the record's length. With two CPUs and at least
+two blocks the write has two halves: this process writes the first half of
+the blocks into each file from ``blocks(0)``, while a child forked by
+``_in_parallel`` writes the rest from ``blocks(half)`` into one unnamed
+temporary file an output, in the output's directory, each then copied onto
+the end of its file. The child's failure reaches this process with its
+type and attributes (an OSError keeps its errno and text), and the bytes
+are the same with or without the split. With one CPU, one block, no
+``os.fork`` or ``os.sched_getaffinity`` (macOS, Windows), or a directory
+the temporary file cannot be made in, this process writes every row
+itself. It has two folds:
 
 - ``write_columns`` formats columns it holds, every cell with repr() of a
   float (shortest round-trip form), so reading back what it wrote
   reproduces the floats bit for bit;
-- ``splice_rows`` joins the lines of two plain files (below), each read
-  from row lo on at the byte offset that the plainness scan
-  (``_plain_rows``) recorded, so those cells keep the text they were
-  written with: repr() text for a file ``write_columns`` wrote, and the
-  cell as written (``1.50``, ``1e5``) otherwise, which reads back as the
-  same float;
 - ``cli._blocks`` folds the plant from rest and draws each seed's noise,
   so a forked half computes and drops the rows before its own.
+
+``splice_rows`` joins the lines of two plain files (below) in one pass,
+so their cells keep the text they were written with: repr() text for a
+file ``write_columns`` wrote, and the cell as written (``1.50``, ``1e5``)
+otherwise, which reads back as the same float.
 
 A file is plain when its header is exactly what ``write_columns`` writes
 and its body holds only the bytes of ``_PLAIN``. A plain file is read in
@@ -41,7 +41,8 @@ bulk: its body is parsed one ``_ROWS`` block at a time, by one
 column owns its buffer and can be freed on its own. Any other file, and
 any body that a block's call does not turn into one finite row per line,
 is read again row by row with the csv module, which accepts every finite
-number float() parses and names the first bad row.
+number float() parses and names the first bad row. ``_read_columns``
+also says which path read the file.
 
 ``_in_parallel`` runs two independent halves of a command or of a CSV
 write at once: one half in a forked child, which hands back its result or
@@ -118,10 +119,10 @@ def write_blocks(outputs: list[tuple[str | Path, tuple[str, ...]]], n: int,
     blocks(lo), lo a whole number of ``_ROWS`` blocks, yields for each block
     from row lo in turn (the last shorter) one chunk of CSV lines an output,
     in the outputs' order: an iterable of bytes pieces, each made as it is
-    written. Each half of the write (see above) runs a fold of
-    its own, takes one chunk at a time and closes the fold when its half
-    ends. A failure, the fold's and the child's included, removes every
-    output (``_output``).
+    written. Each half of the write (see above) runs a fold of its own and
+    takes one chunk at a time; a fold holds no resource to close. A
+    failure, the fold's and the child's included, removes every output
+    (``_output``).
     """
     half = -(-n // _ROWS) // 2 * _ROWS if _cpus() > 1 else 0
     with contextlib.ExitStack() as files:
@@ -136,12 +137,12 @@ def write_blocks(outputs: list[tuple[str | Path, tuple[str, ...]]], n: int,
             halves = None
 
         def write(fhs: list[io.BufferedIOBase], lo: int, hi: int) -> None:
-            with contextlib.closing(blocks(lo)) as chunks:
-                for _ in range(lo, hi, _ROWS):
-                    for fh in fhs:
-                        # no name holds the chunk, so it is freed before the next is made,
-                        # and writelines frees each piece before it takes the next
-                        fh.writelines(next(chunks))
+            chunks = blocks(lo)
+            for _ in range(lo, hi, _ROWS):
+                for fh in fhs:
+                    # no name holds the chunk, so it is freed before the next is made,
+                    # and writelines frees each piece before it takes the next
+                    fh.writelines(next(chunks))
             for fh in fhs:
                 fh.flush()  # a forked half leaves by os._exit, which flushes nothing
 
@@ -331,10 +332,15 @@ def read_columns(path: str | Path, header: tuple[str, ...]) -> list[np.ndarray]:
     of the wrong width, a cell that is not a finite number, or a cell longer
     than the csv module's field limit, and on a file that cannot be read.
     """
+    return _read_columns(path, header)[0]
+
+
+def _read_columns(path: str | Path, header: tuple[str, ...]) -> tuple[list[np.ndarray], bool]:
+    """(read_columns(path, header), whether the bulk path read them: the file is plain)."""
     path = Path(path)
     with _reading(path) as fh:
         columns = _read_plain(fh, header)
-        return columns if columns is not None else _read_rows(path, header)
+        return (columns, True) if columns is not None else (_read_rows(path, header), False)
 
 
 @contextlib.contextmanager
@@ -347,38 +353,26 @@ def _reading(path: Path) -> Iterator[io.BufferedReader]:
         raise CsvSchemaError(f"cannot read {path}: {exc}") from exc
 
 
-def _plain_rows(fh: io.BufferedReader, header: tuple[str, ...],
-                starts: list[int] | None = None) -> int | None:
+def _plain_rows(fh: io.BufferedReader, header: tuple[str, ...]) -> int | None:
     """The number of lines of a plain file's body, or None when it is not plain.
 
     fh is a binary file at its start; it is read to its end. Plain is the
     header exactly as ``write_columns`` writes it, then only ``_PLAIN``
     bytes, with a ',' or a '\n' in every ``_BLOCK`` bytes of the body, so
     that no cell can reach the csv module's field limit. A last line with
-    no '\n' counts. A starts list gets the byte offset in the file of body
-    lines 0, ``_ROWS``, 2 * ``_ROWS`` and so on.
+    no '\n' counts.
     """
     if fh.readline() != (",".join(header) + "\n").encode():
         return None
-    lines, last, at = 0, b"\n", fh.tell()
-    marks = [at]
+    lines, last = 0, b"\n"
     # one block at a time, so that a scan holds two blocks and one block's
     # scratch for translate at most
     for block in iter(lambda: fh.read(_BLOCK), b""):
         if block.translate(None, _PLAIN) or (
                 len(block) == _BLOCK and b"," not in block and b"\n" not in block):
             return None
-        count = block.count(b"\n")
-        # the line after the k-th '\n' of this block starts a block of rows
-        ks = range(len(marks) * _ROWS - lines, count + 1, _ROWS)
-        if ks:
-            ends = np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n"))
-            marks += [at + int(ends[k - 1]) + 1 for k in ks]
-        lines += count
-        at += len(block)
+        lines += block.count(b"\n")
         last = block[-1:]
-    if starts is not None:
-        starts[:] = marks
     return lines + (last != b"\n")
 
 
@@ -426,38 +420,19 @@ def _lines(fh: io.BufferedReader) -> list[bytes]:
     return lines
 
 
-def splice_rows(path: str | Path, left: str | Path, left_header: tuple[str, ...],
-                right: str | Path, right_header: tuple[str, ...]) -> bool:
-    """Write each line of left followed by right's line without its first cell.
+def splice_rows(path: str | Path, left: str | Path, right: str | Path) -> None:
+    """Write each line of left, the header's included, followed by right's without its first cell.
 
-    left and right are files that ``read_columns`` has accepted under their
-    headers, with one row count. When both are plain (``_plain_rows``), path
-    gets the header ``left_header + right_header[1:]`` and the spliced
-    lines, ``_PIECE`` at a time and in two halves like ``write_columns``,
-    and the result is True. Otherwise nothing is written and the result is
-    False. For files that ``write_columns`` wrote the output is byte for
-    byte what ``write_columns`` writes from their parsed columns. path must
-    not name left or right.
+    left and right are plain files that ``_read_columns`` has read in bulk,
+    with one row count. The lines are spliced ``_PIECE`` at a time, in one
+    pass through ``_output``. For files that ``write_columns`` wrote the
+    output is byte for byte what ``write_columns`` writes from their parsed
+    columns under the joined header. path must not name left or right.
     """
-    starts = [], []
-    with open(left, "rb") as a, open(right, "rb") as b:
-        n = _plain_rows(a, left_header, starts[0])
-        if n is None or _plain_rows(b, right_header, starts[1]) is None:
-            return False
-
-    def splice(lo: int) -> Iterator[bytes]:
-        # handles of its own: a forked child shares the offsets of those it inherits
-        with open(left, "rb") as a, open(right, "rb") as b:
-            for fh, at in zip((a, b), starts):
-                fh.seek(at[lo // _ROWS])
-            # a plain line is a row read_columns accepted, so it holds a ','; past
-            # the last line a piece is empty
-            for _ in range(lo, n, _ROWS):
-                yield (b"".join([s[:-1] + r[r.index(b","):] for s, r in zip(_lines(a), _lines(b))])
-                       for _ in range(0, _ROWS, _PIECE))
-
-    write_blocks([(path, left_header + right_header[1:])], n, splice)
-    return True
+    with open(left, "rb") as a, open(right, "rb") as b, _output(path) as out:
+        # a plain line, the header's included, holds a ','
+        while lines := _lines(a):
+            out.write(b"".join([s[:-1] + r[r.index(b","):] for s, r in zip(lines, _lines(b))]))
 
 
 def _read_rows(path: Path, header: tuple[str, ...]) -> list[np.ndarray]:
@@ -471,7 +446,9 @@ def _read_rows(path: Path, header: tuple[str, ...]) -> list[np.ndarray]:
     row = 0
     # a byte that is not UTF-8 decodes to U+FFFD, which no number or header
     # contains, so it is reported like any other bad cell
-    with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
+    # a leading byte-order mark is skipped, so a file saved with one (Excel's
+    # "CSV UTF-8") is read like one without
+    with open(path, "r", encoding="utf-8-sig", errors="replace", newline="") as fh:
         reader = csv.reader(fh)
         try:
             got = next(reader, None)

@@ -1325,8 +1325,53 @@ def test_observe_and_compare_give_the_same_bytes_on_any_cpu_count(cfg_file, shor
     else:
         _set_cpus(monkeypatch, case)
     assert _observe_and_compare(cfg_file, sim, measured, tmp_path, capsys, "other") == forked
-    # observe's estimates and compare's merged CSV
-    assert len(refusals) == (2 if case == "no_temporary_file" else 0)
+    # observe's estimates; compare splices its merged CSV in one pass, with no temporary file
+    assert len(refusals) == (1 if case == "no_temporary_file" else 0)
+
+
+def test_compare_scans_each_input_once_and_forks_once(cfg_file, short_run, tmp_path, capsys,
+                                                      monkeypatch):
+    # 5001 rows, two blocks: the reader says both inputs are plain, so the
+    # merged CSV is spliced in one pass with no second scan, no split and no
+    # temporary file
+    sim, measured = short_run
+    cfg_file.write_text(SHORT_CFG.replace("sim.t_end = 0.4", "sim.t_end = 2.5"), encoding="utf-8")
+    est = tmp_path / "est.csv"
+    assert main(["simulate", "--config", str(cfg_file), "--out", str(sim)]) == EXIT_OK
+    assert main(["observe", "--config", str(cfg_file), "--measured", str(measured),
+                 "--out", str(est)]) == EXIT_OK
+    capsys.readouterr()
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            # a scan's header names the input it scans
+            calls.append((name, args[1]) if name == "scan" else (name,))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "_in_parallel", counted("fork", cli._in_parallel))
+    monkeypatch.setattr(csvio, "_plain_rows", counted("scan", csvio._plain_rows))
+    monkeypatch.setattr(csvio.tempfile, "TemporaryFile",
+                        counted("tempfile", csvio.tempfile.TemporaryFile))
+    merged = {}
+    for cpus in (2, 1):
+        _set_cpus(monkeypatch, cpus)
+        calls.clear()
+        merged[cpus] = tmp_path / f"merged_{cpus}.csv"
+        assert main(["compare", "--sim", str(sim), "--estimates", str(est),
+                     "--out", str(merged[cpus])]) == EXIT_OK
+        _assert_no_child()
+        # on two CPUs the --sim read, and its scan, run in the forked child
+        assert calls == {2: [("fork",), ("scan", ESTIMATES_HEADER)],
+                         1: [("fork",), ("scan", SIM_HEADER), ("scan", ESTIMATES_HEADER)]}[cpus]
+    capsys.readouterr()
+    from frictionobs import write_columns
+
+    write_columns(tmp_path / "formatted.csv", SIM_HEADER + ESTIMATES_HEADER[1:],
+                  read_columns(sim, SIM_HEADER) + read_columns(est, ESTIMATES_HEADER)[1:])
+    assert merged[1].read_bytes() == merged[2].read_bytes() == (
+        tmp_path / "formatted.csv").read_bytes()
 
 
 @pytest.mark.parametrize("how", ["killed", "memory"])
@@ -1348,18 +1393,18 @@ def test_a_child_that_dies_leaves_no_output_and_no_child(cfg_file, short_run, tm
         raise MemoryError("cannot allocate the column")
 
     block = cli._block
-    read = cli._read
+    read = cli._read_columns
     pid = os.getpid()
 
     def die_in_second_half(columns, lo):
         return die() if os.getpid() != pid else block(columns, lo)
 
-    def die_reading_sim(path, header, role):
-        return die() if role == "sim" else read(path, header, role)
+    def die_reading_sim(path, header):
+        return die() if header == SIM_HEADER else read(path, header)
 
     # each is called, or dies, in the forked child only
     monkeypatch.setattr(*{"observe": ("frictionobs.cli.simulate_forced", die),
-                          "compare": (cli, "_read", die_reading_sim),
+                          "compare": (cli, "_read_columns", die_reading_sim),
                           "simulate": (cli, "_block", die_in_second_half)}[command])
     _set_cpus(monkeypatch, 2)
     out = tmp_path / "out.csv"
@@ -1456,16 +1501,17 @@ def test_a_failed_write_through_a_symlink_leaves_the_link(cfg_file, short_run, t
 
 
 @pytest.mark.parametrize("sendfile", ["not_a_socket", "missing"])
-def test_compare_appends_without_sendfile(cfg_file, short_run, tmp_path, capsys, monkeypatch,
+def test_observe_appends_without_sendfile(cfg_file, short_run, tmp_path, capsys, monkeypatch,
                                           sendfile):
     # os.sendfile copies only to a socket on macOS and is missing on Windows;
-    # the merged rows reach --out through write() on every platform
+    # the forked half of a split write reaches --out through write() on every
+    # platform. 5001 rows, two blocks: on two CPUs the estimates are split
     sim, measured = short_run
-    est = tmp_path / "est.csv"
-    assert main(["observe", "--config", str(cfg_file), "--measured", str(measured),
-                 "--out", str(est)]) == EXIT_OK
-    argv = ["compare", "--sim", str(sim), "--estimates", str(est), "--out"]
-    assert main(argv + [str(tmp_path / "default.csv")]) == EXIT_OK
+    cfg_file.write_text(SHORT_CFG.replace("sim.t_end = 0.4", "sim.t_end = 2.5"), encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg_file), "--out", str(sim)]) == EXIT_OK
+    argv = ["observe", "--config", str(cfg_file), "--measured", str(measured), "--out"]
+    _set_cpus(monkeypatch, 1)
+    assert main(argv + [str(tmp_path / "serial.csv")]) == EXIT_OK
     if sendfile == "missing":
         monkeypatch.delattr(os, "sendfile")
     else:
@@ -1473,8 +1519,41 @@ def test_compare_appends_without_sendfile(cfg_file, short_run, tmp_path, capsys,
             raise OSError(errno.ENOTSOCK, os.strerror(errno.ENOTSOCK))
 
         monkeypatch.setattr(os, "sendfile", not_a_socket)
-    _set_cpus(monkeypatch, None)
+    appended = []
+    append = csvio._append
+
+    def counted(out, src):
+        appended.append(src)
+        append(out, src)
+
+    monkeypatch.setattr(csvio, "_append", counted)
+    _set_cpus(monkeypatch, 2)
     capsys.readouterr()
-    assert main(argv + [str(tmp_path / "m.csv")]) == EXIT_OK
+    assert main(argv + [str(tmp_path / "est.csv")]) == EXIT_OK
+    assert capsys.readouterr().err == "" and len(appended) == 1
+    _assert_no_child()
+    assert (tmp_path / "est.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["observe", "compare"])
+def test_a_byte_order_mark_is_skipped(cfg_file, short_run, tmp_path, capsys, command):
+    # a CSV saved with a UTF-8 byte-order mark (Excel's "CSV UTF-8") is read
+    # row by row like one without; compare formats its cells anew, in the
+    # repr() form they were written in
+    sim, measured = short_run
+    est = tmp_path / "est.csv"
+    observe = ["observe", "--config", str(cfg_file), "--measured", str(measured), "--out"]
+    assert main(observe + [str(est)]) == EXIT_OK
+    compare = ["compare", "--sim", str(sim), "--estimates", str(est), "--out"]
+    if command == "observe":
+        argv, marked, out = observe, measured, est
+    else:
+        argv, marked, out = compare, est, tmp_path / "merged.csv"
+        assert main(argv + [str(out)]) == EXIT_OK
+    plain = out.read_bytes()
+    marked.write_bytes(b"\xef\xbb\xbf" + marked.read_bytes())
+    other = tmp_path / "other.csv"
+    capsys.readouterr()
+    assert main(argv + [str(other)]) == EXIT_OK
     assert capsys.readouterr().err == ""
-    assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+    assert other.read_bytes() == plain

@@ -154,6 +154,15 @@ def test_readme_configuration_block_matches_the_defaults():
             assert type(default)(value) == default, key
 
 
+def test_a_byte_order_mark_is_skipped(tmp_path):
+    # as Windows Notepad saves a UTF-8 file
+    text = "sim.t_end = 0.1\nobserver.poles = -350, -10\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert load_config(marked) == load_config(plain)
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "nope.cfg")
