@@ -23,9 +23,9 @@ are the same with or without the split. With one CPU, one block, no
 the temporary file cannot be made in, this process writes every row
 itself. It has two folds:
 
-- ``write_columns`` formats columns it holds, every cell with repr() of a
-  float (shortest round-trip form), so reading back what it wrote
-  reproduces the floats bit for bit;
+- ``write_columns`` formats columns it holds, every cell as repr() of a
+  float writes it (shortest round-trip form), so reading back what it
+  wrote reproduces the floats bit for bit;
 - ``cli._blocks`` folds the plant from rest and draws each seed's noise,
   so a forked half computes and drops the rows before its own.
 
@@ -43,6 +43,15 @@ any body that a block's call does not turn into one finite row per line,
 is read again row by row with the csv module, which accepts every finite
 number float() parses and names the first bad row. ``_read_columns``
 also says which path read the file.
+
+Every cell written by a fold comes from ``_cells``: orjson formats a
+column slice in one call, and its shortest round-trip text is repr()'s,
+byte for byte, wherever repr() writes positional digits (1e-4 <= |v| <
+1e16, and 0). The other cells, where repr() writes an exponent and orjson
+does not (``0.00001``, ``1e16``), and nan and inf, which orjson writes as
+``null``, are repr()'s own. So every file keeps the bytes repr() gave it.
+orjson loads in ``write_blocks``, once a process, before the halves fork:
+a command that writes no CSV never imports it.
 
 ``_in_parallel`` runs two independent halves of a command or of a CSV
 write at once: one half in a forked child, which hands back its result or
@@ -82,8 +91,8 @@ _PLAIN = b"0123456789.e+-,\n"
 _BLOCK = 1 << 16
 _ROWS = 4096
 # the lines of a chunk made at a time: 4096 rows of five random columns
-# take 1.6 MB of traced scratch to format, 1024 rows 0.5 MB
-_PIECE = 1024
+# take 2.5 MB of traced scratch to format, 1024 rows 0.74 MB, 512 rows 0.37 MB
+_PIECE = 512
 # file descriptors that _outputs_at_once leaves to stdio, pipes and the
 # command's own reads
 _SPARE_FILES = 32
@@ -124,6 +133,7 @@ def write_blocks(outputs: list[tuple[str | Path, tuple[str, ...]]], n: int,
     failure, the fold's and the child's included, removes every output
     (``_output``).
     """
+    import orjson  # noqa: F401 -- _cells' formatter, loaded once before the halves fork
     half = -(-n // _ROWS) // 2 * _ROWS if _cpus() > 1 else 0
     with contextlib.ExitStack() as files:
         outs = [files.enter_context(_output(path)) for path, _ in outputs]
@@ -314,9 +324,25 @@ def _output(path: str | Path) -> Iterator[io.BufferedWriter]:
 def _block(columns: list[np.ndarray], lo: int) -> Iterator[bytes]:
     """Rows lo to lo + _ROWS of the columns as CSV lines, made ``_PIECE`` rows at a time."""
     for row in range(lo, min(lo + _ROWS, len(columns[0])), _PIECE):
-        # tolist() yields Python floats, so each cell is repr of a float
-        cells = [map(repr, c[row:row + _PIECE].tolist()) for c in columns]
-        yield ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
+        cells = [_cells(c[row:row + _PIECE]) for c in columns]
+        yield b"\n".join(map(b",".join, zip(*cells))) + b"\n"
+
+
+def _cells(column: np.ndarray) -> list[bytes]:
+    """repr() of each float of a non-empty column, as bytes."""
+    import orjson
+
+    # orjson raises on a strided view and misreads a big-endian array, so it
+    # gets a native, C-contiguous float64 one (the column itself if it is one)
+    column = np.ascontiguousarray(column, dtype=float)
+    cells = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
+    size = np.abs(column)
+    # where repr() writes an exponent, and nan and inf (orjson's null): no
+    # comparison with nan holds
+    odd = np.flatnonzero(~((size >= 1e-4) & (size < 1e16) | (column == 0)))
+    for i, v in zip(odd.tolist(), column[odd].tolist()):
+        cells[i] = repr(v).encode()
+    return cells
 
 
 def _append(out: io.BufferedIOBase, src: io.BufferedIOBase) -> None:

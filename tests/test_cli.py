@@ -1073,9 +1073,9 @@ def _traced_peak(argv):
 
 def test_simulate_and_observe_peak_bytes_a_sample(tmp_path, capsys, monkeypatch):
     # each column is an array of its own, freed once it has been read for
-    # the last time, and CSV text is made 1024 rows at a time. On a
+    # the last time, and CSV text is made 512 rows at a time. On a
     # 20,001-sample record observe --truth peaks at 84 bytes a sample on one
-    # CPU and 70 on two (this process's share), compare at 84 and 66; with
+    # CPU and 67 on two (this process's share), compare at 84 and 66; with
     # views of one parsed table, copies and 4096-row text they took 143 and 137
     cfg = tmp_path / "run.cfg"
     # simulate holds one block of rows whatever the record's length: its

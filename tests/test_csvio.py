@@ -238,11 +238,11 @@ EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
                -1.7976931348623157e308, 1e16, 1e-5, 1e22, 0.1]
 
 
-EDGE_HEADER = ("e", "r", "n", "t", "i", "l")
+EDGE_HEADER = ("e", "r", "n", "t", "i", "l", "b", "s")
 
 
 def _edge_columns(n):
-    """EDGE_VALUES and random columns of n rows: float, strided, int64 and list."""
+    """EDGE_VALUES and random columns of n rows: float, strided, int64, list, >f8 and float32."""
     rng = np.random.default_rng(n)
     edge = np.resize(np.array(EDGE_VALUES), n)
     # the strided columns of one table, as read_columns returns them
@@ -252,6 +252,9 @@ def _edge_columns(n):
         *table.T,
         rng.integers(-2**62, 2**62, size=n),
         list(rng.permutation(edge)),
+        # orjson raises on a strided column and misreads these two as they are
+        edge.astype(">f8"),
+        (rng.standard_normal(n) * 1e-3).astype(np.float32),
     ]
     assert not columns[1].flags.c_contiguous or n < 2
     assert columns[4].dtype == np.int64 and isinstance(columns[5], list)
@@ -295,7 +298,8 @@ def _set_cpus(monkeypatch, cpus):
 
 
 @pytest.mark.parametrize("cpus", [None, 1, 2, 3, 4, "fork_fails"])
-@pytest.mark.parametrize("n", [0, 1, csvio._ROWS, csvio._ROWS + 1, 3 * csvio._ROWS + 7])
+@pytest.mark.parametrize("n", [0, 1, csvio._PIECE + 1, csvio._ROWS, csvio._ROWS + 1,
+                               3 * csvio._ROWS + 7])
 def test_split_writer_matches_row_writer(tmp_path, monkeypatch, cpus, n):
     # two halves of whole blocks on two CPUs or more, or both halves here when
     # the fork fails: the bytes do not depend on the split
@@ -375,6 +379,38 @@ def test_split_write_without_temporary_files_is_one_part(tmp_path, monkeypatch):
     _assert_writes_like_rows(tmp_path, 3 * csvio._ROWS + 7)
     assert len(calls) == 1
     _assert_no_child()
+
+
+# repr() writes an exponent below 1e-4 and from 1e16 on, where orjson does not
+THRESHOLDS = [np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e16, 0), 1e16]
+
+
+def _repr_cells(values):
+    return [repr(v).encode() for v in values.tolist()]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=20))
+@example([0.0, -0.0, 5e-324, -5e-324, math.nan, -math.inf, math.inf, *THRESHOLDS])
+@example([-1e-4, -1e16, 2.0 ** 53, 1.7976931348623157e308, 0.1, 1 / 3])
+def test_cells_are_repr_of_every_float(values):
+    column = np.array(values)
+    assert csvio._cells(column) == _repr_cells(column)
+
+
+def test_cells_are_repr_of_a_million_floats():
+    # the orjson release in use must keep repr()'s digits: random bit
+    # patterns (every exponent, nan and inf among them) and values spread
+    # log-uniformly across both thresholds, a 2**16 slice at a time
+    rng = np.random.default_rng(35)
+    bits = rng.integers(0, 2**64, size=2**19, dtype=np.uint64).view(float)
+    spread = 10.0 ** rng.uniform(-7, 19, size=2**19) * rng.choice([-1.0, 1.0], size=2**19)
+    edges = np.array(THRESHOLDS)
+    values = np.concatenate([edges, -edges, bits, spread])
+    assert len(values) >= 10**6
+    for lo in range(0, len(values), 2**16):
+        piece = values[lo:lo + 2**16]
+        assert csvio._cells(piece) == _repr_cells(piece)
 
 
 def test_row_read_holds_each_cell_as_a_packed_double(tmp_path):

@@ -4,6 +4,7 @@ importing it loads, and the module attributes that the benchmark's layer tracer 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -97,6 +98,30 @@ def test_unused_import_guard_sees_a_leftover_import():
     assert _unused_imports(tree) == [(2, "shutil"), (3, "lv")]
 
 
+def _imported_modules(tree):
+    """The top-level name of each module tree imports, at any depth; '.' for the package's own."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." if node.level else node.module.partition(".")[0])
+    return names
+
+
+def test_every_import_is_stdlib_or_a_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[\w.-]+", dep).group().lower().replace("-", "_")
+                for dep in project["dependencies"]}
+    imported = set().union(*(_imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+                             for path in SOURCES))
+    # a function's own import counts: csvio imports orjson where it formats
+    assert {".", "numpy", "orjson"} <= imported
+    assert imported - set(sys.stdlib_module_names) - {".", "frictionobs"} <= declared
+
+
 def _in_fresh_interpreter(code, **env):
     """stdout of a new interpreter that runs code, with no OPENBLAS_NUM_THREADS but env's.
 
@@ -179,6 +204,23 @@ def test_only_a_noisy_simulate_loads_numpy_random(records, argv, loaded):
     code = ("import sys\nfrom frictionobs.cli import main\n"
             f"print(main({[a.format(d=records) for a in argv.split()]!r}),"
             " 'numpy.random' in sys.modules)")
+    assert _in_fresh_interpreter(code).splitlines()[-1] == f"0 {loaded}"
+
+
+# importing orjson adds about 0.87 MB of RSS and 8-17 ms; only a command
+# that formats a CSV needs it, and compare splices plain inputs unformatted
+@pytest.mark.parametrize("argv, loaded", [
+    ("", False),
+    ("simulate --config {d}/quiet.cfg --out {d}/quiet.csv", True),
+    ("design --poles=-350,-10", False),
+    ("observe --config {d}/run.cfg --measured {d}/sim_measured.csv --out {d}/est2.csv"
+     " --truth {d}/sim.csv", True),
+    ("compare --sim {d}/sim.csv --estimates {d}/est.csv --out {d}/merged.csv", False),
+    ("identify --config {d}/run.cfg --measured {d}/sim_measured.csv --out {d}/fit.txt", False),
+], ids=["import", "simulate", "design", "observe", "compare_plain", "identify"])
+def test_only_a_command_that_formats_a_csv_loads_orjson(records, argv, loaded):
+    run = f"main({[a.format(d=records) for a in argv.split()]!r})" if argv else "0"
+    code = f"import sys\nfrom frictionobs.cli import main\nprint({run}, 'orjson' in sys.modules)"
     assert _in_fresh_interpreter(code).splitlines()[-1] == f"0 {loaded}"
 
 
