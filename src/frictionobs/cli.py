@@ -7,11 +7,11 @@ whose CSVs cannot fit in the free space of their file systems, or one too
 long to address, 2 simulation divergence or observer estimates that overflow
 to inf or NaN, or an `identify` start point with no finite residual, 3
 gain-design conditions failed (gains are still printed), 4 CSV schema
-violation, grid/length mismatch, or a record for `identify` that does not
-start at t = 0, whose span (samples - 1) * dt overflows, whose u is zero in
-every row, that is too short (x responds to the fitted parameters only from
-two samples after u's first nonzero row k, so it needs k + 3 samples), or
-whose u is too small for x to respond to them.
+violation, grid/length mismatch, or a record for `identify` whose span
+(samples - 1) * dt overflows, whose u is zero in every row, that is too
+short (x responds to the fitted parameters only from two samples after u's
+first nonzero row k, so it needs k + 3 samples), or whose u is too small for
+x to respond to them.
 `identify` calls fit(problem), which starts from the config's friction law.
 Each command checks its file names before it opens a file. `observe`,
 `identify` and `compare` read and check their inputs, and compute their

@@ -51,7 +51,8 @@ def grid_break(t: np.ndarray) -> int | None:
 def same_grid(a: np.ndarray, b: np.ndarray) -> bool:
     """True if a and b have one length and agree within max(1e-9, 1e-9 * max|a|).
 
-    A NaN in either never agrees.
+    Half of a's first step caps that where it is finite, so columns one row
+    apart never agree. A NaN in either never agrees.
     """
     if len(a) != len(b):
         return False
@@ -59,6 +60,8 @@ def same_grid(a: np.ndarray, b: np.ndarray) -> bool:
         return True
     # one temporary, d; np.max passes a NaN on, which fails the comparison
     tol = max(1e-9, 1e-9 * max(float(np.max(a)), -float(np.min(a))))
+    if len(a) > 1:  # in floats an overflow is an inf step; min() keeps tol against inf or NaN
+        tol = min(tol, abs(float(a[1]) - float(a[0])) / 2)
     with np.errstate(over="ignore", invalid="ignore"):
         d = np.subtract(a, b, dtype=float)
     return bool(np.max(np.abs(d, out=d)) <= tol)

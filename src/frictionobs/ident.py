@@ -38,10 +38,10 @@ MAX_ITERATIONS = 200
 class FitProblem:
     """Measured record plus the knowns and the search box.
 
-    record: the measured displacement, at least 2 samples from t = 0, with
-    (samples - 1) * dt finite, and a u that is nonzero in some row k, with
-    samples >= k + 3 (ValueError otherwise); the forward runs are driven by
-    that u. plant: the known mass.
+    record: the measured displacement, at least 2 samples on a clock that may
+    start anywhere, with (samples - 1) * dt finite, and a u that is nonzero in
+    some row k, with samples >= k + 3 (ValueError otherwise); the forward runs
+    start at rest at its first row, driven by that u. plant: the known mass.
     friction: the nominal friction law; the fit starts from its THETA_NAMES
     fields, replaces them and keeps the rest.
     bounds: per-parameter (lo, hi) in THETA_NAMES order, finite and positive.
@@ -56,9 +56,6 @@ class FitProblem:
         t = self.record.t
         if len(t) < 2:
             raise ValueError("need a measured record with at least 2 samples")
-        if t[0] != 0.0:
-            # the forward run starts at rest at t = 0 and must match x row for row
-            raise ValueError(f"measured grid must start at t = 0, got t[0] = {float(t[0])!r}")
         if not math.isfinite((len(t) - 1) * self.record.dt):
             raise ValueError("measured grid: (samples - 1) * dt overflows the float range")
         if len(self.bounds) != len(THETA_NAMES):

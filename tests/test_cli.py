@@ -692,19 +692,19 @@ def short_run(cfg_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["truth_bad_grid", "truth_one_sample", "truth_missing",
-                                  "truth_missing_empty_measured", "identify_shifted_grid"])
+                                  "truth_missing_empty_measured", "identify_zero_u"])
 def test_rejected_input_writes_nothing(cfg_file, short_run, tmp_path, capsys, case):
     _, measured = short_run
     out = tmp_path / "out.csv"
     one = tmp_path / "one.csv"
     one.write_text("t,x,v,f,u\n0.0,0.0,0.0,0.0,0.0\n", encoding="utf-8")
-    if case == "identify_shifted_grid":
+    if case == "identify_zero_u":
         t, x, u = read_columns(measured, MEASURED_HEADER)
         from frictionobs import write_columns
 
-        write_columns(measured, MEASURED_HEADER, [t + 0.5, x, u])
+        write_columns(measured, MEASURED_HEADER, [t, x, 0.0 * u])
         argv = ["identify", "--measured", str(measured)]
-        expect = "t[0] = 0.5"
+        expect = "u is zero in every row"
     else:
         # the one-sample truth is off the grid of the 801-sample record
         truth = tmp_path / "missing.csv" if case.startswith("truth_missing") else one
@@ -1263,6 +1263,36 @@ def test_observe_truth_on_record_not_starting_at_zero(cfg_file, short_run, tmp_p
     captured = capsys.readouterr()
     assert rc == EXIT_OK and captured.err == ""
     assert _printed(captured.out)["rms_e_model"] == pytest.approx(base, rel=1e-9)
+
+
+@pytest.mark.parametrize("t0", [0.0, 0.5, 1e6])
+def test_time_columns_one_row_apart_never_match(cfg_file, short_run, tmp_path, capsys, t0):
+    # 1e-9 * max|t| alone would pass a 5e-4 s step from |t| = 5e5 s on;
+    # half of the first step caps it
+    from frictionobs import write_columns
+
+    sim, measured = short_run
+    est, out = tmp_path / "est.csv", tmp_path / "out.csv"
+    for path, header in ((sim, SIM_HEADER), (measured, MEASURED_HEADER)):
+        cols = read_columns(path, header)
+        write_columns(path, header, [cols[0] + t0, *cols[1:]])
+    observe = ["observe", "--config", str(cfg_file), "--measured", str(measured),
+               "--truth", str(sim)]
+    compare = ["compare", "--sim", str(sim), "--estimates", str(est)]
+    assert main(observe + ["--out", str(est)]) == EXIT_OK
+    assert main(compare + ["--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    out.unlink()
+    # the truth and --sim start one row later than the measured record and the estimates
+    for path, header, rows in ((sim, SIM_HEADER, slice(1, None)),
+                               (measured, MEASURED_HEADER, slice(None, -1)),
+                               (est, ESTIMATES_HEADER, slice(None, -1))):
+        write_columns(path, header, [c[rows] for c in read_columns(path, header)])
+    for argv, expect in ((observe, "grid does not match"), (compare, "timestamp mismatch")):
+        assert main(argv + ["--out", str(out)]) == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert expect in captured.err and captured.err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_compare_overflowing_difference_stays_finite(tmp_path, capsys):

@@ -3,10 +3,10 @@
 Whatever the input, ``main`` returns a documented code (0-4) and lets no
 exception escape. A failure prints exactly one stderr line, and a success
 prints nothing there, numpy warnings included. A config always ends with
-bounded ``sim.dt``/``sim.t_end`` lines (at most 801 samples). Values and
-cells are ordinary numbers, finite ones near +-1.7e308, or come from a
-fixed set of special and malformed ones: nan, inf, 1e400, negatives,
-empty, text, extra commas.
+bounded ``sim.dt``/``sim.t_end`` lines (at most 801 samples). A CSV's
+clock starts at 0, 0.5 s or 1e6 s. Values and cells are ordinary numbers,
+finite ones near +-1.7e308, or come from a fixed set of special and
+malformed ones: nan, inf, 1e400, negatives, empty, text, extra commas.
 """
 
 import contextlib
@@ -76,10 +76,11 @@ def configs(draw):
 
 
 @st.composite
-def csv_bodies(draw, header, dt, n):
-    """A CSV on the grid k*dt, k < n, with at most one defect drawn into it."""
+def csv_bodies(draw, header, t0, dt, n):
+    """A CSV on the grid t0 + k*dt, k < n, with at most one defect drawn into it."""
     lines = [",".join(header)]
-    lines += [",".join([repr(k * dt)] + [draw(NUMBERS) for _ in header[1:]]) for k in range(n)]
+    lines += [",".join([repr(t0 + k * dt)] + [draw(NUMBERS) for _ in header[1:]])
+              for k in range(n)]
     defect = draw(st.sampled_from([None, None, None, "header", "cell", "row", "tail"]))
     row = draw(st.integers(1, n)) if n else 0
     if defect == "header":
@@ -98,6 +99,8 @@ def csv_bodies(draw, header, dt, n):
 @st.composite
 def record_pairs(draw, first, second, max_rows=40):
     """Two CSV bodies (either may be None: the file is missing) on one drawn grid."""
+    # a rig's clock rarely starts at 0: a second, or days, into a run
+    t0 = draw(st.sampled_from([0.0, 0.0, 0.0, 0.5, 1e6]))
     dt = draw(st.sampled_from([5e-4, 1e-3, 0.01]))
     n = draw(st.integers(0, max_rows))
     bodies = []
@@ -105,7 +108,7 @@ def record_pairs(draw, first, second, max_rows=40):
         # most often present and on the shared grid, so success is reached
         m = draw(st.sampled_from([n, n, n, max(n - 1, 0)]))
         missing = draw(st.sampled_from([False] * 7 + [True]))
-        bodies.append(None if missing else draw(csv_bodies(header, dt, m)))
+        bodies.append(None if missing else draw(csv_bodies(header, t0, dt, m)))
     return tuple(bodies)
 
 

@@ -569,6 +569,14 @@ def test_room_check_counts_the_shortest_rows(tmp_path, monkeypatch):
     if os.path.exists("/dev/null"):
         csvio._check_room([("/dev/null", MEASURED_HEADER)], 10 ** 15)
 
+    # a file system whose free space cannot be read is not checked: opening
+    # the output there reports what is wrong
+    def unreadable(path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(csvio.shutil, "disk_usage", unreadable)
+    csvio._check_room([(out, MEASURED_HEADER)], 10 ** 15)
+
 
 def test_splice_memory_is_bounded_by_a_block(tmp_path):
     # the plainness scan holds two read blocks and one block of scratch at

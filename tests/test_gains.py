@@ -49,6 +49,11 @@ def test_design_validation():
     for m in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match=f"m must be finite and > 0, got {m!r}"):
             design_gains((-350.0, -10.0), m)
+        with pytest.raises(ValueError, match=f"m must be finite and > 0, got {m!r}"):
+            validate_robust(ObserverGains(360.0, -182.0), m, 0.0, 0.0)
+    for gains in ((math.nan, -182.0), (360.0, math.inf)):
+        with pytest.raises(ValueError, match="gains must be finite"):
+            ObserverGains(*gains)
     for sob in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=f"sob must be finite, got {sob!r}"):
             design_gains((-350.0, -10.0), M, sob)

@@ -161,12 +161,18 @@ def test_fit_from_truth_keeps_truth():
     assert res.iterations == 0  # a zero cost is converged before the first step
 
 
-def test_problem_rejects_grid_not_starting_at_zero():
-    # the forward run starts at t = 0, so a shifted grid would score +inf
-    # at every candidate; the problem names t[0] instead
-    rec = make_problem().record
-    with pytest.raises(ValueError, match=r"t\[0\] = 0.5"):
-        problem_on(rec.t + 0.5, rec.x)
+@pytest.mark.parametrize("t0", [0.5, 1e3])
+def test_fit_is_the_same_wherever_the_clock_starts(t0):
+    # the forward run starts at rest at the record's first row and steps by
+    # its dt, so a shifted clock moves only the rounding of dt = t[1] - t[0]
+    cfg = SimConfig(dt=1e-3, t_end=0.08, noise_std=2e-6, seed=7)  # the golden identify record
+    traj = simulate(PLANT, LAW, TRAIN, cfg)
+    x = measure(traj.t, traj.x, traj.u, cfg).x
+    base = fit(problem_on(traj.t, x))
+    res = fit(problem_on(traj.t + t0, x, u=traj.u))
+    assert base.iterations > 0 and res.converged
+    assert res.iterations == base.iterations
+    np.testing.assert_allclose(res.theta, base.theta, rtol=1e-8, atol=0)
 
 
 def test_residual_runs_the_record_pulse():

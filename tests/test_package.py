@@ -30,6 +30,9 @@ def test_public_surface():
     exec("from frictionobs import *", namespace)
     assert not set(frictionobs.__all__) - namespace.keys()
     assert len(set(frictionobs.__all__)) == len(frictionobs.__all__)
+    # dir() lists every exported name, loaded or not yet, once and in order
+    listed = dir(frictionobs)
+    assert set(frictionobs.__all__) <= set(listed) and listed == sorted(set(listed))
     assert not [name for name in REMOVED if hasattr(frictionobs, name)]
     assert not hasattr(frictionobs.FrictionParams, "beta_ok")
 

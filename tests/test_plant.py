@@ -148,6 +148,11 @@ def test_measure_identity_when_noise_and_quant_off():
 
 def test_measured_rejects_non_finite():
     t = np.array([0.0, 1e-3, 2e-3])
+    # columns of unequal length, in a record or a trajectory
+    with pytest.raises(ValueError, match="measured columns must have equal length"):
+        Measured(t, np.zeros(3), np.zeros(2))
+    with pytest.raises(ValueError, match="trajectory columns must have equal length"):
+        Trajectory(t, np.zeros(3), np.zeros(3), np.zeros(2), np.zeros(3))
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="x is not finite at row 1"):
             Measured(t, np.array([0.0, bad, 0.0]), np.zeros(3))
@@ -166,6 +171,10 @@ def test_measured_grid_error_row():
     with pytest.raises(GridError) as exc:
         Measured(np.array([0.0, 1e-3, math.nan, 3e-3]), np.zeros(4), np.zeros(4))
     assert exc.value.row == 2
+    # a NaN first stamp breaks the grid at row 0, whatever follows it
+    with pytest.raises(GridError) as exc:
+        Measured(np.array([math.nan, 1e-3]), np.zeros(2), np.zeros(2))
+    assert exc.value.row == 0
 
 
 def test_measured_dt():
@@ -310,6 +319,8 @@ def _same_grid_whole(a, b):
     if len(a) == 0:
         return True
     tol = max(1e-9, 1e-9 * float(np.max(np.abs(a))))
+    if len(a) > 1 and math.isfinite(a[1] - a[0]):
+        tol = min(tol, abs(a[1] - a[0]) / 2)  # half a step: one row apart never agrees
     return bool(np.all(np.abs(a - b) <= tol))
 
 
@@ -321,7 +332,7 @@ def test_grid_checks_match_whole_array_formulas(extra):
     # rows around the first chunk edge (row c is the last step of chunk 0),
     # the last row, and one row of the second chunk edge where there is one
     rows = sorted({r for r in (1, 2, c - 1, c, c + 1, n - 1, 2 * c, 2 * c + 1) if 0 <= r < n})
-    cases = [base, base + 3.0, np.arange(n) * 1e-3 - 7.0]
+    cases = [base, base + 3.0, np.arange(n) * 1e-3 - 7.0, base + 1e6]
     for r in rows:
         for change in (1e-9, -2e-4, 5e-4, math.nan, math.inf):
             t = base.copy()
@@ -334,9 +345,12 @@ def test_grid_checks_match_whole_array_formulas(extra):
         assert grid.grid_break(t) == _grid_break_whole(t)
         # inf - inf is NaN, which both formulas reject, with numpy's warning
         with np.errstate(invalid="ignore"):
-            for b in (base, base + 2e-9, base * (1 + 1e-12), t[::-1]):
+            # base + 1e6 + 5e-4 is one row after base + 1e6, which 1e-9 * 1e6 would pass
+            for b in (base, base + 2e-9, base * (1 + 1e-12), t[::-1], base + (1e6 + 5e-4)):
                 assert grid.same_grid(t, b) == _same_grid_whole(t, b)
                 assert grid.same_grid(b, t) == _same_grid_whole(b, t)
+    assert grid.same_grid(base + 1e6, base + 1e6)
+    assert not grid.same_grid(base + 1e6, base + (1e6 + 5e-4))
     # a break one row before the chunk edge, at it, one row after it, and in the last row
     for r in (c - 1, c, c + 1, n - 1):
         if r < n:
